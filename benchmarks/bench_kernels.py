@@ -1,10 +1,9 @@
-"""Timing comparison of the numba and numpy kernel paths.
+"""Timing of the three hot kernels.
 
-Times the three hot kernels on workload-shaped inputs: probability
-evaluation over a full preset grid for the generation-4 gasket and the
-generation-3 carpet, and one default-quality frame splat.  The numba
-variants are warmed up first so JIT compilation is excluded.  Run from
-the repository root:
+Times the kernels on workload-shaped inputs: probability evaluation over
+a full preset grid for the generation-4 gasket and the generation-3
+carpet, classical evolution on the gasket, and one default-quality frame
+splat.  Run from the repository root:
 
     python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -71,40 +70,21 @@ def main() -> int:
     sc, sc_spectral = spectral_args("sc", 3)
     cases = [
         (f"quantum  sg:4  ({sg.n_sites} sites x 501 times)",
-         kernels.quantum_probabilities_numpy,
-         getattr(kernels, "quantum_probabilities_numba", None),
-         sg_spectral),
+         kernels.quantum_probabilities, sg_spectral),
         (f"quantum  sc:3  ({sc.n_sites} sites x 241 times)",
-         kernels.quantum_probabilities_numpy,
-         getattr(kernels, "quantum_probabilities_numba", None),
-         sc_spectral),
+         kernels.quantum_probabilities, sc_spectral),
         ("classical sg:4 (123 sites x 501 times)",
-         kernels.classical_probabilities_numpy,
-         getattr(kernels, "classical_probabilities_numba", None),
-         classical_args("sg", 4)),
+         kernels.classical_probabilities, classical_args("sg", 4)),
         ("splat    sg:4  (one 24 px/spacing frame)",
-         kernels.gaussian_splat_numpy,
-         getattr(kernels, "gaussian_splat_numba", None),
-         splat_args("sg", 4)),
+         kernels.gaussian_splat, splat_args("sg", 4)),
     ]
 
-    if not kernels.USING_NUMBA:
-        print("numba backend inactive (FRACTALWALK_NO_NUMBA set or numba "
-              "missing); timing the numpy path only\n")
-
-    header = f"{'case':<42} {'numpy':>10} {'numba':>10} {'speedup':>8}"
+    header = f"{'case':<42} {'best':>10}"
     print(header)
     print("-" * len(header))
-    for name, numpy_fn, numba_fn, fn_args in cases:
-        numpy_s = best_of(lambda: numpy_fn(*fn_args), args.repeats)
-        if kernels.USING_NUMBA and numba_fn is not None:
-            numba_fn(*fn_args)  # warmup: compile outside the timed loop
-            numba_s = best_of(lambda: numba_fn(*fn_args), args.repeats)
-            ratio = f"{numpy_s / numba_s:7.2f}x"
-            numba_ms = f"{numba_s * 1e3:8.2f}ms"
-        else:
-            numba_ms, ratio = "-", "-"
-        print(f"{name:<42} {numpy_s * 1e3:8.2f}ms {numba_ms:>10} {ratio:>8}")
+    for name, fn, fn_args in cases:
+        seconds = best_of(lambda: fn(*fn_args), args.repeats)
+        print(f"{name:<42} {seconds * 1e3:8.2f}ms")
     return 0
 
 

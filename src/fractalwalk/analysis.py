@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import DomainError, ShapeError
 from .evolution import ProbabilitySeries
@@ -44,6 +43,9 @@ SATURATION_WINDOW_TAU = 8.0
 
 #: oscillation: trough prominence as a fraction of the saturation level
 OSCILLATION_PROMINENCE = 0.005
+
+#: detected events in report order; a report stores each as ``<name>_tau``
+EVENT_NAMES = ("first_void", "l_f", "farthest", "saturation")
 
 
 @dataclass(frozen=True)
@@ -96,16 +98,8 @@ class RegimeReport:
 
     def event_taus(self) -> dict[str, float]:
         """Present events by name, for calibration and reporting."""
-        out = {}
-        for name, value in (
-            ("first_void", self.first_void_tau),
-            ("l_f", self.l_f_tau),
-            ("farthest", self.farthest_tau),
-            ("saturation", self.saturation_tau),
-        ):
-            if value is not None:
-                out[name] = float(value)
-        return out
+        taus = {name: getattr(self, f"{name}_tau") for name in EVENT_NAMES}
+        return {name: float(tau) for name, tau in taus.items() if tau is not None}
 
 
 @dataclass(frozen=True)
@@ -336,18 +330,50 @@ def detect_saturation_and_oscillation(times, variance, farthest_tau,
     level = float(tail.mean())
     if tail.size < 3 or level <= 0:
         return sat_tau, False
-    peaks, _ = find_peaks(tail, prominence=prominence * level)
+    peaks = _prominent_peaks(tail, prominence * level)
     return sat_tau, bool(peaks.size >= 2)
 
 
+def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of local maxima of ``x`` with prominence >= ``min_prominence``.
+
+    A maximum is a run of equal samples with a lower neighbour on each side
+    (the endpoints never qualify); a flat top reports its middle sample,
+    rounded down.  Prominence is the height above the higher of the two
+    lowest points reached on each side before the curve climbs above the
+    peak or ends.  These are the peaks scipy.signal reports for a prominence
+    threshold; the tests hold the two to exact agreement.
+    """
+    edges = np.flatnonzero(np.diff(x)) + 1
+    starts = np.concatenate(([0], edges))
+    ends = np.concatenate((edges - 1, [x.size - 1]))
+    level = x[starts]
+    tops = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    kept = []
+    for peak in (starts[tops] + ends[tops]) // 2:
+        higher = np.flatnonzero(x > x[peak])
+        cut = np.searchsorted(higher, peak)
+        lo = higher[cut - 1] + 1 if cut > 0 else 0
+        hi = higher[cut] if cut < higher.size else x.size
+        base = max(x[lo:peak + 1].min(), x[peak:hi].min())
+        if x[peak] - base >= min_prominence:
+            kept.append(peak)
+    return np.asarray(kept, dtype=np.int64)
+
+
 def calibrate_length(report: RegimeReport, config: CalibrationConfig):
+    """Calibrate the detected events of a report; see ``calibrate_events``."""
+    return calibrate_events(report.event_taus(), config)
+
+
+def calibrate_events(events: dict[str, float], config: CalibrationConfig):
     """Map dimensionless event times to physical mm via one anchored event.
 
-    scale_s = anchor_mm / anchor_event_tau; every other detected event is
-    converted to a mm prediction.  Returns None when the anchor event was
-    not detected (not-found propagation).
+    ``events`` maps event names to taus, as ``RegimeReport.event_taus``
+    returns them.  scale_s = anchor_mm / anchor_event_tau; every other
+    event is converted to a mm prediction.  Returns None when the anchor
+    event was not detected (not-found propagation).
     """
-    events = report.event_taus()
     anchor_tau = events.get(config.anchor_event)
     if anchor_tau is None or anchor_tau <= 0.0:
         return None

@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import analysis, serialize
-from .analysis import CalibrationConfig, CalibrationResult, build_regime_report
+from .analysis import CalibrationConfig, build_regime_report, calibrate_events
 from .errors import (
     DomainError,
     FractalwalkError,
@@ -171,36 +171,17 @@ def cmd_render(args) -> int:
 def cmd_calibrate(args) -> int:
     doc = serialize.read_report_document(args.report)
     events = {
-        name: float(doc[key])
-        for name, key in (
-            ("first_void", "first_void_tau"),
-            ("l_f", "l_f_tau"),
-            ("farthest", "farthest_tau"),
-            ("saturation", "saturation_tau"),
-        )
-        if doc.get(key) is not None
+        name: float(doc[f"{name}_tau"])
+        for name in analysis.EVENT_NAMES
+        if doc.get(f"{name}_tau") is not None
     }
     config = CalibrationConfig(anchor_event=args.anchor_event, anchor_mm=args.anchor_mm)
-    anchor_tau = events.get(config.anchor_event)
-    if anchor_tau is None or anchor_tau <= 0:
+    result = calibrate_events(events, config)
+    if result is None:
         raise NotFoundError(
             f"anchor event {config.anchor_event!r} not present in {args.report}"
         )
-    scale = config.anchor_mm / anchor_tau
-    result = CalibrationResult(
-        anchor_event=config.anchor_event,
-        anchor_mm=config.anchor_mm,
-        anchor_tau=anchor_tau,
-        scale_s=scale,
-        events_mm={name: scale * tau for name, tau in events.items()},
-    )
-    doc["calibration"] = {
-        "anchor_event": result.anchor_event,
-        "anchor_mm": result.anchor_mm,
-        "anchor_tau": result.anchor_tau,
-        "scale_mm_per_tau": result.scale_s,
-        "events_mm": result.events_mm,
-    }
+    doc["calibration"] = serialize.calibration_document(result)
     out = _outpath(args.out)
     serialize.write_text(out, serialize.json_dumps(doc) + "\n")
     predicted = ", ".join(f"{k}={v:.3f}mm" for k, v in result.events_mm.items())
@@ -240,15 +221,8 @@ def cmd_sweep(args) -> int:
     for kind, generation in instances:
         lattice = generate(kind, generation)
         input_site = resolve_input(lattice, args.input)
-        tau_max, steps = GRID_PRESETS[kind]
-        if args.tau_max is not None:
-            tau_max = args.tau_max
-        if args.steps is not None:
-            steps = args.steps
         series = evolve_quantum(
-            spectral_decompose(build_hamiltonian(lattice)),
-            input_site,
-            time_grid(tau_max, steps),
+            spectral_decompose(build_hamiltonian(lattice)), input_site, _grid_for(args, kind)
         )
         table = build_observable_table(series, lattice)
         report = build_regime_report(lattice, series, table=table, epsilon=args.epsilon)
@@ -372,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-max", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_sweep)
+    # sweep grids always start at tau = 0; there is no --tau-min flag
+    p.set_defaults(func=cmd_sweep, tau_min=0.0)
 
     return parser
 

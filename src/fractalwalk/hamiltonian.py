@@ -80,8 +80,3 @@ def build_classical_generator(lattice: Lattice, rate: float = 1.0) -> ClassicalG
     np.fill_diagonal(m, rate * deg)
     return ClassicalGenerator(n=n, rate=float(rate), matrix=m)
 
-
-def matrix_triplets(matrix: np.ndarray) -> list[tuple[int, int, float]]:
-    """Nonzero entries as (row, col, value), 0-indexed, sorted by row then col."""
-    rows, cols = np.nonzero(matrix)
-    return [(int(r), int(c), float(matrix[r, c])) for r, c in zip(rows, cols)]

@@ -1,47 +1,21 @@
-"""Hot numerical kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numerical kernels, one numpy implementation each.
 
 Two loops dominate the runtime of a full pipeline: evaluating per-site
 occupation probabilities over the whole time grid (T x N^2 work) and
 splatting Gaussian spots onto a pixel raster (pixels x N work).  Both are
-implemented twice, once vectorised in numpy and once as explicit loops
-compiled with numba.  The active backend is chosen at import time:
-setting the environment variable FRACTALWALK_NO_NUMBA to a non-empty
-value other than "0" forces the numpy path, as does an unavailable numba
-installation.  Both paths compute the same quantities; they may differ in
-the last float ulp because summation order differs.  Which path is faster
-depends on the machine: against a tuned BLAS the numpy contractions are
-hard to beat, so measure with benchmarks/bench_kernels.py before choosing.
-
-`quantum_probabilities` and friends are the dispatched names used by the
-rest of the package.  The `*_numpy` / `*_numba` variants stay importable
-so tests and benchmarks can compare the two paths directly.
+written as dense matrix products so the work lands in BLAS; time them with
+benchmarks/bench_kernels.py.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("FRACTALWALK_NO_NUMBA", "").strip()
-NUMBA_REQUESTED = _flag in ("", "0")
-
-if NUMBA_REQUESTED:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover - mirror environments without numba
-        numba = None
-else:
-    numba = None
-
-USING_NUMBA = numba is not None
+#: there is no compiled backend; perfbench/run.py records this in its machine line
+USING_NUMBA = False
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def quantum_probabilities_numpy(eigvals, eigvecs, weights, times):
+def quantum_probabilities(eigvals, eigvecs, weights, times):
     """Occupation probabilities p_j(t) = |sum_k V_jk w_k exp(-i lam_k t)|^2.
 
     Parameters
@@ -63,89 +37,26 @@ def quantum_probabilities_numpy(eigvals, eigvecs, weights, times):
     return amps.real ** 2 + amps.imag ** 2
 
 
-def classical_probabilities_numpy(eigvals, eigvecs, weights, times):
+def classical_probabilities(eigvals, eigvecs, weights, times):
     """Same contraction for the heat kernel exp(-L t); returns (T, n) floats."""
     decay = np.exp(-np.outer(times, eigvals))
     return decay @ (eigvecs * weights).T
 
 
-def gaussian_splat_numpy(xs, ys, probs, x0, y_top, inv_pps, width, height, sigma):
+def gaussian_splat(xs, ys, probs, x0, y_top, inv_pps, width, height, sigma):
     """Accumulate probability-weighted Gaussian spots onto a raster.
 
     Pixel (row r, col c) is centred at world coordinates
     (x0 + (c + 0.5) * inv_pps, y_top - (r + 0.5) * inv_pps); row 0 is the
     top of the image.  Returns a (height, width) float image, unnormalised.
+
+    The spot factorises, exp(-(dx^2 + dy^2) / 2 sigma^2) = gy * gx, so the
+    frame is one product (gy * p) @ gx of an (height, n) and an (n, width)
+    matrix.
     """
     cols = x0 + (np.arange(width) + 0.5) * inv_pps
     rows = y_top - (np.arange(height) + 0.5) * inv_pps
     inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
-    image = np.zeros((height, width))
-    for x, y, p in zip(xs, ys, probs):
-        dx2 = (cols - x) ** 2
-        dy2 = (rows - y) ** 2
-        image += p * np.exp(-(dy2[:, None] + dx2[None, :]) * inv_two_sigma2)
-    return image
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if USING_NUMBA:
-
-    @numba.njit(parallel=False, cache=True)
-    def quantum_probabilities_numba(eigvals, eigvecs, weights, times):
-        T = times.shape[0]
-        n = eigvals.shape[0]
-        weighted = eigvecs * weights  # (j, k): V_jk w_k, hoisted out of the t loop
-        out = np.empty((T, n))
-        for ti in range(T):
-            t = times[ti]
-            cos_t = np.cos(eigvals * t)
-            sin_t = np.sin(eigvals * t)
-            for j in range(n):
-                re = 0.0
-                im = 0.0
-                for k in range(n):
-                    re += weighted[j, k] * cos_t[k]
-                    im -= weighted[j, k] * sin_t[k]
-                out[ti, j] = re * re + im * im
-        return out
-
-    @numba.njit(parallel=False, cache=True)
-    def classical_probabilities_numba(eigvals, eigvecs, weights, times):
-        T = times.shape[0]
-        n = eigvals.shape[0]
-        weighted = eigvecs * weights
-        out = np.empty((T, n))
-        for ti in range(T):
-            decay = np.exp(-eigvals * times[ti])
-            for j in range(n):
-                acc = 0.0
-                for k in range(n):
-                    acc += weighted[j, k] * decay[k]
-                out[ti, j] = acc
-        return out
-
-    @numba.njit(parallel=False, cache=True)
-    def gaussian_splat_numba(xs, ys, probs, x0, y_top, inv_pps, width, height, sigma):
-        inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
-        image = np.zeros((height, width))
-        for r in range(height):
-            py = y_top - (r + 0.5) * inv_pps
-            for c in range(width):
-                px = x0 + (c + 0.5) * inv_pps
-                acc = 0.0
-                for j in range(xs.shape[0]):
-                    dx = px - xs[j]
-                    dy = py - ys[j]
-                    acc += probs[j] * np.exp(-(dx * dx + dy * dy) * inv_two_sigma2)
-                image[r, c] = acc
-        return image
-
-    quantum_probabilities = quantum_probabilities_numba
-    classical_probabilities = classical_probabilities_numba
-    gaussian_splat = gaussian_splat_numba
-else:
-    quantum_probabilities = quantum_probabilities_numpy
-    classical_probabilities = classical_probabilities_numpy
-    gaussian_splat = gaussian_splat_numpy
+    gx = np.exp(-((cols[None, :] - np.asarray(xs)[:, None]) ** 2) * inv_two_sigma2)
+    gy = np.exp(-((rows[:, None] - np.asarray(ys)[None, :]) ** 2) * inv_two_sigma2)
+    return (gy * probs) @ gx

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BoundsError, DomainError
+from .errors import BoundsError, DomainError, ShapeError
 from .evolution import ProbabilitySeries
 from .lattice import Lattice
 
@@ -72,7 +72,7 @@ def render_frame(series: ProbabilitySeries, lattice: Lattice, time_index: int,
                  spec: RenderSpec = RenderSpec()) -> np.ndarray:
     """Render one time slice of a series to a 16-bit grayscale image."""
     if series.n_sites != lattice.n_sites:
-        raise DomainError(
+        raise ShapeError(
             f"series has {series.n_sites} sites but lattice has {lattice.n_sites}"
         )
     if not 0 <= time_index < series.times.size:

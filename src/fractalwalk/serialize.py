@@ -308,14 +308,19 @@ def report_document(report: RegimeReport,
         "slope_curve": _slope_document(report.slope_curve),
     }
     if calibration is not None:
-        doc["calibration"] = {
-            "anchor_event": calibration.anchor_event,
-            "anchor_mm": calibration.anchor_mm,
-            "anchor_tau": calibration.anchor_tau,
-            "scale_mm_per_tau": calibration.scale_s,
-            "events_mm": calibration.events_mm,
-        }
+        doc["calibration"] = calibration_document(calibration)
     return doc
+
+
+def calibration_document(calibration: CalibrationResult) -> dict:
+    """The ``calibration`` block of a report document."""
+    return {
+        "anchor_event": calibration.anchor_event,
+        "anchor_mm": calibration.anchor_mm,
+        "anchor_tau": calibration.anchor_tau,
+        "scale_mm_per_tau": calibration.scale_s,
+        "events_mm": calibration.events_mm,
+    }
 
 
 def write_report(report: RegimeReport, path: str,

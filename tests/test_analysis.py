@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fractalwalk.analysis import (
+    OSCILLATION_PROMINENCE,
     CalibrationConfig,
     RegimeReport,
     SlopeCurve,
@@ -15,6 +16,7 @@ from fractalwalk.analysis import (
     detect_saturation_and_oscillation,
     fit_powerlaw,
     loglog_slope,
+    _prominent_peaks,
 )
 from fractalwalk.errors import DomainError, ShapeError, StructuralError
 from fractalwalk.evolution import (
@@ -256,6 +258,39 @@ def test_saturation_none_on_short_grid():
 def test_saturation_shape_mismatch():
     with pytest.raises(ShapeError):
         detect_saturation_and_oscillation(np.ones(10), np.ones(9), 1.0)
+
+
+def test_prominent_peaks_match_scipy():
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(11)
+    for i in range(2000):
+        n = int(rng.integers(3, 60))
+        if i % 2:
+            # few distinct levels: plateaus everywhere, flat tops included
+            x = rng.integers(0, 5, size=n).astype(np.float64)
+        else:
+            x = np.cumsum(rng.normal(size=n))
+        threshold = float(rng.uniform(0.0, 3.0))
+        expected, _ = signal.find_peaks(x, prominence=threshold)
+        assert np.array_equal(_prominent_peaks(x, threshold), expected), (x, threshold)
+
+
+def test_prominent_peaks_flat_top_reports_middle():
+    x = np.array([0.0, 1.0, 2.0, 2.0, 2.0, 2.0, 1.0, 3.0, 3.0])
+    # the rising end plateau is no peak; the four-sample top reports index 3
+    assert _prominent_peaks(x, 0.0).tolist() == [3]
+    assert _prominent_peaks(x, 1.0).tolist() == [3]
+    assert _prominent_peaks(x, 2.5).tolist() == []
+
+
+@pytest.mark.parametrize("fixture, count", [("sg4_run", 2), ("dsc2_run", 3)])
+def test_prominent_peaks_on_variance_tail(fixture, count, request):
+    # counts recorded from scipy.signal.find_peaks on the same tails
+    run = request.getfixturevalue(fixture)
+    tail = run.table.variance[run.table.times >= run.report.saturation_tau]
+    peaks = _prominent_peaks(tail, OSCILLATION_PROMINENCE * tail.mean())
+    assert peaks.size == count
+    assert run.report.oscillation_detected
 
 
 # --- calibration ----------------------------------------------------------

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from fractalwalk.errors import DomainError
-from fractalwalk.hamiltonian import (
-    build_classical_generator,
-    build_hamiltonian,
-    matrix_triplets,
-)
+from fractalwalk.hamiltonian import build_classical_generator, build_hamiltonian
 from fractalwalk.lattice import generate
+from fractalwalk.serialize import matrix_triplet_text
 
 
 def test_hamiltonian_matches_edge_set():
@@ -65,7 +62,10 @@ def test_rate_must_be_positive(rate):
 def test_matrix_triplets_round_trip():
     lat = generate("dsc", 1)
     h = build_hamiltonian(lat, coupling=2.0)
-    triplets = matrix_triplets(h.matrix)
+    triplets = [
+        (int(r), int(c), float(v))
+        for r, c, v in (line.split() for line in matrix_triplet_text(h.matrix).splitlines())
+    ]
     assert triplets == sorted(triplets)
     rebuilt = np.zeros_like(h.matrix)
     for r, c, v in triplets:

@@ -1,11 +1,9 @@
-"""Backend agreement between the numba and numpy kernel paths."""
+"""Probability and splat kernels against direct formulas."""
 
-import os
 import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from fractalwalk import kernels
 
@@ -18,45 +16,23 @@ def random_spectrum(n, seed):
     return eigvals, eigvecs
 
 
-needs_numba = pytest.mark.skipif(
-    not kernels.USING_NUMBA, reason="numba backend not active"
-)
-
-
-@needs_numba
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_quantum_kernels_agree(seed):
-    eigvals, eigvecs = random_spectrum(12, seed)
-    weights = np.ascontiguousarray(eigvecs[3, :])
-    times = np.linspace(0.0, 7.0, 40)
-    a = kernels.quantum_probabilities_numpy(eigvals, eigvecs, weights, times)
-    b = kernels.quantum_probabilities_numba(eigvals, eigvecs, weights, times)
-    assert np.abs(a - b).max() < 1e-12
-
-
-@needs_numba
-@pytest.mark.parametrize("seed", [3, 4])
-def test_classical_kernels_agree(seed):
-    eigvals, eigvecs = random_spectrum(10, seed)
-    # shift to nonnegative eigenvalues so the decay stays bounded
-    eigvals = eigvals - eigvals.min()
-    weights = np.ascontiguousarray(eigvecs[0, :])
-    times = np.linspace(0.0, 5.0, 30)
-    a = kernels.classical_probabilities_numpy(eigvals, eigvecs, weights, times)
-    b = kernels.classical_probabilities_numba(eigvals, eigvecs, weights, times)
-    assert np.abs(a - b).max() < 1e-12
-
-
-@needs_numba
-def test_splat_kernels_agree():
+def test_splat_matches_per_pixel_formula():
     rng = np.random.default_rng(5)
-    xs = np.ascontiguousarray(rng.uniform(0.0, 4.0, 9))
-    ys = np.ascontiguousarray(rng.uniform(0.0, 4.0, 9))
-    probs = np.ascontiguousarray(rng.uniform(0.0, 1.0, 9))
-    args = (xs, ys, probs, -1.0, 5.0, 0.125, 48, 48, 0.35)
-    a = kernels.gaussian_splat_numpy(*args)
-    b = kernels.gaussian_splat_numba(*args)
-    assert np.abs(a - b).max() < 1e-12
+    xs = rng.uniform(0.0, 4.0, 9)
+    ys = rng.uniform(0.0, 4.0, 9)
+    probs = rng.uniform(0.0, 1.0, 9)
+    x0, y_top, inv_pps, width, height, sigma = -1.0, 5.0, 0.125, 48, 40, 0.35
+    image = kernels.gaussian_splat(xs, ys, probs, x0, y_top, inv_pps, width, height, sigma)
+    expected = np.zeros((height, width))
+    for r in range(height):
+        py = y_top - (r + 0.5) * inv_pps
+        for c in range(width):
+            px = x0 + (c + 0.5) * inv_pps
+            for x, y, p in zip(xs, ys, probs):
+                d2 = (px - x) ** 2 + (py - y) ** 2
+                expected[r, c] += p * np.exp(-d2 / (2.0 * sigma * sigma))
+    assert image.shape == (height, width)
+    assert np.abs(image - expected).max() < 1e-12
 
 
 def test_quantum_rows_normalised_for_orthonormal_input():
@@ -67,20 +43,10 @@ def test_quantum_rows_normalised_for_orthonormal_input():
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
 
-def test_env_flag_forces_numpy_path():
+def test_import_pulls_in_neither_scipy_nor_numba():
     code = (
-        "from fractalwalk import kernels\n"
-        "assert kernels.USING_NUMBA is False\n"
-        "assert not kernels.NUMBA_REQUESTED\n"
-        "assert kernels.quantum_probabilities is kernels.quantum_probabilities_numpy\n"
-        "assert kernels.classical_probabilities is kernels.classical_probabilities_numpy\n"
-        "assert kernels.gaussian_splat is kernels.gaussian_splat_numpy\n"
+        "import sys, fractalwalk\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'numba')]\n"
+        "assert not loaded, loaded\n"
     )
-    env = dict(os.environ, FRACTALWALK_NO_NUMBA="1")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
-def test_flag_zero_means_numba_allowed():
-    code = "from fractalwalk import kernels; assert kernels.NUMBA_REQUESTED\n"
-    env = dict(os.environ, FRACTALWALK_NO_NUMBA="0")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code], check=True)

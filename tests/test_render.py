@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fractalwalk.errors import BoundsError, DomainError
+from fractalwalk.errors import BoundsError, DomainError, ShapeError
 from fractalwalk.render import (
     PGM_MAXVAL,
     RenderSpec,
@@ -86,7 +86,7 @@ def test_render_frame_index_bounds(sg2_run):
 
 
 def test_render_frame_lattice_mismatch(sg2_run, pair):
-    with pytest.raises(DomainError):
+    with pytest.raises(ShapeError):
         render_frame(sg2_run.series, pair, 0)
 
 
