@@ -47,11 +47,6 @@ from .lattice import (
     connectivity_histogram,
     fractal_meta,
     generate,
-    generate_dual_sierpinski_carpet,
-    generate_sierpinski_carpet,
-    generate_sierpinski_gasket,
-    generate_square,
-    generate_triangle,
     landmark_sites,
     resolve_input,
 )

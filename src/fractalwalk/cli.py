@@ -116,7 +116,7 @@ def cmd_classical(args) -> int:
     lattice = serialize.read_lattice(args.lattice)
     input_site = resolve_input(lattice, args.input)
     gen = build_classical_generator(lattice, rate=args.rate)
-    series = evolve_classical(gen, input_site, _grid_for(args, lattice.kind))
+    series = evolve_classical(spectral_decompose(gen), input_site, _grid_for(args, lattice.kind))
     out = _outpath(args.out)
     serialize.write_series(series, out)
     if args.dump_generator:

@@ -120,7 +120,7 @@ def spectral_decompose(h: Hamiltonian | ClassicalGenerator | np.ndarray) -> Spec
         ) from exc
 
     scale = max(1.0, float(np.abs(matrix).max()))
-    residual = float(np.abs(eigvecs @ np.diag(eigvals) @ eigvecs.T - matrix).max())
+    residual = float(np.abs((eigvecs * eigvals) @ eigvecs.T - matrix).max())
     ortho = float(np.abs(eigvecs.T @ eigvecs - np.eye(matrix.shape[0])).max())
     if residual > RECONSTRUCTION_TOL * scale or ortho > ORTHOGONALITY_TOL:
         raise NumericalError(
@@ -154,27 +154,26 @@ CLAMP_TOL = 1e-12
 
 def evolve_quantum(spectrum: Spectrum, input_site: int, times) -> ProbabilitySeries:
     """Quantum occupation probabilities |<j| exp(-iHt) |input>|^2 on a grid."""
+    return _evolve(SeriesKind.QUANTUM, kernels.quantum_probabilities, spectrum, input_site, times)
+
+
+def evolve_classical(spectrum: Spectrum, input_site: int, times) -> ProbabilitySeries:
+    """Classical occupation probabilities exp(-Lt) delta_input on a grid.
+
+    ``spectrum`` is the decomposition of the graph Laplacian L.
+    """
+    return _evolve(
+        SeriesKind.CLASSICAL, kernels.classical_probabilities, spectrum, input_site, times
+    )
+
+
+def _evolve(kind: SeriesKind, kernel, spectrum: Spectrum, input_site: int,
+            times) -> ProbabilitySeries:
     times = _check_times(times)
     input_site = _check_input_site(spectrum.n, input_site)
     weights = np.ascontiguousarray(spectrum.eigenvectors[input_site, :])
-    probs = kernels.quantum_probabilities(
-        spectrum.eigenvalues, spectrum.eigenvectors, weights, times
-    )
-    probs = _finalize(probs)
-    return ProbabilitySeries(SeriesKind.QUANTUM, input_site, times, probs)
-
-
-def evolve_classical(generator: ClassicalGenerator, input_site: int, times) -> ProbabilitySeries:
-    """Classical occupation probabilities exp(-Lt) delta_input on a grid."""
-    times = _check_times(times)
-    input_site = _check_input_site(generator.n, input_site)
-    spectrum = spectral_decompose(generator)
-    weights = np.ascontiguousarray(spectrum.eigenvectors[input_site, :])
-    probs = kernels.classical_probabilities(
-        spectrum.eigenvalues, spectrum.eigenvectors, weights, times
-    )
-    probs = _finalize(probs)
-    return ProbabilitySeries(SeriesKind.CLASSICAL, input_site, times, probs)
+    probs = _finalize(kernel(spectrum.eigenvalues, spectrum.eigenvectors, weights, times))
+    return ProbabilitySeries(kind, input_site, times, probs)
 
 
 def _finalize(probs: np.ndarray) -> np.ndarray:

@@ -1,16 +1,17 @@
 """Fractal photonic lattices and their regular counterparts.
 
 A lattice is a planar point set with unit nearest-neighbour spacing and an
-edge set over those points.  Generators build the Sierpinski gasket, the
-Sierpinski carpet, the dual carpet (one site per kept square), and filled
-triangle/square baselines of matching geometry.
+edge set over those points.  Five kinds exist: the Sierpinski gasket, the
+Sierpinski carpet, the dual carpet (one site per kept square), and the
+filled triangle and square baselines of matching geometry.
 
-All construction happens on integer coordinates so that deduplication and
-adjacency are exact; float coordinates are produced once at the end.  For
-the triangle family a point (p, q) maps to (p/2, q*sqrt(3)/2), for the
-square family (i, j) maps to (i, j), and a dual-carpet cell (i, j) maps to
-its centre (i + 1/2, j + 1/2).  In every case neighbouring sites end up
-exactly one spacing apart.
+One table, ``_GEOMETRY``, describes every kind on integer coordinates: the
+point set it keeps, the point set of its filled counterpart (none for the
+baselines), the affine map to xy, and the integer offsets that are one
+spacing long.  ``generate`` builds a lattice from it, and the void map
+behind ``landmark_sites`` takes the filled set minus the kept set from the
+same entry.  Working on integers keeps deduplication and adjacency exact;
+float coordinates are produced once at the end.
 
 The edge rule is purely metric: every pair of sites at exactly one
 spacing is coupled, whatever the pair bounds.  For the gasket this
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -57,8 +59,6 @@ class LatticeKind(str, Enum):
                 + ", ".join(k.value for k in cls)
             ) from None
 
-
-FRACTAL_KINDS = (LatticeKind.SG, LatticeKind.SC, LatticeKind.DSC)
 
 GENERATION_RANGE = {
     LatticeKind.SG: (1, 7),
@@ -148,21 +148,21 @@ def _check_generation(kind: LatticeKind, generation: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# triangle family: integer coords (p, q), x = p/2, y = q * sqrt(3)/2.
-# The unit upward triangle anchored at (p, q) has corners (p, q), (p+2, q),
-# (p+1, q+1); a side-s triangle anchored at (p, q) spans to (p+2s, q) with
-# apex (p+s, q+s).
-
-_TRI_NEIGHBOR_STEPS = ((2, 0), (1, 1), (-1, 1))  # unit-distance offsets, q-increasing half
+# point sets on integer coordinates
 
 
-def _gasket_cells(generation: int) -> list[tuple[int, int]]:
-    """Anchors of the smallest-scale blue triangles, recursively."""
-    cells: list[tuple[int, int]] = []
+def _gasket_points(generation: int) -> set[tuple[int, int]]:
+    """Corners of the 3^g smallest blue triangles, found recursively.
+
+    The unit upward triangle anchored at (p, q) has corners (p, q),
+    (p+2, q), (p+1, q+1); a side-s triangle anchored at (p, q) spans to
+    (p+2s, q) with apex (p+s, q+s).
+    """
+    points: set[tuple[int, int]] = set()
 
     def rec(p: int, q: int, s: int) -> None:
         if s == 1:
-            cells.append((p, q))
+            points.update(((p, q), (p + 2, q), (p + 1, q + 1)))
             return
         h = s // 2
         rec(p, q, h)
@@ -170,7 +170,7 @@ def _gasket_cells(generation: int) -> list[tuple[int, int]]:
         rec(p + h, q + h, h)
 
     rec(0, 0, 2 ** generation)
-    return cells
+    return points
 
 
 def _triangle_points(rows: int) -> set[tuple[int, int]]:
@@ -179,85 +179,6 @@ def _triangle_points(rows: int) -> set[tuple[int, int]]:
         for p in range(q, 2 * rows - q + 1, 2):
             pts.add((p, q))
     return pts
-
-
-def _tri_xy(points: list[tuple[int, int]]) -> np.ndarray:
-    arr = np.asarray(points, dtype=np.float64)
-    return np.column_stack((arr[:, 0] * 0.5, arr[:, 1] * SQRT3_2))
-
-
-def _order_points(points) -> list[tuple[int, int]]:
-    # top row first, left to right inside a row; puts the apex or the
-    # top-left corner at id 0 for every kind
-    return sorted(points, key=lambda pq: (-pq[1], pq[0]))
-
-
-def _index_map(ordered) -> dict[tuple[int, int], int]:
-    return {pt: i for i, pt in enumerate(ordered)}
-
-
-def _edge_array(pairs) -> np.ndarray:
-    if not pairs:
-        return np.zeros((0, 2), dtype=np.int64)
-    arr = np.array(sorted(set(tuple(sorted(p)) for p in pairs)), dtype=np.int64)
-    return arr
-
-
-def _tri_edges(points: set, ordered, idx) -> np.ndarray:
-    # (dp, dq) with dp^2 + 3 dq^2 = 4 are exactly the unit-distance offsets,
-    # so scanning the q-increasing half of them closes the edge set
-    pairs = []
-    for (p, q) in ordered:
-        for dp, dq in _TRI_NEIGHBOR_STEPS:
-            other = (p + dp, q + dq)
-            if other in points:
-                pairs.append((idx[(p, q)], idx[other]))
-    return _edge_array(pairs)
-
-
-def generate_sierpinski_gasket(generation: int) -> Lattice:
-    """Sierpinski gasket lattice of the given generation.
-
-    Sites are the deduplicated corners of the 3^g smallest blue triangles
-    of an overall triangle with side 2^g spacings, N = 3 (3^g + 1) / 2.
-    Edges are every unit-distance pair.  Besides the triangle sides these
-    include the cross-void pairs described in the module docstring, so the
-    edge count exceeds 3^(g+1) from generation 2 onward.
-
-    Parameters
-    ----------
-    generation : int
-        Subdivision depth, 1 to 7.
-    """
-    _check_generation(LatticeKind.SG, generation)
-    points = set()
-    for (p, q) in _gasket_cells(generation):
-        points.update(((p, q), (p + 2, q), (p + 1, q + 1)))
-    ordered = _order_points(points)
-    idx = _index_map(ordered)
-    return Lattice(
-        LatticeKind.SG, generation, _tri_xy(ordered), _tri_edges(points, ordered, idx)
-    )
-
-
-def generate_triangle(rows: int) -> Lattice:
-    """Filled triangular lattice with the given number of row intervals.
-
-    Row k below the apex holds k+1 sites; the overall side length is
-    ``rows`` spacings, so rows = 2^g matches the frame of gasket
-    generation g exactly.  Every unit-distance pair is an edge, giving
-    interior sites six neighbours.
-    """
-    _check_generation(LatticeKind.TRIANGLE, rows)
-    points = _triangle_points(rows)
-    ordered = _order_points(points)
-    idx = _index_map(ordered)
-    return Lattice(LatticeKind.TRIANGLE, rows, _tri_xy(ordered), _tri_edges(points, ordered, idx))
-
-
-# ---------------------------------------------------------------------------
-# square family: carpet vertices at integer (i, j); dual-carpet cells at
-# centres (i + 1/2, j + 1/2)
 
 
 def _carpet_cells(generation: int) -> set[tuple[int, int]]:
@@ -286,80 +207,90 @@ def _carpet_points(generation: int) -> set[tuple[int, int]]:
     return pts
 
 
-def _grid_xy(points: list[tuple[int, int]], offset: float = 0.0) -> np.ndarray:
-    arr = np.asarray(points, dtype=np.float64)
-    return arr + offset
+def _square_points(side: int) -> set[tuple[int, int]]:
+    return {(i, j) for i in range(side + 1) for j in range(side + 1)}
 
 
-def _grid_edges(points: set, ordered, idx) -> np.ndarray:
-    pairs = []
-    for (i, j) in ordered:
-        for di, dj in ((1, 0), (0, 1)):
-            other = (i + di, j + dj)
-            if other in points:
-                pairs.append((idx[(i, j)], idx[other]))
-    return _edge_array(pairs)
+# ---------------------------------------------------------------------------
+# the geometry table
 
 
-def generate_sierpinski_carpet(generation: int) -> Lattice:
-    """Sierpinski carpet lattice of the given generation.
+@dataclass(frozen=True)
+class _Geometry:
+    """One lattice kind; an integer point (a, b) sits at (a, b) * scale + offset."""
 
-    Sites are the deduplicated corners of the 8^g kept unit squares of an
-    overall square with side 3^g; edges connect every unit-distance pair.
-    The smallest (1 x 1) removed squares contain no interior vertices, so
-    they do not alter the graph.
-    """
-    _check_generation(LatticeKind.SC, generation)
-    points = _carpet_points(generation)
-    ordered = _order_points(points)
-    idx = _index_map(ordered)
-    return Lattice(
-        LatticeKind.SC, generation, _grid_xy(ordered), _grid_edges(points, ordered, idx)
-    )
+    points: Callable[[int], set[tuple[int, int]]]
+    filled: Callable[[int], set[tuple[int, int]]] | None
+    scale: tuple[float, float]
+    offset: float
+    steps: tuple[tuple[int, int], ...]
 
+    def sites(self, generation: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+        # ids run top row first, left to right inside a row: the apex or
+        # the top-left corner is site 0 for every kind
+        ordered = sorted(self.points(generation), key=lambda ab: (-ab[1], ab[0]))
+        return ordered, self.xy(ordered)
 
-def generate_dual_sierpinski_carpet(generation: int) -> Lattice:
-    """Dual carpet: one site at the centre of each kept square, N = 8^g.
-
-    Edges connect sites whose squares share a side, which is exactly the
-    unit-distance rule on the centres.
-    """
-    _check_generation(LatticeKind.DSC, generation)
-    cells = _carpet_cells(generation)
-    ordered = _order_points(cells)
-    idx = _index_map(ordered)
-    return Lattice(
-        LatticeKind.DSC,
-        generation,
-        _grid_xy(ordered, offset=0.5),
-        _grid_edges(cells, ordered, idx),
-    )
+    def xy(self, points) -> np.ndarray:
+        return np.asarray(points, dtype=np.float64) * self.scale + self.offset
 
 
-def generate_square(side: int) -> Lattice:
-    """Filled square vertex grid with (side + 1)^2 sites and 4-neighbour edges."""
-    _check_generation(LatticeKind.SQUARE, side)
-    points = {(i, j) for i in range(side + 1) for j in range(side + 1)}
-    ordered = _order_points(points)
-    idx = _index_map(ordered)
-    return Lattice(
-        LatticeKind.SQUARE, side, _grid_xy(ordered), _grid_edges(points, ordered, idx)
-    )
+# triangle family: (p, q) -> (p/2, q sqrt(3)/2); the six offsets solve
+# dp^2 + 3 dq^2 = 4.  Square family: (i, j) -> (i, j), and a dual-carpet
+# cell (i, j) -> its centre (i + 1/2, j + 1/2).
+_TRI_STEPS = ((2, 0), (-2, 0), (1, 1), (-1, 1), (1, -1), (-1, -1))
+_GRID_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_TRI_SCALE = (0.5, SQRT3_2)
+_GRID_SCALE = (1.0, 1.0)
 
-
-_GENERATORS = {
-    LatticeKind.SG: generate_sierpinski_gasket,
-    LatticeKind.SC: generate_sierpinski_carpet,
-    LatticeKind.DSC: generate_dual_sierpinski_carpet,
-    LatticeKind.TRIANGLE: generate_triangle,
-    LatticeKind.SQUARE: generate_square,
+_GEOMETRY = {
+    # N = 3 (3^g + 1) / 2 inside a triangle of side 2^g, framed exactly by
+    # the filled triangle with rows = 2^g
+    LatticeKind.SG: _Geometry(
+        _gasket_points, lambda g: _triangle_points(2 ** g), _TRI_SCALE, 0.0, _TRI_STEPS
+    ),
+    # corners of the 8^g kept unit squares of a square with side 3^g; the
+    # 1 x 1 holes hold no vertex, so they leave the graph unchanged
+    LatticeKind.SC: _Geometry(
+        _carpet_points, lambda g: _square_points(3 ** g), _GRID_SCALE, 0.0, _GRID_STEPS
+    ),
+    # one site per kept square, N = 8^g; side-sharing squares are the
+    # unit-distance pairs of the centres
+    LatticeKind.DSC: _Geometry(
+        _carpet_cells, lambda g: _square_points(3 ** g - 1), _GRID_SCALE, 0.5, _GRID_STEPS
+    ),
+    # row k below the apex holds k + 1 sites; side = rows spacings
+    LatticeKind.TRIANGLE: _Geometry(_triangle_points, None, _TRI_SCALE, 0.0, _TRI_STEPS),
+    # (side + 1)^2 vertices
+    LatticeKind.SQUARE: _Geometry(_square_points, None, _GRID_SCALE, 0.0, _GRID_STEPS),
 }
+
+FRACTAL_KINDS = tuple(kind for kind, geo in _GEOMETRY.items() if geo.filled is not None)
 
 
 def generate(kind: LatticeKind | str, generation: int) -> Lattice:
-    """Dispatch to the generator for ``kind``."""
+    """Lattice of the given kind and generation.
+
+    ``generation`` is the subdivision depth for the fractals (sg 1-7, sc and
+    dsc 1-4), the number of row intervals for the triangle and the side for
+    the square (1-64 each).  Site counts: gasket 3 (3^g + 1) / 2, dual
+    carpet 8^g, triangle (rows + 1)(rows + 2) / 2, square (side + 1)^2.
+    Edges are every pair of sites exactly one spacing apart, each row
+    (i, j) with i < j, rows sorted.
+    """
     kind = LatticeKind.parse(kind) if isinstance(kind, str) else kind
-    return _GENERATORS[kind](generation)
+    _check_generation(kind, generation)
+    geometry = _GEOMETRY[kind]
+    ordered, xy = geometry.sites(generation)
+    index = {ab: i for i, ab in enumerate(ordered)}
+    pairs = set()
+    for (a, b), i in index.items():
+        for da, db in geometry.steps:
+            j = index.get((a + da, b + db), -1)
+            if j > i:
+                pairs.add((i, j))
+    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    return Lattice(kind, generation, xy, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -406,38 +337,30 @@ def resolve_input(lattice: Lattice, selector: str | int) -> int:
     return site
 
 
-def _deleted_positions(lattice: Lattice) -> tuple[np.ndarray, list[list[int]]]:
-    """Positions of the filled counterpart that the fractal deletes,
-    grouped into connected voids (unit-step adjacency on the filled grid)."""
+def _deleted_positions(lattice: Lattice) -> list[np.ndarray]:
+    """Positions of the filled counterpart that the fractal deletes, one
+    (k, 2) array per connected void (unit-step adjacency on the filled grid).
+
+    The lattice's coordinates must be the ones its kind and generation
+    generate; a relabelled or edited file raises StructuralError.
+    """
+    geometry = _GEOMETRY[lattice.kind]
     g = lattice.generation
-    if lattice.kind is LatticeKind.SG:
-        filled = _triangle_points(2 ** g)
-        present = set()
-        for (p, q) in _gasket_cells(g):
-            present.update(((p, q), (p + 2, q), (p + 1, q + 1)))
-        steps = ((2, 0), (-2, 0), (1, 1), (-1, 1), (1, -1), (-1, -1))
-        to_xy = lambda pts: _tri_xy(pts)
-    elif lattice.kind is LatticeKind.SC:
-        side = 3 ** g
-        filled = {(i, j) for i in range(side + 1) for j in range(side + 1)}
-        present = _carpet_points(g)
-        steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
-        to_xy = lambda pts: _grid_xy(pts)
-    elif lattice.kind is LatticeKind.DSC:
-        side = 3 ** g
-        filled = {(i, j) for i in range(side) for j in range(side)}
-        present = _carpet_cells(g)
-        steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
-        to_xy = lambda pts: _grid_xy(pts, offset=0.5)
-    else:
+    if geometry.filled is None:
         raise StructuralError(
             f"lattice kind {lattice.kind.value!r} has no voids; landmarks require "
             "a fractal kind (sg, sc, dsc)"
         )
+    _check_generation(lattice.kind, g)
+    present, xy = geometry.sites(g)
+    if xy.shape != lattice.coords.shape or np.abs(xy - lattice.coords).max() > DIST_TOL:
+        raise StructuralError(
+            f"lattice coordinates differ from those of {lattice.kind.value} "
+            f"generation {g} ({lattice.n_sites} sites, {xy.shape[0]} expected)"
+        )
 
-    deleted = filled - present
     clusters: list[list[tuple[int, int]]] = []
-    remaining = set(deleted)
+    remaining = geometry.filled(g) - set(present)
     while remaining:
         seed = min(remaining)
         stack = [seed]
@@ -445,7 +368,7 @@ def _deleted_positions(lattice: Lattice) -> tuple[np.ndarray, list[list[int]]]:
         comp = [seed]
         while stack:
             p, q = stack.pop()
-            for dp, dq in steps:
+            for dp, dq in geometry.steps:
                 other = (p + dp, q + dq)
                 if other in remaining:
                     remaining.discard(other)
@@ -458,14 +381,7 @@ def _deleted_positions(lattice: Lattice) -> tuple[np.ndarray, list[list[int]]]:
             f"{lattice.kind.value} generation {g} deletes no site of its filled "
             "counterpart; no effective void exists"
         )
-    all_pts = [pt for comp in clusters for pt in comp]
-    xy = to_xy(all_pts)
-    index_lists: list[list[int]] = []
-    k = 0
-    for comp in clusters:
-        index_lists.append(list(range(k, k + len(comp))))
-        k += len(comp)
-    return xy, index_lists
+    return [geometry.xy(comp) for comp in clusters]
 
 
 def landmark_sites(lattice: Lattice, input_site: int) -> Landmarks:
@@ -479,16 +395,16 @@ def landmark_sites(lattice: Lattice, input_site: int) -> Landmarks:
     """
     if not 0 <= input_site < lattice.n_sites:
         raise BoundsError(f"site id {input_site} out of range 0..{lattice.n_sites - 1}")
-    xy, clusters = _deleted_positions(lattice)
     origin = lattice.coords[input_site]
-    dists = np.hypot(xy[:, 0] - origin[0], xy[:, 1] - origin[1])
 
-    best = min(
-        clusters,
-        key=lambda ids: (float(dists[ids].min()), len(ids), tuple(map(tuple, xy[ids]))),
+    def nearest(xy: np.ndarray) -> float:
+        return float(np.hypot(xy[:, 0] - origin[0], xy[:, 1] - origin[1]).min())
+
+    void_xy = min(
+        _deleted_positions(lattice),
+        key=lambda xy: (nearest(xy), len(xy), tuple(map(tuple, xy))),
     )
-    void_xy = xy[best]
-    probe_length = float(dists[best].min())
+    probe_length = nearest(void_xy)
 
     diff = lattice.coords[:, None, :] - void_xy[None, :, :]
     site_to_void = np.sqrt((diff ** 2).sum(axis=2)).min(axis=1)

@@ -3,8 +3,9 @@
 Floats are serialized with 12 significant digits everywhere.  The
 stdlib json encoder cannot be told a float format, so a small emitter
 handles the fixed document shapes used here; parsing goes through
-``json.loads`` unchanged.  All writers are byte-deterministic and all
-file writes are atomic (write to a temp file, then rename).
+``json.load``, which rejects the ``NaN`` and ``Infinity`` tokens.  All
+writers are byte-deterministic and all file writes are atomic (write to a
+temp file, then rename).
 """
 
 from __future__ import annotations
@@ -96,9 +97,12 @@ def write_text(path: str, text: str) -> None:
 
 
 def _load_json(path: str) -> dict:
+    def reject(token: str):
+        raise InputFileError(f"{path}: non-finite number {token} is not allowed")
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_constant=reject)
     except OSError as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -71,6 +71,11 @@ def sc3_long_run():
 
 
 @pytest.fixture(scope="session")
+def dsc3_run():
+    return quantum_run("dsc", 3, with_report=False)
+
+
+@pytest.fixture(scope="session")
 def dsc2_run():
     return quantum_run("dsc", 2)
 
@@ -100,9 +105,9 @@ def dsc1_run():
 
 @pytest.fixture(scope="session")
 def sg4_classical(sg4_run):
-    generator = build_classical_generator(sg4_run.lattice)
+    spectrum = spectral_decompose(build_classical_generator(sg4_run.lattice))
     times = np.concatenate(([0.0], np.geomspace(0.05, 947.0, 600)))
-    return evolve_classical(generator, sg4_run.input_site, times)
+    return evolve_classical(spectrum, sg4_run.input_site, times)
 
 
 def two_site_lattice() -> Lattice:

@@ -373,7 +373,7 @@ def test_criterion_11(pair):
     grid = time_grid(10.0, 401)
     q = evolve_quantum(spectral_decompose(build_hamiltonian(pair)), 0, grid)
     qdev = float(np.abs(q.probabilities[:, 1] - np.sin(grid) ** 2).max())
-    c = evolve_classical(build_classical_generator(pair), 0, grid)
+    c = evolve_classical(spectral_decompose(build_classical_generator(pair)), 0, grid)
     cdev = float(np.abs(c.probabilities[:, 1] - (1.0 - np.exp(-2.0 * grid)) / 2.0).max())
     ok = qdev < 1e-10 and cdev < 1e-10
     report(

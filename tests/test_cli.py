@@ -145,6 +145,42 @@ def test_missing_structure_is_exit_6(tmp_path):
     assert code == 6
 
 
+@pytest.fixture(scope="module")
+def sg4_files(tmp_path_factory):
+    """An sg-4 lattice and its quantum series on the preset grid.
+
+    Both edits below used to be analyzed silently with exit 0.
+    """
+    root = tmp_path_factory.mktemp("sg4")
+    lattice, series = str(root / "lat.json"), str(root / "series.json")
+    assert run(["lattice", "--kind", "sg", "--generation", "4", "--out", lattice]) == 0
+    assert run(["evolve", "--lattice", lattice, "--out", series]) == 0
+    return lattice, series
+
+
+def test_relabelled_lattice_is_exit_6(sg4_files, tmp_path):
+    lattice, series = sg4_files
+    doc = json.load(open(lattice))
+    doc["generation"] = 3
+    relabelled = tmp_path / "relabelled.json"
+    relabelled.write_text(json.dumps(doc))
+    code = run(["analyze", "--series", series, "--lattice", str(relabelled),
+                "--out", str(tmp_path / "r.json")])
+    assert code == 6
+
+
+def test_non_finite_series_value_is_exit_3(sg4_files, tmp_path):
+    lattice, series = sg4_files
+    doc = json.load(open(series))
+    doc["probabilities"][0][0] = float("nan")
+    bad = tmp_path / "nan-series.json"
+    bad.write_text(json.dumps(doc))  # the stdlib writes the NaN token
+    for command in ("analyze", "observables"):
+        code = run([command, "--series", str(bad), "--lattice", lattice,
+                    "--out", str(tmp_path / "out")])
+        assert code == 3
+
+
 def test_absent_anchor_is_exit_8(tmp_path):
     report = tmp_path / "report.json"
     report.write_text('{"farthest_tau":2.0}')

@@ -84,9 +84,9 @@ def test_two_site_quantum_transfer_is_sin_squared(pair):
 
 
 def test_two_site_classical_relaxation(pair):
-    gen = build_classical_generator(pair)
+    spectrum = spectral_decompose(build_classical_generator(pair))
     grid = time_grid(8.0, 257)
-    series = evolve_classical(gen, 0, grid)
+    series = evolve_classical(spectrum, 0, grid)
     expected = (1.0 - np.exp(-2.0 * grid)) / 2.0
     assert np.abs(series.probabilities[:, 1] - expected).max() < 1e-10
 
@@ -117,10 +117,27 @@ def test_quantum_rows_are_normalised(sg2_run):
 
 def test_classical_rows_are_normalised_and_equilibrate():
     lat = generate("dsc", 1)
-    gen = build_classical_generator(lat)
-    series = evolve_classical(gen, 0, np.array([0.0, 1.0, 50.0]))
+    spectrum = spectral_decompose(build_classical_generator(lat))
+    series = evolve_classical(spectrum, 0, np.array([0.0, 1.0, 50.0]))
     assert np.abs(series.probabilities.sum(axis=1) - 1.0).max() < 1e-9
     assert np.abs(series.probabilities[-1] - 1.0 / lat.n_sites).max() < 1e-9
+
+
+@pytest.mark.parametrize("run_name", ["sg4_run", "sc3_run", "dsc3_run"])
+def test_walk_is_mirror_symmetric_about_the_input_axis(request, run_name):
+    # the gasket mirrors about the vertical axis through its apex, the
+    # carpets about the anti-diagonal through their top-left site
+    run = request.getfixturevalue(run_name)
+    d = run.lattice.coords - run.lattice.coords[run.input_site]
+    if run.lattice.kind is LatticeKind.SG:
+        mirrored = np.column_stack((-d[:, 0], d[:, 1]))
+    else:
+        mirrored = np.column_stack((-d[:, 1], -d[:, 0]))
+    gap = np.abs(mirrored[:, None, :] - d[None, :, :]).max(axis=2)
+    image = gap.argmin(axis=1)
+    assert gap[np.arange(len(image)), image].max() < 1e-9
+    probs = run.series.probabilities
+    assert np.abs(probs - probs[:, image]).max() < 1e-12
 
 
 # --- oracle agreement -----------------------------------------------------

@@ -1,5 +1,7 @@
 """Lattice generators: counts, edge closure, degrees, landmarks."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from fractalwalk.lattice import (
     landmark_sites,
     resolve_input,
 )
+from fractalwalk.serialize import json_dumps, lattice_document
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -46,6 +49,38 @@ def test_triangle_counts(rows, expected):
 @pytest.mark.parametrize("side,expected", [(1, 4), (3, 16), (8, 81)])
 def test_square_counts(side, expected):
     assert generate("square", side).n_sites == expected
+
+
+# --- exact site order, coordinates and edges -----------------------------
+
+# SHA-256 of the serialized lattice document, frozen from the per-kind
+# generators that the geometry table replaced
+LATTICE_DIGESTS = {
+    ("sg", 1): "9b12d0eb648e02af9f3d52b0d80f1805a7b217c65a7575b0e65d94f78ebd9cb2",
+    ("sg", 2): "c78fe773984f6f742f3aa36c52c057d139e4b84f87854a5c72597afbd51a0196",
+    ("sg", 3): "d15b66dd786b6cd48b4c366cc033cee2596bb5617f40612e1e1a5f30a3156a3c",
+    ("sg", 4): "3755c39b49789a4b0070b6323ef7edc17bd0f107debaa153d2f82c90bf53e98a",
+    ("sg", 5): "883f434a960aa3821a8f8cb7db4205dc3533bf0203e41da3b5543652729f056c",
+    ("sc", 1): "456a7cea46eb977dd70c0847cf8bfb15811ced6e6394939cf7a03a0e52466c83",
+    ("sc", 2): "ca6a2f261e3eea5e6e21523ac26763f387aee3ee6501aa44b1783e9e9a600494",
+    ("sc", 3): "7b3adbbb80505b8579d6635c293535e62929e002484bc2588890fe2c1c70ff12",
+    ("dsc", 1): "f27a3c65082b75d663af3ab51f8cb88d741b8c8751a46cc03e8a20884610d439",
+    ("dsc", 2): "0856490b0946879d2a4de4969ee3a30817f392706bce6ccc3c57cc78b1b26f5a",
+    ("dsc", 3): "36b98f2dac986c7ac72cc5c21e3024df68f4aa9668d37087aa61964c97c5f5bf",
+    ("triangle", 1): "b75ee1fca2754eb5cb5caade1c49bd6459cc5344a71b36fbae01929dfaa781fd",
+    ("triangle", 4): "b8a240dc4fe63fc9195b423a68dd8b7e6ca42029812f6a500e717c7a582b1efd",
+    ("triangle", 16): "26a3c2c3d1da141c21e0748eb37ffe7e5d99922450b0189a5c01006b7a7c20f5",
+    ("square", 1): "5a24a3cab937abeb1ec612fe3dc2d1e528d30d6f452a59bfdfd7a004f6d7df76",
+    ("square", 4): "d4effcf76e49821d076a98aed44485983335d60686be7ce562ad81cd9444f9e1",
+    ("square", 8): "95e8b6b61d13cde39031843938ee2bad59f03af577c706f8412f8db9ae45eb61",
+}
+
+
+@pytest.mark.parametrize("kind,generation", sorted(LATTICE_DIGESTS))
+def test_lattice_document_digest(kind, generation):
+    text = json_dumps(lattice_document(generate(kind, generation)))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == LATTICE_DIGESTS[(kind, generation)]
 
 
 # --- edge sets ------------------------------------------------------------
@@ -250,6 +285,20 @@ def test_landmarks_are_deterministic(sg4_run):
 def test_landmarks_reject_regular_lattices():
     with pytest.raises(StructuralError):
         landmark_sites(generate("triangle", 4), 0)
+
+
+def test_landmarks_reject_coordinates_that_disagree_with_the_label():
+    lat = generate("sg", 4)
+    relabelled = dataclasses.replace(lat, generation=3)
+    moved = dataclasses.replace(lat, coords=lat.coords + [0.0, 1e-3])
+    for bad in (relabelled, moved):
+        with pytest.raises(StructuralError):
+            landmark_sites(bad, canonical_input(bad))
+    # rounding of the size a file round trip makes stays well inside DIST_TOL
+    rounded = landmark_sites(dataclasses.replace(lat, coords=lat.coords.round(11)), 0)
+    exact = landmark_sites(lat, 0)
+    assert rounded.first_void_boundary == exact.first_void_boundary
+    assert rounded.farthest_set == exact.farthest_set
 
 
 def test_landmarks_reject_bad_site():

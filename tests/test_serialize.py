@@ -2,12 +2,18 @@
 
 import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fractalwalk.analysis import CalibrationConfig, calibrate_length
 from fractalwalk.errors import InputFileError
+from fractalwalk.evolution import ProbabilitySeries, SeriesKind
 from fractalwalk.hamiltonian import build_hamiltonian
 from fractalwalk.serialize import (
     build_manifest,
@@ -172,6 +178,62 @@ def test_read_series_rejects_shape_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InputFileError):
         read_series(str(path))
+
+
+@pytest.mark.parametrize("reader,text", [
+    (read_lattice, '{"kind":"sg","generation":1,"sites":[{"id":0,"x":NaN,"y":0}],'
+                   '"edges":[]}'),
+    (read_series, '{"kind":"quantum","input_site":0,"times":[0,1],'
+                  '"probabilities":[[1],[Infinity]]}'),
+    (read_report_document, '{"kind":"sg","first_void_tau":-Infinity}'),
+])
+def test_readers_reject_non_finite_numbers(tmp_path, reader, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(InputFileError, match="non-finite"):
+        reader(str(path))
+
+
+@st.composite
+def finite_series(draw):
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    probs = draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                         max_side=6), elements=finite))
+    times = draw(hnp.arrays(np.float64, probs.shape[0], elements=finite))
+    return ProbabilitySeries(SeriesKind.QUANTUM, 0, times, probs)
+
+
+def _twelve_digits(values):
+    return np.array([float(format(x, ".12g")) for x in values.ravel()]).reshape(values.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series=finite_series())
+def test_series_text_round_trip_rounds_to_twelve_digits(series):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.json")
+        write_series(series, path)
+        loaded = read_series(path)
+    assert np.array_equal(loaded.times, _twelve_digits(series.times))
+    assert np.array_equal(loaded.probabilities, _twelve_digits(series.probabilities))
+
+
+@settings(max_examples=60, deadline=None)
+@given(series=finite_series(), token=st.sampled_from(["NaN", "Infinity", "-Infinity"]),
+       position=st.integers(min_value=0))
+def test_series_with_a_non_finite_token_is_rejected(series, token, position):
+    times, probs = series.times.tolist(), series.probabilities.tolist()
+    slots = [(times, i) for i in range(len(times))]
+    slots += [(row, j) for row in probs for j in range(len(row))]
+    owner, index = slots[position % len(slots)]
+    owner[index] = "TOKEN"
+    doc = {"kind": "quantum", "input_site": 0, "times": times, "probabilities": probs}
+    text = json_dumps(doc).replace('"TOKEN"', token)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.json")
+        write_text(path, text)
+        with pytest.raises(InputFileError, match="non-finite"):
+            read_series(path)
 
 
 # --- CSV and triplets -----------------------------------------------------
