@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, StructuralError
 from .evolution import ProbabilitySeries
 from .lattice import Lattice, fractal_meta, landmark_sites
 from .observables import ObservableTable, build_observable_table
@@ -43,6 +43,12 @@ SATURATION_WINDOW_TAU = 8.0
 
 #: oscillation: trough prominence as a fraction of the saturation level
 OSCILLATION_PROMINENCE = 0.005
+
+#: saturation: largest relative deviation of a grid step from the mean step.
+#: A grid read back from 12-digit text is off by up to ~1e-11 * tau_max per
+#: step (2e-9 of the step on a 1201-point grid to tau 40), so a tighter
+#: bound would refuse uniform grids; any real stretch is far above it.
+GRID_STEP_RTOL = 1e-6
 
 #: detected events in report order; a report stores each as ``<name>_tau``
 EVENT_NAMES = ("first_void", "l_f", "farthest", "saturation")
@@ -172,17 +178,16 @@ def loglog_slope(times, values, window: int = DEFAULT_SLOPE_WINDOW) -> SlopeCurv
     )
 
 
-def fit_powerlaw(times, values, tau_lo: float, tau_hi: float,
-                 skip_initial: int = FIT_SKIP_INITIAL) -> ScalingFit | None:
+def fit_powerlaw(times, values, tau_lo: float, tau_hi: float) -> ScalingFit | None:
     """Least-squares power-law fit of values against times over a tau window.
 
-    The first ``skip_initial`` grid points are excluded regardless of the
-    window.  Returns None when fewer than 5 usable samples remain.
+    The first ``FIT_SKIP_INITIAL`` grid points are excluded regardless of
+    the window.  Returns None when fewer than 5 usable samples remain.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     mask = (times >= tau_lo) & (times <= tau_hi) & (times > 0.0) & (values > 0.0)
-    mask[:skip_initial] = False
+    mask[:FIT_SKIP_INITIAL] = False
     if int(mask.sum()) < 5:
         return None
     lt = np.log(times[mask])
@@ -224,9 +229,9 @@ def detect_event(series: ProbabilitySeries, landmark_set, epsilon: float = DEFAU
 
 
 def detect_fractal_onset(slope_curve: SlopeCurve, d_f: float, band: float = DEFAULT_BAND,
-                         after_tau: float = 0.0, run: int = ONSET_RUN):
+                         after_tau: float = 0.0):
     """Earliest window centre after ``after_tau`` where the local exponent
-    enters d_f +- band and stays there for ``run`` consecutive windows.
+    enters d_f +- band and stays there for ``ONSET_RUN`` consecutive windows.
 
     Returns the entry tau, or None without a sustained entry.
     """
@@ -236,8 +241,8 @@ def detect_fractal_onset(slope_curve: SlopeCurve, d_f: float, band: float = DEFA
     inside = np.abs(slope_curve.exponent - d_f) <= band
     eligible = tau > after_tau
     n = tau.size
-    for i in range(n - run + 1):
-        if eligible[i] and inside[i:i + run].all():
+    for i in range(n - ONSET_RUN + 1):
+        if eligible[i] and inside[i:i + ONSET_RUN].all():
             return float(tau[i])
     return None
 
@@ -280,24 +285,23 @@ def detect_plateaus(polya_curve, delta: float = DEFAULT_DELTA,
     return [(float(times[a]), float(times[b])) for a, b in spans]
 
 
-def detect_saturation_and_oscillation(times, variance, farthest_tau,
-                                      growth_limit: float = SATURATION_GROWTH,
-                                      window_tau: float = SATURATION_WINDOW_TAU,
-                                      prominence: float = OSCILLATION_PROMINENCE):
+def detect_saturation_and_oscillation(times, variance, farthest_tau):
     """Variance saturation after the farthest-site event, plus oscillation.
 
-    At each candidate tau the variance is averaged over the ``window_tau``
-    stretch before and after it; the relative growth between the two means,
-    per unit tau, must stay below ``growth_limit`` from the saturation
-    point onward.  Saturation is the earliest such tau at or after
-    ``farthest_tau``.  Averaging (rather than pointwise rates) keeps the
-    post-saturation oscillation itself from counting as growth.
+    At each candidate tau the variance is averaged over the
+    ``SATURATION_WINDOW_TAU`` stretch before and after it; the relative
+    growth between the two means, per unit tau, must stay below
+    ``SATURATION_GROWTH`` from the saturation point onward.  Saturation is
+    the earliest such tau at or after ``farthest_tau``.  Averaging (rather
+    than pointwise rates) keeps the post-saturation oscillation itself from
+    counting as growth.
 
     Oscillation requires at least two local maxima of the raw curve after
-    saturation with prominence at least ``prominence`` of the mean
-    saturated level.  Returns (saturation_tau or None, bool); a None
-    ``farthest_tau`` short-circuits to (None, False).  Assumes a uniform
-    time grid.
+    saturation with prominence at least ``OSCILLATION_PROMINENCE`` of the
+    mean saturated level.  Returns (saturation_tau or None, bool); a None
+    ``farthest_tau`` short-circuits to (None, False).  The windows count
+    grid steps, so the grid must be uniform: a step that differs from the
+    mean step by more than ``GRID_STEP_RTOL`` of it raises StructuralError.
     """
     if farthest_tau is None:
         return None, False
@@ -309,7 +313,14 @@ def detect_saturation_and_oscillation(times, variance, farthest_tau,
     if n < 3:
         return None, False
     dt = (t[-1] - t[0]) / (n - 1)
-    w = max(1, int(round(window_tau / dt)))
+    steps = np.diff(t)
+    worst = int(np.abs(steps - dt).argmax())
+    if abs(steps[worst] - dt) > GRID_STEP_RTOL * dt:
+        raise StructuralError(
+            f"saturation detection needs a uniform time grid; the step at tau "
+            f"{t[worst]:.6g} is {steps[worst]:.6g}, the mean step {dt:.6g}"
+        )
+    w = max(1, int(round(SATURATION_WINDOW_TAU / dt)))
     if 2 * w >= n:
         return None, False
 
@@ -319,7 +330,7 @@ def detect_saturation_and_oscillation(times, variance, farthest_tau,
     rates = (after - before) / (np.maximum(before, 1e-300) * (w * dt))
     centers = t[w:w + rates.size]
     # ok[i]: every window pair from i onward stays below the limit
-    bad = rates >= growth_limit
+    bad = rates >= SATURATION_GROWTH
     ok = ~np.flip(np.maximum.accumulate(np.flip(bad)))
     hits = np.flatnonzero(ok & (centers >= farthest_tau))
     if hits.size == 0:
@@ -330,7 +341,7 @@ def detect_saturation_and_oscillation(times, variance, farthest_tau,
     level = float(tail.mean())
     if tail.size < 3 or level <= 0:
         return sat_tau, False
-    peaks = _prominent_peaks(tail, prominence * level)
+    peaks = _prominent_peaks(tail, OSCILLATION_PROMINENCE * level)
     return sat_tau, bool(peaks.size >= 2)
 
 

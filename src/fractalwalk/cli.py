@@ -75,6 +75,20 @@ def _load_pair(args):
     return lattice, series
 
 
+def walk(lattice, selector, times, classical=False, dump=None, **params):
+    """Resolve the input site, build the Hamiltonian (the Laplacian if
+    ``classical``) from ``params``, write it to ``dump`` if given, decompose
+    it and evolve.  Returns (input_site, spectrum, series)."""
+    input_site = resolve_input(lattice, selector)
+    operator = (build_classical_generator if classical else build_hamiltonian)(lattice, **params)
+    if dump:
+        serialize.write_matrix_triplets(operator.matrix, dump)
+    spectrum = spectral_decompose(operator)
+    del operator  # freed before the evolution, whose peak memory it would raise
+    evolve = evolve_classical if classical else evolve_quantum
+    return input_site, spectrum, evolve(spectrum, input_site, times)
+
+
 def _grid_for(args, kind: LatticeKind):
     tau_max, steps = GRID_PRESETS[kind]
     if args.tau_max is not None:
@@ -98,30 +112,18 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    """The ``evolve`` and ``classical`` subcommands."""
     lattice = serialize.read_lattice(args.lattice)
-    input_site = resolve_input(lattice, args.input)
-    h = build_hamiltonian(lattice, beta=args.beta, coupling=args.coupling)
-    series = evolve_quantum(spectral_decompose(h), input_site, _grid_for(args, lattice.kind))
+    params = ({"rate": args.rate} if args.classical
+              else {"beta": args.beta, "coupling": args.coupling})
+    dump = _outpath(args.dump_matrix) if args.dump_matrix else None
+    input_site, _, series = walk(lattice, args.input, _grid_for(args, lattice.kind),
+                                 args.classical, dump, **params)
     out = _outpath(args.out)
     serialize.write_series(series, out)
     if args.binary_out:
         serialize.write_series_binary(series, _outpath(args.binary_out))
-    if args.dump_hamiltonian:
-        serialize.write_matrix_triplets(h.matrix, _outpath(args.dump_hamiltonian))
-    print(f"quantum series: input {input_site}, {series.times.size} times -> {out}")
-    return 0
-
-
-def cmd_classical(args) -> int:
-    lattice = serialize.read_lattice(args.lattice)
-    input_site = resolve_input(lattice, args.input)
-    gen = build_classical_generator(lattice, rate=args.rate)
-    series = evolve_classical(spectral_decompose(gen), input_site, _grid_for(args, lattice.kind))
-    out = _outpath(args.out)
-    serialize.write_series(series, out)
-    if args.dump_generator:
-        serialize.write_matrix_triplets(gen.matrix, _outpath(args.dump_generator))
-    print(f"classical series: input {input_site}, {series.times.size} times -> {out}")
+    print(f"{series.kind.value} series: input {input_site}, {series.times.size} times -> {out}")
     return 0
 
 
@@ -220,10 +222,7 @@ def cmd_sweep(args) -> int:
     artifacts = []
     for kind, generation in instances:
         lattice = generate(kind, generation)
-        input_site = resolve_input(lattice, args.input)
-        series = evolve_quantum(
-            spectral_decompose(build_hamiltonian(lattice)), input_site, _grid_for(args, kind)
-        )
+        _, _, series = walk(lattice, args.input, _grid_for(args, kind))
         table = build_observable_table(series, lattice)
         report = build_regime_report(lattice, series, table=table, epsilon=args.epsilon)
         stem = f"{kind.value}{generation}"
@@ -284,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--binary-out", default=None,
                    help="also write the probability matrix as a binary dump")
-    p.add_argument("--dump-hamiltonian", default=None,
+    p.add_argument("--dump-hamiltonian", dest="dump_matrix", default=None,
                    help="write the Hamiltonian as triplet text (row col value)")
-    p.set_defaults(func=cmd_evolve)
+    p.set_defaults(func=cmd_evolve, classical=False)
 
     p = sub.add_parser("classical", help="classical (heat-kernel) evolution")
     p.add_argument("--lattice", required=True)
@@ -294,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=1.0)
     add_grid_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--dump-generator", default=None,
+    p.add_argument("--dump-generator", dest="dump_matrix", default=None,
                    help="write the Laplacian as triplet text (row col value)")
-    p.set_defaults(func=cmd_classical)
+    p.set_defaults(func=cmd_evolve, classical=True, binary_out=None)
 
     p = sub.add_parser("observables", help="variance, return probability, Polya CSV")
     p.add_argument("--series", required=True)

@@ -22,35 +22,23 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from fractalwalk.analysis import build_regime_report
-from fractalwalk.evolution import (
-    evolve_classical,
-    evolve_quantum,
-    preset_grid,
-    spectral_decompose,
-    time_grid,
-)
-from fractalwalk.hamiltonian import build_classical_generator, build_hamiltonian
-from fractalwalk.lattice import Lattice, LatticeKind, canonical_input, generate
+from fractalwalk.cli import walk
+from fractalwalk.evolution import evolve_classical, preset_grid, spectral_decompose, time_grid
+from fractalwalk.hamiltonian import build_classical_generator
+from fractalwalk.lattice import Lattice, LatticeKind, generate
 from fractalwalk.observables import build_observable_table
 
 
 def quantum_run(kind, generation, grid=None, with_report=True):
+    """The CLI's quantum walk from the canonical input, plus its table and report."""
     lattice = generate(kind, generation)
-    input_site = canonical_input(lattice)
-    spectrum = spectral_decompose(build_hamiltonian(lattice))
-    if grid is None:
-        grid = preset_grid(lattice.kind)
-    series = evolve_quantum(spectrum, input_site, grid)
+    input_site, spectrum, series = walk(
+        lattice, "auto", preset_grid(lattice.kind) if grid is None else grid
+    )
     table = build_observable_table(series, lattice)
     report = build_regime_report(lattice, series, table) if with_report else None
-    return SimpleNamespace(
-        lattice=lattice,
-        input_site=input_site,
-        spectrum=spectrum,
-        series=series,
-        table=table,
-        report=report,
-    )
+    return SimpleNamespace(lattice=lattice, input_site=input_site, spectrum=spectrum,
+                           series=series, table=table, report=report)
 
 
 @pytest.fixture(scope="session")

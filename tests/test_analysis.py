@@ -255,6 +255,23 @@ def test_saturation_none_on_short_grid():
     assert detect_saturation_and_oscillation(t, t, 1.0) == (None, False)
 
 
+def test_saturation_rejects_a_non_uniform_grid(long_grid):
+    # the averaging windows count grid steps; a stretched tail used to be
+    # read as if it were sampled at the mean step
+    t = np.where(long_grid > 25.0, 2.0 * long_grid - 25.0, long_grid)
+    v = 100.0 * (1.0 - np.exp(-t / 3.0))
+    with pytest.raises(StructuralError, match="uniform"):
+        detect_saturation_and_oscillation(t, v, 5.0)
+
+
+def test_saturation_accepts_a_grid_read_back_from_text():
+    # 12-digit text moves each step by up to ~1e-11 * tau_max: 2e-9 of the
+    # step on this grid, still uniform for the detector
+    t = np.array([float(format(x, ".12g")) for x in time_grid(40.0, 1201)])
+    v = 100.0 * (1.0 - np.exp(-t / 3.0))
+    assert detect_saturation_and_oscillation(t, v, 5.0)[0] is not None
+
+
 def test_saturation_shape_mismatch():
     with pytest.raises(ShapeError):
         detect_saturation_and_oscillation(np.ones(10), np.ones(9), 1.0)

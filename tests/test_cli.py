@@ -181,6 +181,58 @@ def test_non_finite_series_value_is_exit_3(sg4_files, tmp_path):
         assert code == 3
 
 
+def _edited_copy(path, tmp_path, edit):
+    doc = json.load(open(path))
+    edit(doc)
+    copy = tmp_path / os.path.basename(path)
+    copy.write_text(json.dumps(doc))
+    return str(copy)
+
+
+def _set(field, value):
+    return lambda doc: doc.__setitem__(field, value)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("generation", "four"),
+    ("spacing", [1]),
+    ("kind", "hexagon"),
+], ids=["generation", "spacing", "kind"])
+def test_malformed_lattice_field_is_exit_3(sg4_files, tmp_path, field, value):
+    lattice = _edited_copy(sg4_files[0], tmp_path, _set(field, value))
+    code = run(["evolve", "--lattice", lattice, "--out", str(tmp_path / "s.json")])
+    assert code == 3
+
+
+def _reverse(doc):
+    doc["times"].reverse()
+    doc["probabilities"].reverse()
+
+
+def _shift_back(doc):
+    doc["times"] = [t - 1.0 for t in doc["times"]]
+
+
+@pytest.mark.parametrize("edit", [_set("input_site", "x"), _reverse, _shift_back],
+                         ids=["input_site", "descending_times", "negative_times"])
+def test_malformed_series_field_is_exit_3(sg4_files, tmp_path, edit):
+    lattice, series = sg4_files
+    code = run(["analyze", "--series", _edited_copy(series, tmp_path, edit),
+                "--lattice", lattice, "--out", str(tmp_path / "r.json")])
+    assert code == 3
+
+
+def test_stretched_series_grid_is_exit_6(sg4_files, tmp_path):
+    lattice, series = sg4_files
+
+    def stretch(doc):  # every step past tau 12.5 doubled
+        doc["times"] = [t if t <= 12.5 else 2.0 * t - 12.5 for t in doc["times"]]
+
+    code = run(["analyze", "--series", _edited_copy(series, tmp_path, stretch),
+                "--lattice", lattice, "--out", str(tmp_path / "r.json")])
+    assert code == 6
+
+
 def test_absent_anchor_is_exit_8(tmp_path):
     report = tmp_path / "report.json"
     report.write_text('{"farthest_tau":2.0}')

@@ -1,5 +1,6 @@
 """File formats: determinism, round trips, and rejection of bad input."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -62,6 +63,57 @@ def test_json_dumps_preserves_insertion_order():
 def test_json_dumps_handles_numpy_scalars_and_arrays():
     doc = {"n": np.int64(3), "x": np.float64(0.25), "v": np.array([1.0, 2.0])}
     assert json_dumps(doc) == '{"n":3,"x":0.25,"v":[1,2]}'
+
+
+_FLOAT_EDGES = [0.0, -0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1e20, 1.0 / 3.0]
+
+
+def _one_at_a_time(values):
+    return "[" + ",".join(format_float(x) for x in values) + "]"
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                                      max_side=8),
+                         elements=st.one_of(st.sampled_from(_FLOAT_EDGES),
+                                            st.floats(allow_nan=False,
+                                                      allow_infinity=False))))
+def test_json_dumps_of_a_float_array_matches_format_float(values):
+    if values.ndim == 1:
+        expected = _one_at_a_time(values)
+    else:
+        expected = "[" + ",".join(_one_at_a_time(row) for row in values) + "]"
+    assert json_dumps(values) == expected
+
+
+def test_json_dumps_float_edges():
+    assert json_dumps(np.array(_FLOAT_EDGES)) == (
+        "[0,-0,4.94065645841e-324,-2.5e-310,1e+16,-1e+16,1e+20,0.333333333333]"
+    )
+
+
+def _with_nan(values):
+    values = np.array(values, dtype=np.float64)
+    values.flat[values.size // 2] = np.nan
+    return values
+
+
+def test_json_dumps_rejects_nan_inside_an_array():
+    with pytest.raises(InputFileError, match="non-finite"):
+        json_dumps({"probabilities": _with_nan(np.ones((3, 4)))})
+
+
+def test_observables_csv_rejects_nan_inside_a_column(sg2_run):
+    table = dataclasses.replace(sg2_run.table, variance=_with_nan(sg2_run.table.variance))
+    with pytest.raises(InputFileError, match="non-finite"):
+        observables_csv(table)
+
+
+def test_matrix_triplet_text_rejects_nan_inside_the_matrix(pair):
+    matrix = build_hamiltonian(pair).matrix.copy()
+    matrix[0, 1] = np.nan
+    with pytest.raises(InputFileError, match="non-finite"):
+        matrix_triplet_text(matrix)
 
 
 def test_json_dumps_rejects_unknown_types():
@@ -199,7 +251,11 @@ def finite_series(draw):
     finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
     probs = draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
                                                          max_side=6), elements=finite))
-    times = draw(hnp.arrays(np.float64, probs.shape[0], elements=finite))
+    # read_series takes only times that start at >= 0 and ascend strictly
+    ascending = st.floats(min_value=0.0, allow_infinity=False, width=64)
+    times = np.sort(draw(hnp.arrays(np.float64, probs.shape[0], elements=ascending,
+                                    unique=True)))
+    assume(np.all(np.diff(_twelve_digits(times)) > 0))
     return ProbabilitySeries(SeriesKind.QUANTUM, 0, times, probs)
 
 
