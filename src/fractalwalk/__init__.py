@@ -48,6 +48,7 @@ from .lattice import (
     fractal_meta,
     generate,
     landmark_sites,
+    mirror_permutation,
     resolve_input,
 )
 from .observables import (

@@ -30,7 +30,7 @@ from .evolution import (
     time_grid,
 )
 from .hamiltonian import build_classical_generator, build_hamiltonian
-from .lattice import FRACTAL_KINDS, LatticeKind, generate, resolve_input
+from .lattice import FRACTAL_KINDS, LatticeKind, generate, mirror_permutation, resolve_input
 from .observables import build_observable_table
 from .render import RenderSpec, pgm_bytes, render_frame
 
@@ -78,12 +78,12 @@ def _load_pair(args):
 def walk(lattice, selector, times, classical=False, dump=None, **params):
     """Resolve the input site, build the Hamiltonian (the Laplacian if
     ``classical``) from ``params``, write it to ``dump`` if given, decompose
-    it and evolve.  Returns (input_site, spectrum, series)."""
+    it by mirror sector and evolve.  Returns (input_site, spectrum, series)."""
     input_site = resolve_input(lattice, selector)
     operator = (build_classical_generator if classical else build_hamiltonian)(lattice, **params)
     if dump:
         serialize.write_matrix_triplets(operator.matrix, dump)
-    spectrum = spectral_decompose(operator)
+    spectrum = spectral_decompose(operator, mirror_permutation(lattice))
     del operator  # freed before the evolution, whose peak memory it would raise
     evolve = evolve_classical if classical else evolve_quantum
     return input_site, spectrum, evolve(spectrum, input_site, times)

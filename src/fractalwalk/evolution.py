@@ -8,6 +8,24 @@ the same way.  ``evolve_oracle`` provides an independent brute-force
 propagator (series integration with step halving) used to cross-check
 the spectral route in tests.
 
+The decomposition splits by mirror sector.  A site permutation sigma
+that is an involution and commutes with H (a reflection of the lattice,
+``lattice.mirror_permutation``) fixes some sites and swaps the others in
+pairs (a, b).  The fixed sites e_f and the pair sums (e_a + e_b)/sqrt 2
+span the symmetric sector, the pair differences (e_a - e_b)/sqrt 2 the
+antisymmetric one, and H has no element between the two.  So ``eigh``
+runs on two blocks of about N/2 each, read off H by indexing:
+
+    symmetric      [[H_ff, sqrt2 H_fa], [sqrt2 H_af, H_aa + H_ab]]
+    antisymmetric  H_aa - H_ab
+
+and the two sets of eigenvectors, mapped back to sites, fill one N x N
+matrix in ascending eigenvalue order.  Without a permutation the
+symmetric block is all of H and the antisymmetric block is empty.  An
+antisymmetric eigenvector vanishes on every fixed site, so a walk from a
+site on the mirror axis never excites that half of the spectrum, and
+the evolution drops every mode whose input weight is exactly zero.
+
 Times are dimensionless, tau = C * t; with the default coupling C = 1
 they coincide with plain time arguments to exp(-iHt).
 """
@@ -62,10 +80,19 @@ class SeriesKind(str, Enum):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns.
+
+    ``spectral_decompose`` also keeps its health figures: the largest
+    entry of (V Lambda) V^T - H (``residual``) and of V^T V - I
+    (``orthogonality``), and the sizes of the symmetric and antisymmetric
+    blocks it solved (``sectors``).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    residual: float | None = None
+    orthogonality: float | None = None
+    sectors: tuple[int, int] | None = None
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
@@ -98,37 +125,92 @@ RECONSTRUCTION_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-10
 
 
-def spectral_decompose(h: Hamiltonian | ClassicalGenerator | np.ndarray) -> Spectrum:
+def spectral_decompose(h: Hamiltonian | ClassicalGenerator | np.ndarray,
+                       mirror: np.ndarray | None = None) -> Spectrum:
     """Eigendecomposition of a real symmetric matrix, with residual checks.
 
-    Raises NumericalError if the reconstruction residual exceeds
-    1e-9 * max(1, max|H|) or the eigenvector columns fail orthonormality
-    at 1e-10.
+    ``mirror`` is a site permutation sigma, an involution that commutes
+    exactly with the matrix (see the module docstring); None means the
+    identity.  Raises DomainError if it is neither, and NumericalError if
+    the reconstruction residual exceeds 1e-9 * max(1, max|H|) or the
+    eigenvector columns fail orthonormality at 1e-10.
     """
     matrix = getattr(h, "matrix", h)
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {matrix.shape}")
-    if not np.allclose(matrix, matrix.T, rtol=0.0, atol=0.0):
+    if not np.array_equal(matrix, matrix.T):
         raise DomainError("matrix is not symmetric")
-    try:
-        eigvals, eigvecs = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigendecomposition failed for {matrix.shape[0]}x{matrix.shape[1]} matrix: "
-            f"{exc}; max|H| = {np.abs(matrix).max():.3e}"
-        ) from exc
+    n = matrix.shape[0]
+    sites = np.arange(n)
+    sigma = sites if mirror is None else np.asarray(mirror)
+    if (sigma.shape != (n,) or sigma.dtype.kind not in "iu"
+            or n and not 0 <= sigma.min() <= sigma.max() < n
+            or not np.array_equal(sigma[sigma], sites)):
+        raise DomainError(f"mirror is not an involution of the {n} sites")
+    fixed = np.flatnonzero(sigma == sites)
+    a = np.flatnonzero(sigma > sites)
+    b = sigma[a]
+    h_fa = matrix[np.ix_(fixed, a)]
+    h_aa = matrix[np.ix_(a, a)]
+    h_ab = matrix[np.ix_(a, b)]
+    # with H symmetric these three say H[sigma i, sigma j] == H[i, j]
+    if not (np.array_equal(matrix[np.ix_(fixed, b)], h_fa)
+            and np.array_equal(matrix[np.ix_(b, b)], h_aa)
+            and np.array_equal(h_ab, h_ab.T)):
+        raise DomainError("matrix does not commute with the mirror permutation")
+
+    nf, npair = fixed.size, a.size
+    sym = np.empty((nf + npair, nf + npair))
+    sym[:nf, :nf] = matrix[np.ix_(fixed, fixed)]
+    sym[:nf, nf:] = np.sqrt(2.0) * h_fa
+    sym[nf:, :nf] = sym[:nf, nf:].T
+    np.add(h_aa, h_ab, out=sym[nf:, nf:])
+    anti = np.subtract(h_aa, h_ab, out=h_aa)
+    del h_fa, h_aa, h_ab
+    lam_s, u_s = _eigh(sym)
+    del sym
+    lam_a, u_a = _eigh(anti)
+    del anti
+
+    eigvals = np.concatenate((lam_s, lam_a))
+    order = np.argsort(eigvals, kind="stable")
+    eigvals = eigvals[order]
+    eigvecs = np.empty((n, n))
+
+    def scatter(rows, sym_rows, anti_rows):
+        # site rows of V in sector column order, sorted by eigenvalue, 256 at a time
+        for lo in range(0, rows.size, 256):
+            block = np.concatenate((sym_rows[lo:lo + 256], anti_rows[lo:lo + 256]), axis=1)
+            eigvecs[rows[lo:lo + 256]] = np.take(block, order, axis=1)
+
+    scatter(fixed, u_s[:nf], np.zeros((nf, npair)))
+    pair_sym, pair_anti = np.sqrt(0.5) * u_s[nf:], np.sqrt(0.5) * u_a
+    del u_s, u_a
+    scatter(a, pair_sym, pair_anti)
+    scatter(b, pair_sym, np.negative(pair_anti, out=pair_anti))
+    del pair_sym, pair_anti
 
     scale = max(1.0, float(np.abs(matrix).max()))
     residual = float(np.abs((eigvecs * eigvals) @ eigvecs.T - matrix).max())
-    ortho = float(np.abs(eigvecs.T @ eigvecs - np.eye(matrix.shape[0])).max())
+    ortho = float(np.abs(eigvecs.T @ eigvecs - np.eye(n)).max())
     if residual > RECONSTRUCTION_TOL * scale or ortho > ORTHOGONALITY_TOL:
         raise NumericalError(
             f"eigendecomposition out of tolerance: reconstruction {residual:.3e} "
             f"(limit {RECONSTRUCTION_TOL * scale:.3e}), orthogonality {ortho:.3e} "
             f"(limit {ORTHOGONALITY_TOL:.3e})"
         )
-    return Spectrum(eigenvalues=eigvals, eigenvectors=eigvecs)
+    return Spectrum(eigvals, eigvecs, residual, ortho, (nf + npair, npair))
+
+
+def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(block)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"eigendecomposition failed for a {block.shape[0]}x{block.shape[1]} block: "
+            f"{exc}; max|H| = {np.abs(block).max():.3e}"
+        ) from exc
 
 
 def _check_times(times) -> np.ndarray:
@@ -171,9 +253,17 @@ def _evolve(kind: SeriesKind, kernel, spectrum: Spectrum, input_site: int,
             times) -> ProbabilitySeries:
     times = _check_times(times)
     input_site = _check_input_site(spectrum.n, input_site)
-    weights = np.ascontiguousarray(spectrum.eigenvectors[input_site, :])
-    probs = _finalize(kernel(spectrum.eigenvalues, spectrum.eigenvectors, weights, times))
-    return ProbabilitySeries(kind, input_site, times, probs)
+    # a mode the input does not excite (every antisymmetric one, for an
+    # input on the mirror axis) adds exactly nothing
+    keep = np.flatnonzero(spectrum.eigenvectors[input_site, :])
+    weights = spectrum.eigenvectors[input_site, keep]
+    probs = kernel(spectrum.eigenvalues[keep], spectrum.eigenvectors[:, keep], weights, times)
+    if times[0] == 0.0:
+        # both propagators are the identity at zero time: the launch row is
+        # the initial state itself, not V V^T with its last-bit roundoff
+        probs[0] = 0.0
+        probs[0, input_site] = 1.0
+    return ProbabilitySeries(kind, input_site, times, _finalize(probs))
 
 
 def _finalize(probs: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ def quantum_probabilities(eigvals, eigvecs, weights, times):
     ----------
     eigvals : (n,) float array
         Eigenvalues of the Hamiltonian.
-    eigvecs : (n, n) float array
+    eigvecs : (N, n) float array
         Orthonormal eigenvectors as columns.
     weights : (n,) float array
         Input-site row of the eigenvector matrix, w_k = V[input, k].
@@ -30,15 +30,18 @@ def quantum_probabilities(eigvals, eigvecs, weights, times):
 
     Returns
     -------
-    (T, n) float array of probabilities.
+    (T, N) float array of probabilities.
     """
-    phases = np.exp(-1j * np.outer(times, eigvals))
-    amps = phases @ (eigvecs * weights).T
-    return amps.real ** 2 + amps.imag ** 2
+    # exp(-i lam t) = cos - i sin: one real product gives the real parts
+    # (first T rows) and the negated imaginary parts (last T rows)
+    phase = np.outer(times, eigvals)
+    amps = np.concatenate((np.cos(phase), np.sin(phase))) @ (eigvecs * weights).T
+    amps *= amps
+    return amps[:len(times)] + amps[len(times):]
 
 
 def classical_probabilities(eigvals, eigvecs, weights, times):
-    """Same contraction for the heat kernel exp(-L t); returns (T, n) floats."""
+    """Same contraction for the heat kernel exp(-L t); returns (T, N) floats."""
     decay = np.exp(-np.outer(times, eigvals))
     return decay @ (eigvecs * weights).T
 

@@ -314,6 +314,54 @@ def canonical_input(lattice: Lattice) -> int:
     return int(order[0])
 
 
+def _cluster_labels(values: np.ndarray) -> np.ndarray:
+    order = np.argsort(values, kind="stable")
+    labels = np.empty(values.size, dtype=np.int64)
+    labels[order] = np.concatenate(([0], np.cumsum(np.diff(values[order]) > 0.25)))
+    return labels
+
+
+def mirror_permutation(lattice: Lattice) -> np.ndarray:
+    """Site permutation of the reflection through the canonical input and
+    the centroid: the vertical axis through the gasket and triangle apex,
+    the anti-diagonal through the top-left site of the square family.
+
+    ``sigma[i]`` is the site at the mirror image of site i.  The identity
+    comes back when the reflection maps some site more than DIST_TOL away
+    from every site, or maps the edge set onto a different one.
+    """
+    n = lattice.n_sites
+    identity = np.arange(n)
+    coords = lattice.coords
+    origin = coords[canonical_input(lattice)]
+    axis = coords.mean(axis=0) - origin
+    length = float(np.hypot(*axis))
+    if length <= DIST_TOL:
+        return identity
+    axis /= length
+    d = coords - origin
+    image = origin + 2.0 * (d @ axis)[:, None] * axis - d
+    # label every x and every y value of sites and images by cluster (a new
+    # cluster past a quarter-spacing gap), so an image and its site share a
+    # (row, column) key; a site found under another key lies more than a
+    # quarter spacing away, which the gap check below refuses
+    labels = [_cluster_labels(np.concatenate((coords[:, k], image[:, k]))) for k in (0, 1)]
+    key = labels[1] * (labels[0].max() + 1) + labels[0]
+    site_key, image_key = key[:n], key[n:]
+    order = np.argsort(site_key)
+    sigma = order[np.searchsorted(site_key[order], image_key).clip(max=n - 1)]
+    gap = np.hypot(*(image - coords[sigma]).T)
+    if gap.max() > DIST_TOL or not np.array_equal(sigma[sigma], identity):
+        return identity
+
+    def keys(edges):
+        return np.sort(edges.min(axis=1) * n + edges.max(axis=1))
+
+    if not np.array_equal(keys(sigma[lattice.edges]), keys(lattice.edges)):
+        return identity
+    return sigma
+
+
 _NAMED_INPUTS = ("auto", "apex", "corner", "topleft", "top-left")
 
 

@@ -113,6 +113,16 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _integer(value) -> int:
+    """A JSON integer (``4`` or ``4.0``); ValueError for any other value,
+    ``0.7``, ``true`` and ``"4"`` included, instead of truncating it."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{value!r} is not an integer")
+
+
 # ---------------------------------------------------------------------------
 # lattice documents
 
@@ -144,14 +154,12 @@ def read_lattice(path: str) -> Lattice:
     edges = _require(doc, "edges", path)
     generation = _require(doc, "generation", path)
     try:
-        generation = int(generation)
+        generation = _integer(generation)
         spacing = float(doc.get("spacing", 1.0))
-        ids = [int(s["id"]) for s in sites]
+        ids = [_integer(s["id"]) for s in sites]
         coords = np.array([[float(s["x"]), float(s["y"])] for s in sites])
-        edge_arr = (
-            np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-            if edges else np.zeros((0, 2), dtype=np.int64)
-        )
+        edge_arr = np.array([[_integer(v) for v in pair] for pair in edges],
+                            dtype=np.int64).reshape(-1, 2)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFileError(f"{path}: malformed lattice field: {exc}") from exc
     if ids != list(range(len(ids))):
@@ -193,7 +201,7 @@ def read_series(path: str) -> ProbabilitySeries:
     times = _require(doc, "times", path)
     probs = _require(doc, "probabilities", path)
     try:
-        input_site = int(input_site)
+        input_site = _integer(input_site)
         times = np.asarray(times, dtype=np.float64)
         probs = np.asarray(probs, dtype=np.float64)
     except (TypeError, ValueError) as exc:

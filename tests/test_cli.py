@@ -195,9 +195,10 @@ def _set(field, value):
 
 @pytest.mark.parametrize("field,value", [
     ("generation", "four"),
+    ("generation", 4.7),
     ("spacing", [1]),
     ("kind", "hexagon"),
-], ids=["generation", "spacing", "kind"])
+], ids=["generation", "fractional_generation", "spacing", "kind"])
 def test_malformed_lattice_field_is_exit_3(sg4_files, tmp_path, field, value):
     lattice = _edited_copy(sg4_files[0], tmp_path, _set(field, value))
     code = run(["evolve", "--lattice", lattice, "--out", str(tmp_path / "s.json")])
@@ -213,8 +214,10 @@ def _shift_back(doc):
     doc["times"] = [t - 1.0 for t in doc["times"]]
 
 
-@pytest.mark.parametrize("edit", [_set("input_site", "x"), _reverse, _shift_back],
-                         ids=["input_site", "descending_times", "negative_times"])
+@pytest.mark.parametrize("edit", [_set("input_site", "x"), _set("input_site", 0.7),
+                                  _reverse, _shift_back],
+                         ids=["input_site", "fractional_input_site", "descending_times",
+                              "negative_times"])
 def test_malformed_series_field_is_exit_3(sg4_files, tmp_path, edit):
     lattice, series = sg4_files
     code = run(["analyze", "--series", _edited_copy(series, tmp_path, edit),

@@ -15,7 +15,7 @@ from fractalwalk.evolution import (
     time_grid,
 )
 from fractalwalk.hamiltonian import build_classical_generator, build_hamiltonian
-from fractalwalk.lattice import LatticeKind, generate
+from fractalwalk.lattice import LatticeKind, generate, mirror_permutation
 
 
 # --- time grids -----------------------------------------------------------
@@ -123,10 +123,18 @@ def test_classical_rows_are_normalised_and_equilibrate():
     assert np.abs(series.probabilities[-1] - 1.0 / lat.n_sites).max() < 1e-9
 
 
-@pytest.mark.parametrize("run_name", ["sg4_run", "sc3_run", "dsc3_run"])
-def test_walk_is_mirror_symmetric_about_the_input_axis(request, run_name):
+MIRROR_RUNS = ["sg4_run", "sc3_run", "dsc3_run"]
+
+
+@pytest.mark.parametrize(
+    "run_name,full", [(name, full) for full in (False, True) for name in MIRROR_RUNS],
+    ids=MIRROR_RUNS + [name + "-no_mirror" for name in MIRROR_RUNS],
+)
+def test_walk_is_mirror_symmetric_about_the_input_axis(request, run_name, full):
     # the gasket mirrors about the vertical axis through its apex, the
-    # carpets about the anti-diagonal through their top-left site
+    # carpets about the anti-diagonal through their top-left site.  The
+    # fixture runs decompose by mirror sector, which builds the symmetry
+    # in; the no_mirror cases decompose all of H, where it is physics.
     run = request.getfixturevalue(run_name)
     d = run.lattice.coords - run.lattice.coords[run.input_site]
     if run.lattice.kind is LatticeKind.SG:
@@ -137,7 +145,72 @@ def test_walk_is_mirror_symmetric_about_the_input_axis(request, run_name):
     image = gap.argmin(axis=1)
     assert gap[np.arange(len(image)), image].max() < 1e-9
     probs = run.series.probabilities
+    if full:
+        spectrum = spectral_decompose(build_hamiltonian(run.lattice))
+        assert spectrum.sectors == (run.lattice.n_sites, 0)
+        probs = evolve_quantum(spectrum, run.input_site, run.series.times).probabilities
     assert np.abs(probs - probs[:, image]).max() < 1e-12
+
+
+@pytest.mark.parametrize("classical", [False, True], ids=["quantum", "classical"])
+@pytest.mark.parametrize("kind,generation", [("sg", 4), ("sc", 3), ("dsc", 3)])
+def test_mirror_sectors_match_the_full_decomposition(kind, generation, classical):
+    lattice = generate(kind, generation)
+    operator = (build_classical_generator if classical else build_hamiltonian)(lattice)
+    sigma = mirror_permutation(lattice)
+    split = spectral_decompose(operator, sigma)
+    full = spectral_decompose(operator)
+    n_pairs = int((sigma != np.arange(lattice.n_sites)).sum()) // 2
+    assert split.sectors == (lattice.n_sites - n_pairs, n_pairs) and n_pairs > 0
+    scale = max(1.0, float(np.abs(operator.matrix).max()))
+    assert np.abs(split.eigenvalues - full.eigenvalues).max() < 1e-12 * scale
+    evolve = evolve_classical if classical else evolve_quantum
+    times = preset_grid(lattice.kind)
+    on_axis = 0
+    off_axis = int(np.flatnonzero(sigma != np.arange(lattice.n_sites))[0])
+    assert sigma[on_axis] == on_axis
+    for site in (on_axis, off_axis):
+        gap = evolve(split, site, times).probabilities - evolve(full, site, times).probabilities
+        assert np.abs(gap).max() < 1e-12
+
+
+def test_spectrum_keeps_its_health_figures(sg4_run):
+    spectrum = sg4_run.spectrum
+    assert spectrum.sectors == (64, 59)
+    assert 0.0 < spectrum.residual < 1e-12
+    assert 0.0 < spectrum.orthogonality < 1e-12
+    with pytest.raises(AttributeError):
+        spectrum.residual = 0.0
+
+
+def _path_matrix(n, edges, diagonal=None):
+    m = np.zeros((n, n)) if diagonal is None else np.diag(diagonal)
+    for i, j in edges:
+        m[i, j] = m[j, i] = 1.0
+    return m
+
+
+# each involution breaks one of the three block identities that commuting
+# means: H_fb = H_fa, H_bb = H_aa and H_ab = H_ab^T
+@pytest.mark.parametrize("matrix,mirror", [
+    (_path_matrix(3, [(0, 1), (1, 2)]), [0, 2, 1]),
+    (_path_matrix(3, [(0, 1), (0, 2)], diagonal=[0.0, 1.0, 2.0]), [0, 2, 1]),
+    (_path_matrix(4, [(0, 1), (0, 3), (2, 3)]), [1, 0, 3, 2]),
+], ids=["fixed_to_pair", "within_pairs", "across_pairs"])
+def test_mirror_must_commute_with_the_matrix(matrix, mirror):
+    with pytest.raises(DomainError):
+        spectral_decompose(matrix, np.array(mirror))
+
+
+@pytest.mark.parametrize("mirror", [
+    [1, 2, 0],        # commutes with the all-ones matrix, but of order three
+    [1, 0],           # wrong length
+    [0, 1, 3],        # a site that does not exist
+    [0.0, 1.0, 2.0],  # not integers
+], ids=["three_cycle", "length", "range", "dtype"])
+def test_mirror_must_be_an_involution_of_the_sites(mirror):
+    with pytest.raises(DomainError):
+        spectral_decompose(np.ones((3, 3)), np.array(mirror))
 
 
 # --- oracle agreement -----------------------------------------------------

@@ -43,6 +43,22 @@ def test_quantum_rows_normalised_for_orthonormal_input():
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
 
+def test_quantum_kernel_matches_the_complex_sum():
+    # a column subset, as the evolution passes it: N = 8 sites, n = 5 modes
+    eigvals, eigvecs = random_spectrum(8, 7)
+    keep = np.array([0, 2, 3, 5, 7])
+    lam, vecs, weights = eigvals[keep], eigvecs[:, keep], eigvecs[2, keep]
+    times = np.linspace(0.0, 3.0, 11)
+    probs = kernels.quantum_probabilities(lam, vecs, weights, times)
+    expected = np.zeros((times.size, 8))
+    for i, t in enumerate(times):
+        for j in range(8):
+            amp = sum(vecs[j, k] * weights[k] * np.exp(-1j * lam[k] * t) for k in range(5))
+            expected[i, j] = abs(amp) ** 2
+    assert probs.shape == (11, 8)
+    assert np.abs(probs - expected).max() < 1e-14
+
+
 def test_import_pulls_in_neither_scipy_nor_numba():
     code = (
         "import sys, fractalwalk\n"

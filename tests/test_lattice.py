@@ -15,6 +15,7 @@ from fractalwalk.lattice import (
     fractal_meta,
     generate,
     landmark_sites,
+    mirror_permutation,
     resolve_input,
 )
 from fractalwalk.serialize import json_dumps, lattice_document
@@ -223,6 +224,56 @@ def test_gasket_apex_coordinates():
     lat = generate("sg", 4)
     apex = lat.coords[canonical_input(lat)]
     assert np.allclose(apex, [8.0, 16.0 * SQRT3_2])
+
+
+# --- mirror permutation ---------------------------------------------------
+
+MIRROR_CASES = [
+    ("sg", 3), ("sg", 5), ("sc", 2), ("sc", 3), ("dsc", 2), ("dsc", 3),
+    ("triangle", 4), ("triangle", 9), ("square", 4), ("square", 8),
+]
+
+
+def _edge_set(edges):
+    return {tuple(sorted(pair)) for pair in edges.tolist()}
+
+
+@pytest.mark.parametrize("kind,generation", MIRROR_CASES)
+def test_mirror_permutation_is_an_edge_preserving_involution(kind, generation):
+    lat = generate(kind, generation)
+    sigma = mirror_permutation(lat)
+    sites = np.arange(lat.n_sites)
+    assert not np.array_equal(sigma, sites)
+    assert np.array_equal(sigma[sigma], sites)
+    assert _edge_set(sigma[lat.edges]) == _edge_set(lat.edges)
+    # the vertical axis through the apex, or the anti-diagonal through the
+    # top-left site
+    d = lat.coords - lat.coords[canonical_input(lat)]
+    if kind in ("sg", "triangle"):
+        image = np.column_stack((-d[:, 0], d[:, 1]))
+    else:
+        image = np.column_stack((-d[:, 1], -d[:, 0]))
+    assert np.abs(d[sigma] - image).max() < 1e-9
+
+
+def _drop_a_mirrored_edge(lat, sigma):
+    k = next(k for k, (i, j) in enumerate(lat.edges.tolist())
+             if {sigma[i], sigma[j]} != {i, j})
+    return dataclasses.replace(lat, edges=np.delete(lat.edges, k, axis=0))
+
+
+def _shift_an_off_axis_site(lat, sigma):
+    coords = lat.coords.copy()
+    coords[np.flatnonzero(sigma != np.arange(lat.n_sites))[0], 0] += 1e-3
+    return dataclasses.replace(lat, coords=coords)
+
+
+@pytest.mark.parametrize("edit", [_drop_a_mirrored_edge, _shift_an_off_axis_site],
+                         ids=["edge_removed", "site_moved"])
+def test_mirror_permutation_is_the_identity_once_the_symmetry_breaks(edit):
+    lat = generate("sg", 4)
+    broken = edit(lat, mirror_permutation(lat))
+    assert np.array_equal(mirror_permutation(broken), np.arange(lat.n_sites))
 
 
 def test_resolve_input_accepts_names_ids_and_digit_strings():
