@@ -25,7 +25,6 @@ from .evolution import (
     SeriesKind,
     Spectrum,
     evolve_classical,
-    evolve_oracle,
     evolve_quantum,
     preset_grid,
     return_amplitude,

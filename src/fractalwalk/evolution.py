@@ -4,27 +4,38 @@ The quantum walk evolves an initially localised excitation under
 U(t) = exp(-iHt); occupation probabilities follow from one
 eigendecomposition of H evaluated over the whole time grid.  The
 classical walk applies the heat kernel exp(-Lt) of the graph Laplacian
-the same way.  ``evolve_oracle`` provides an independent brute-force
-propagator (series integration with step halving) used to cross-check
-the spectral route in tests.
+the same way.
 
-The decomposition splits by mirror sector.  A site permutation sigma
+The spectrum is kept in mirror-sector form.  A site permutation sigma
 that is an involution and commutes with H (a reflection of the lattice,
-``lattice.mirror_permutation``) fixes some sites and swaps the others in
-pairs (a, b).  The fixed sites e_f and the pair sums (e_a + e_b)/sqrt 2
-span the symmetric sector, the pair differences (e_a - e_b)/sqrt 2 the
-antisymmetric one, and H has no element between the two.  So ``eigh``
-runs on two blocks of about N/2 each, read off H by indexing:
+``lattice.mirror_permutation``) fixes some sites f and swaps the others
+in pairs a <-> b.  The fixed sites e_f and the pair sums
+(e_a + e_b)/sqrt 2 span the symmetric sector, the pair differences
+(e_a - e_b)/sqrt 2 the antisymmetric one, and H has no element between
+the two.  Each sector is a block of about N/2, read off H by indexing:
 
-    symmetric      [[H_ff, sqrt2 H_fa], [sqrt2 H_af, H_aa + H_ab]]
-    antisymmetric  H_aa - H_ab
+    symmetric      S = [[H_ff, sqrt2 H_fa], [sqrt2 H_af, H_aa + H_ab]]
+    antisymmetric  A = H_aa - H_ab
 
-and the two sets of eigenvectors, mapped back to sites, fill one N x N
-matrix in ascending eigenvalue order.  Without a permutation the
-symmetric block is all of H and the antisymmetric block is empty.  An
-antisymmetric eigenvector vanishes on every fixed site, so a walk from a
-site on the mirror axis never excites that half of the spectrum, and
-the evolution drops every mode whose input weight is exactly zero.
+``spectral_decompose`` solves S and leaves A unsolved.  A site's
+amplitudes on the symmetric modes are its orbit row: its own row of U_s
+for a fixed site, and its pair's row times sqrt(1/2) for either site of
+a pair.  An antisymmetric mode vanishes on every fixed site, so a walk launched on
+the mirror axis never leaves the symmetric sector.  It is contracted over
+the orbit rows alone and each pair's probability is copied to both of
+its sites.  An input off the axis, or a read of ``Spectrum.eigenvalues``
+or ``.eigenvectors``, solves A once and assembles the site-space N x N
+eigenvector matrix V, which the spectrum then keeps.
+
+Each block is checked as it is solved, before any of its eigenpairs is
+used: the largest entry of (U Lambda) U^T - B must stay within
+1e-9 * max(1, max|H|) and that of U^T U - I within 1e-10.  The map from
+the blocks to the sites is orthogonal, so this bounds V as well: an
+entry of (V Lambda) V^T - H is an entry of the symmetric residual, that
+entry over sqrt 2, or half the sum or difference of a symmetric and an
+antisymmetric one, and V^T V - I is block diagonal.  Without a
+permutation every site is fixed: S is all of H and A is empty.  A
+spectrum built by hand from site-space eigenpairs is the same case.
 
 Times are dimensionless, tau = C * t; with the default coupling C = 1
 they coincide with plain time arguments to exp(-iHt).
@@ -78,29 +89,106 @@ class SeriesKind(str, Enum):
     CLASSICAL = "classical"
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns.
+_NO_SITES = np.empty(0, dtype=np.intp)
 
-    ``spectral_decompose`` also keeps its health figures: the largest
-    entry of (V Lambda) V^T - H (``residual``) and of V^T V - I
-    (``orthogonality``), and the sizes of the symmetric and antisymmetric
-    blocks it solved (``sectors``).
+
+class Spectrum:
+    """Eigenpairs of a real symmetric matrix, kept in mirror-sector form.
+
+    ``eigenvalues`` (ascending) and ``eigenvectors`` (orthonormal
+    site-space columns) are assembled on their first read, which solves
+    the antisymmetric block if it is still pending (see the module
+    docstring).  ``Spectrum(eigenvalues, eigenvectors)`` takes site-space
+    eigenpairs as they are, with every site on the axis.
+
+    ``spectral_decompose`` also keeps its health figures, over the blocks
+    solved so far: the largest entry of (U Lambda) U^T - B (``residual``)
+    and of U^T U - I (``orthogonality``), and the sizes of the symmetric
+    and antisymmetric blocks (``sectors``).  They are None for a spectrum
+    built by hand.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    residual: float | None = None
-    orthogonality: float | None = None
-    sectors: tuple[int, int] | None = None
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        self._init(np.arange(eigenvalues.shape[0]), _NO_SITES, _NO_SITES,
+                   eigenvalues, eigenvectors)
+        self._site = self._sym
 
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+    def _init(self, fixed, a, b, values, rows, anti=None, scale=1.0, health=None):
+        """Sites fixed by the mirror, pairs a <-> b, the symmetric sector's
+        eigenvalues and orbit rows, the antisymmetric block still to solve
+        and the tolerance scale max(1, max|H|) its check uses."""
+        values.setflags(write=False)
+        rows.setflags(write=False)
+        self._fixed, self._a, self._b = fixed, a, b
+        self._orbit = np.empty(fixed.size + 2 * a.size, dtype=np.intp)
+        self._orbit[fixed] = np.arange(fixed.size)
+        self._orbit[a] = self._orbit[b] = np.arange(fixed.size, fixed.size + a.size)
+        self._sym = values, rows
+        self._anti, self._scale, self._health = anti, scale, health
+        self._site = None
 
     @property
     def n(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self._orbit.size
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._site_space()[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._site_space()[1]
+
+    @property
+    def residual(self) -> float | None:
+        return None if self._health is None else max(r for r, _ in self._health)
+
+    @property
+    def orthogonality(self) -> float | None:
+        return None if self._health is None else max(o for _, o in self._health)
+
+    @property
+    def sectors(self) -> tuple[int, int] | None:
+        return None if self._health is None else (self.n - self._a.size, self._a.size)
+
+    def _orbit_rows(self, site: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eigenvalues, rows and the site -> row map to contract a walk from
+        ``site``: the symmetric sector's orbit rows for a site on the mirror
+        axis, else the site-space V with one row per site."""
+        if self._orbit[site] < self._fixed.size:
+            return (*self._sym, self._orbit)
+        eigvals, eigvecs = self._site_space()
+        return eigvals, eigvecs, np.arange(self.n)
+
+    def _site_space(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._site is not None:
+            return self._site
+        lam_s, rows_s = self._sym
+        lam_a, u_a, health = _solve(self._anti, self._scale)
+        self._health.append(health)
+        self._anti = None
+
+        nf = self._fixed.size
+        eigvals = np.concatenate((lam_s, lam_a))
+        order = np.argsort(eigvals, kind="stable")
+        eigvecs = np.empty((self.n, self.n))
+
+        def scatter(sites, sym_rows, anti_rows):
+            # site rows of V in sector column order, sorted by eigenvalue, 256 at a time
+            for lo in range(0, sites.size, 256):
+                block = np.concatenate((sym_rows[lo:lo + 256], anti_rows[lo:lo + 256]), axis=1)
+                eigvecs[sites[lo:lo + 256]] = np.take(block, order, axis=1)
+
+        scatter(self._fixed, rows_s[:nf], np.zeros((nf, lam_a.size)))
+        pair_anti = np.sqrt(0.5) * u_a
+        del u_a
+        scatter(self._a, rows_s[nf:], pair_anti)
+        scatter(self._b, rows_s[nf:], np.negative(pair_anti, out=pair_anti))
+        eigvals = eigvals[order]
+        eigvals.setflags(write=False)
+        eigvecs.setflags(write=False)
+        self._site = eigvals, eigvecs
+        return self._site
 
 
 @dataclass(frozen=True)
@@ -127,13 +215,15 @@ ORTHOGONALITY_TOL = 1e-10
 
 def spectral_decompose(h: Hamiltonian | ClassicalGenerator | np.ndarray,
                        mirror: np.ndarray | None = None) -> Spectrum:
-    """Eigendecomposition of a real symmetric matrix, with residual checks.
+    """Eigendecomposition of a real symmetric matrix by mirror sector.
 
     ``mirror`` is a site permutation sigma, an involution that commutes
     exactly with the matrix (see the module docstring); None means the
-    identity.  Raises DomainError if it is neither, and NumericalError if
-    the reconstruction residual exceeds 1e-9 * max(1, max|H|) or the
-    eigenvector columns fail orthonormality at 1e-10.
+    identity.  Solves the symmetric block now and the antisymmetric one on
+    first use.  Raises DomainError if the matrix is not symmetric or the
+    mirror is neither, and NumericalError if a block's reconstruction
+    residual exceeds 1e-9 * max(1, max|H|) or its eigenvectors fail
+    orthonormality at 1e-10.
     """
     matrix = getattr(h, "matrix", h)
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -168,39 +258,28 @@ def spectral_decompose(h: Hamiltonian | ClassicalGenerator | np.ndarray,
     np.add(h_aa, h_ab, out=sym[nf:, nf:])
     anti = np.subtract(h_aa, h_ab, out=h_aa)
     del h_fa, h_aa, h_ab
-    lam_s, u_s = _eigh(sym)
-    del sym
-    lam_a, u_a = _eigh(anti)
-    del anti
-
-    eigvals = np.concatenate((lam_s, lam_a))
-    order = np.argsort(eigvals, kind="stable")
-    eigvals = eigvals[order]
-    eigvecs = np.empty((n, n))
-
-    def scatter(rows, sym_rows, anti_rows):
-        # site rows of V in sector column order, sorted by eigenvalue, 256 at a time
-        for lo in range(0, rows.size, 256):
-            block = np.concatenate((sym_rows[lo:lo + 256], anti_rows[lo:lo + 256]), axis=1)
-            eigvecs[rows[lo:lo + 256]] = np.take(block, order, axis=1)
-
-    scatter(fixed, u_s[:nf], np.zeros((nf, npair)))
-    pair_sym, pair_anti = np.sqrt(0.5) * u_s[nf:], np.sqrt(0.5) * u_a
-    del u_s, u_a
-    scatter(a, pair_sym, pair_anti)
-    scatter(b, pair_sym, np.negative(pair_anti, out=pair_anti))
-    del pair_sym, pair_anti
-
     scale = max(1.0, float(np.abs(matrix).max()))
-    residual = float(np.abs((eigvecs * eigvals) @ eigvecs.T - matrix).max())
-    ortho = float(np.abs(eigvecs.T @ eigvecs - np.eye(n)).max())
+    lam_s, u_s, health = _solve(sym, scale)
+    del sym
+    u_s[nf:] *= np.sqrt(0.5)  # U_s rows become orbit rows: one per fixed site, one per pair
+    spectrum = Spectrum.__new__(Spectrum)
+    spectrum._init(fixed, a, b, lam_s, u_s, anti, scale, [health])
+    return spectrum
+
+
+def _solve(block: np.ndarray, scale: float):
+    """Eigenpairs of one sector block and their (residual, orthogonality),
+    checked against the tolerances before any caller uses them."""
+    eigvals, eigvecs = _eigh(block)
+    residual = float(np.abs((eigvecs * eigvals) @ eigvecs.T - block).max(initial=0.0))
+    ortho = float(np.abs(eigvecs.T @ eigvecs - np.eye(eigvals.size)).max(initial=0.0))
     if residual > RECONSTRUCTION_TOL * scale or ortho > ORTHOGONALITY_TOL:
         raise NumericalError(
             f"eigendecomposition out of tolerance: reconstruction {residual:.3e} "
             f"(limit {RECONSTRUCTION_TOL * scale:.3e}), orthogonality {ortho:.3e} "
             f"(limit {ORTHOGONALITY_TOL:.3e})"
         )
-    return Spectrum(eigvals, eigvecs, residual, ortho, (nf + npair, npair))
+    return eigvals, eigvecs, (residual, ortho)
 
 
 def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,11 +332,11 @@ def _evolve(kind: SeriesKind, kernel, spectrum: Spectrum, input_site: int,
             times) -> ProbabilitySeries:
     times = _check_times(times)
     input_site = _check_input_site(spectrum.n, input_site)
-    # a mode the input does not excite (every antisymmetric one, for an
-    # input on the mirror axis) adds exactly nothing
-    keep = np.flatnonzero(spectrum.eigenvectors[input_site, :])
-    weights = spectrum.eigenvectors[input_site, keep]
-    probs = kernel(spectrum.eigenvalues[keep], spectrum.eigenvectors[:, keep], weights, times)
+    eigvals, rows, orbit = spectrum._orbit_rows(input_site)
+    weights = rows[orbit[input_site]]
+    # a mode the input does not excite adds exactly nothing
+    keep = np.flatnonzero(weights)
+    probs = np.take(kernel(eigvals[keep], rows[:, keep], weights[keep], times), orbit, axis=1)
     if times[0] == 0.0:
         # both propagators are the identity at zero time: the launch row is
         # the initial state itself, not V V^T with its last-bit roundoff
@@ -281,53 +360,6 @@ def _finalize(probs: np.ndarray) -> np.ndarray:
 def return_amplitude(spectrum: Spectrum, input_site: int, tau: float) -> complex:
     """Return amplitude <input| exp(-iHt) |input> at any real tau."""
     input_site = _check_input_site(spectrum.n, input_site)
-    w = spectrum.eigenvectors[input_site, :]
-    return complex(np.sum(w * w * np.exp(-1j * spectrum.eigenvalues * tau)))
-
-
-ORACLE_TOL = 1e-10
-_ORACLE_ORDER = 16
-_ORACLE_MAX_REFINEMENTS = 24
-
-
-def evolve_oracle(h: Hamiltonian | np.ndarray, input_site: int, tau: float) -> np.ndarray:
-    """Brute-force amplitudes exp(-iH tau) delta_input, independent of eigh.
-
-    Integrates the series propagator over an increasing number of
-    sub-steps until two successive refinements agree within 1e-10 in the
-    max norm.  Intended for tests; O(refinements * steps * order * N^2).
-    """
-    matrix = np.asarray(getattr(h, "matrix", h), dtype=np.float64)
-    n = matrix.shape[0]
-    input_site = _check_input_site(n, input_site)
-    if tau < 0:
-        raise DomainError(f"oracle requires tau >= 0, got {tau}")
-
-    psi0 = np.zeros(n, dtype=np.complex128)
-    psi0[input_site] = 1.0
-    row_norm = float(np.abs(matrix).sum(axis=1).max())
-    steps = max(1, int(np.ceil(tau * row_norm)))
-
-    previous = None
-    for _ in range(_ORACLE_MAX_REFINEMENTS):
-        psi = _series_propagate(matrix, psi0, tau, steps)
-        if previous is not None and float(np.abs(psi - previous).max()) <= ORACLE_TOL:
-            return psi
-        previous = psi
-        steps *= 2
-    raise NumericalError(
-        f"oracle propagator did not converge to {ORACLE_TOL} after "
-        f"{_ORACLE_MAX_REFINEMENTS} refinements (tau={tau}, n={n})"
-    )
-
-
-def _series_propagate(matrix: np.ndarray, psi: np.ndarray, tau: float, steps: int) -> np.ndarray:
-    dt = tau / steps
-    for _ in range(steps):
-        term = psi
-        acc = psi.copy()
-        for order in range(1, _ORACLE_ORDER + 1):
-            term = (-1j * dt / order) * (matrix @ term)
-            acc = acc + term
-        psi = acc
-    return psi
+    eigvals, rows, orbit = spectrum._orbit_rows(input_site)
+    w = rows[orbit[input_site]]
+    return complex(np.sum(w * w * np.exp(-1j * eigvals * tau)))

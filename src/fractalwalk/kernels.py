@@ -1,9 +1,13 @@
 """Hot numerical kernels, one numpy implementation each.
 
-Two loops dominate the runtime of a full pipeline: evaluating per-site
-occupation probabilities over the whole time grid (T x N^2 work) and
-splatting Gaussian spots onto a pixel raster (pixels x N work).  Both are
-written as dense matrix products so the work lands in BLAS; time them with
+Two loops dominate the runtime of a full pipeline: evaluating occupation
+probabilities over the whole time grid and splatting Gaussian spots onto a
+pixel raster (pixels x N work).  The first contracts n excited modes into
+R rows over T times: a (2T x n) by (n x R) product for the quantum walk and
+a (T x n) by (n x R) one for the classical walk, where R is the site count
+or, for an input on the mirror axis, the number of orbit rows of the
+symmetric sector (about N/2).  Both loops are written as dense matrix
+products so the work lands in BLAS; time them with
 benchmarks/bench_kernels.py.
 """
 
@@ -22,15 +26,16 @@ def quantum_probabilities(eigvals, eigvecs, weights, times):
     ----------
     eigvals : (n,) float array
         Eigenvalues of the Hamiltonian.
-    eigvecs : (N, n) float array
-        Orthonormal eigenvectors as columns.
+    eigvecs : (R, n) float array
+        Matrix of rows: row j holds the amplitudes V_jk of the n modes on
+        site (or orbit) j.
     weights : (n,) float array
-        Input-site row of the eigenvector matrix, w_k = V[input, k].
+        The input's own row, w_k = V[input, k].
     times : (T,) float array
 
     Returns
     -------
-    (T, N) float array of probabilities.
+    (T, R) float array of probabilities, one column per row of ``eigvecs``.
     """
     # exp(-i lam t) = cos - i sin: one real product gives the real parts
     # (first T rows) and the negated imaginary parts (last T rows)
@@ -41,7 +46,7 @@ def quantum_probabilities(eigvals, eigvecs, weights, times):
 
 
 def classical_probabilities(eigvals, eigvecs, weights, times):
-    """Same contraction for the heat kernel exp(-L t); returns (T, N) floats."""
+    """Same contraction for the heat kernel exp(-L t); returns (T, R) floats."""
     decay = np.exp(-np.outer(times, eigvals))
     return decay @ (eigvecs * weights).T
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
+from oracle import evolve_oracle
 
 from fractalwalk.analysis import (
     DEFAULT_DELTA,
@@ -25,7 +26,6 @@ from fractalwalk.analysis import (
 )
 from fractalwalk.evolution import (
     GRID_PRESETS,
-    evolve_oracle,
     evolve_quantum,
     spectral_decompose,
     time_grid,

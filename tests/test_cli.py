@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from fractalwalk import cli
+from fractalwalk.evolution import evolve_quantum, spectral_decompose
+from fractalwalk.hamiltonian import build_hamiltonian
+from fractalwalk.lattice import mirror_permutation
 from fractalwalk.render import read_pgm
 from fractalwalk.serialize import read_lattice, read_series
 
@@ -96,6 +99,20 @@ def test_render_command(workspace):
         data = open(os.path.join(workspace["frames"], f"demo_t{index}.pgm"), "rb").read()
         image = read_pgm(data)
         assert image.dtype == np.uint16 and image.max() == 65535
+
+
+def test_evolve_from_an_off_axis_input(tmp_path):
+    # no workload launches off the mirror axis; this input takes the path
+    # that solves the antisymmetric block and contracts over every site
+    lat, out = str(tmp_path / "dsc2.json"), str(tmp_path / "off.json")
+    assert run(["lattice", "--kind", "dsc", "--generation", "2", "--out", lat]) == 0
+    lattice = read_lattice(lat)
+    site = int(np.flatnonzero(mirror_permutation(lattice) != np.arange(lattice.n_sites))[0])
+    assert run(["evolve", "--lattice", lat, "--input", str(site), "--out", out]) == 0
+    series = read_series(out)
+    full = evolve_quantum(spectral_decompose(build_hamiltonian(lattice)), site, series.times)
+    assert series.input_site == site
+    assert np.abs(series.probabilities - full.probabilities).max() < 1e-12
 
 
 # --- exit codes -----------------------------------------------------------

@@ -1,13 +1,18 @@
 """Propagation: spectra, closed forms, invariances, oracle agreement."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fractalwalk.cli import walk
 from fractalwalk.errors import BoundsError, DomainError, NumericalError
 from fractalwalk.evolution import (
     GRID_PRESETS,
     evolve_classical,
-    evolve_oracle,
     evolve_quantum,
     preset_grid,
     return_amplitude,
@@ -15,7 +20,8 @@ from fractalwalk.evolution import (
     time_grid,
 )
 from fractalwalk.hamiltonian import build_classical_generator, build_hamiltonian
-from fractalwalk.lattice import LatticeKind, generate, mirror_permutation
+from fractalwalk.lattice import LatticeKind, canonical_input, generate, mirror_permutation
+from oracle import evolve_oracle
 
 
 # --- time grids -----------------------------------------------------------
@@ -183,6 +189,119 @@ def test_spectrum_keeps_its_health_figures(sg4_run):
         spectrum.residual = 0.0
 
 
+def _count_eigh(monkeypatch, stretch=1.0):
+    """Record the size of every eigh call, and scale the first eigenvector
+    it returns by ``stretch``."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(block):
+        sizes.append(block.shape[0])
+        values, vectors = eigh(block)
+        vectors[:, 0] *= stretch
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("classical", [False, True], ids=["quantum", "classical"])
+def test_an_on_axis_walk_solves_only_the_symmetric_block(monkeypatch, classical):
+    sizes = _count_eigh(monkeypatch)
+    lattice = generate("dsc", 3)
+    times = preset_grid(lattice.kind)
+    site, spectrum, _ = walk(lattice, "auto", times, classical)
+    assert site == canonical_input(lattice)
+    return_amplitude(spectrum, site, 1.7)
+    assert sizes == [spectrum.sectors[0]]
+    off_axis = int(np.flatnonzero(mirror_permutation(lattice) != np.arange(lattice.n_sites))[0])
+    (evolve_classical if classical else evolve_quantum)(spectrum, off_axis, times)
+    assert spectrum.eigenvectors.shape == (lattice.n_sites, lattice.n_sites)
+    assert spectrum.eigenvalues.shape == (lattice.n_sites,)
+    assert sizes == list(spectrum.sectors)
+
+
+def test_the_lazy_block_is_checked_before_use(monkeypatch):
+    lattice = generate("sg", 4)
+    sigma = mirror_permutation(lattice)
+    spectrum = spectral_decompose(build_hamiltonian(lattice), sigma)
+    sizes = _count_eigh(monkeypatch, stretch=1.0 + 1e-6)  # orthogonality 2e-6
+    times = time_grid(2.0, 5)
+    evolve_quantum(spectrum, 0, times)
+    assert sizes == []
+    off_axis = int(np.flatnonzero(sigma != np.arange(lattice.n_sites))[0])
+    with pytest.raises(NumericalError):
+        evolve_quantum(spectrum, off_axis, times)
+    with pytest.raises(NumericalError):  # the failed solve left nothing behind
+        spectrum.eigenvectors
+    assert sizes == [spectrum.sectors[1]] * 2
+    with pytest.raises(NumericalError):  # and the symmetric block is checked at once
+        spectral_decompose(build_hamiltonian(lattice), sigma)
+
+
+def test_health_figures_cover_the_blocks_solved(monkeypatch):
+    lattice = generate("sg", 4)
+    spectrum = spectral_decompose(build_hamiltonian(lattice), mirror_permutation(lattice))
+    symmetric_only = spectrum.orthogonality
+    _count_eigh(monkeypatch, stretch=1.0 + 1e-11)  # within tolerance, far above roundoff
+    assert spectrum.eigenvectors.shape == (lattice.n_sites, lattice.n_sites)
+    assert symmetric_only < 1e-13
+    assert spectrum.orthogonality == pytest.approx(2e-11, rel=1e-3)
+
+
+@pytest.mark.parametrize("kind,generation", [("sg", 4), ("sc", 3), ("dsc", 3)])
+def test_assembled_eigenvectors_meet_the_site_space_bounds(kind, generation):
+    # the blocks are checked, not V; the map between them is orthogonal,
+    # so V must still pass the bounds the full decomposition was held to
+    lattice = generate(kind, generation)
+    h = build_hamiltonian(lattice).matrix
+    spectrum = spectral_decompose(h, mirror_permutation(lattice))
+    assert spectrum.sectors[1] > 0
+    v, lam = spectrum.eigenvectors, spectrum.eigenvalues
+    assert np.abs((v * lam) @ v.T - h).max() <= 1e-9 * max(1.0, float(np.abs(h).max()))
+    assert np.abs(v.T @ v - np.eye(lattice.n_sites)).max() <= 1e-10
+    assert spectrum.residual <= 1e-9 and spectrum.orthogonality <= 1e-10
+
+
+def _mirror_tied_matrix(lattice, sigma, draw_weight, classical):
+    """Adjacency (or Laplacian) of ``lattice`` with a random weight per
+    edge, the same on an edge and its mirror image."""
+    index = {edge: k for k, edge in enumerate(map(tuple, lattice.edges.tolist()))}
+    weights = {}
+    m = np.zeros((lattice.n_sites, lattice.n_sites))
+    for k, (i, j) in enumerate(lattice.edges.tolist()):
+        image = index[tuple(sorted((int(sigma[i]), int(sigma[j]))))]
+        orbit = min(k, image)
+        if orbit not in weights:
+            weights[orbit] = draw_weight()
+        m[i, j] = m[j, i] = weights[orbit]
+    if classical:
+        # sorted rows sum mirror-image sites in the same order, so the
+        # diagonal commutes with the mirror exactly
+        m = np.diag(np.sort(m, axis=1).sum(axis=1)) - m
+    return m
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("classical", [False, True], ids=["quantum", "classical"])
+@pytest.mark.parametrize("kind,generation", [("sg", 3), ("dsc", 2)])
+def test_sector_route_matches_the_full_route_on_random_weights(kind, generation, classical,
+                                                               data):
+    lattice = generate(kind, generation)
+    sigma = mirror_permutation(lattice)
+    weight = st.floats(0.25, 2.0)
+    m = _mirror_tied_matrix(lattice, sigma, lambda: data.draw(weight), classical)
+    split, full = spectral_decompose(m, sigma), spectral_decompose(m)
+    assert np.abs(split.eigenvalues - full.eigenvalues).max() < 1e-12
+    evolve = evolve_classical if classical else evolve_quantum
+    off_axis = data.draw(st.sampled_from(np.flatnonzero(sigma != np.arange(lattice.n_sites)).tolist()))
+    times = time_grid(10.0, 41)
+    for site in (canonical_input(lattice), off_axis):
+        gap = evolve(split, site, times).probabilities - evolve(full, site, times).probabilities
+        assert np.abs(gap).max() < 1e-12
+
+
 def _path_matrix(n, edges, diagonal=None):
     m = np.zeros((n, n)) if diagonal is None else np.diag(diagonal)
     for i, j in edges:
@@ -264,3 +383,12 @@ def test_numerical_guard_rejects_corrupt_spectrum(pair):
     )
     with pytest.raises(NumericalError):
         evolve_quantum(bad, 0, np.array([0.5, 1.0]))
+
+
+# --- documentation --------------------------------------------------------
+
+def test_readme_quick_start_runs(capsys):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    exec(compile(block.group(1), str(readme), "exec"), {})
+    assert "first_void" in capsys.readouterr().out
