@@ -12,7 +12,7 @@ from .analysis import (
     ScalingFit,
     SlopeCurve,
     build_regime_report,
-    calibrate_length,
+    calibrate_events,
     detect_event,
     detect_fractal_onset,
     detect_plateaus,
@@ -31,12 +31,7 @@ from .evolution import (
     spectral_decompose,
     time_grid,
 )
-from .hamiltonian import (
-    ClassicalGenerator,
-    Hamiltonian,
-    build_classical_generator,
-    build_hamiltonian,
-)
+from .hamiltonian import Operator, build_classical_generator, build_hamiltonian
 from .lattice import (
     FractalMeta,
     Landmarks,

@@ -132,9 +132,6 @@ class CalibrationResult:
     scale_s: float                         # mm per unit tau
     events_mm: dict[str, float] = field(default_factory=dict)
 
-    def to_mm(self, tau: float) -> float:
-        return self.scale_s * tau
-
 
 # ---------------------------------------------------------------------------
 # slope estimation and power-law fits
@@ -370,11 +367,6 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
         if x[peak] - base >= min_prominence:
             kept.append(peak)
     return np.asarray(kept, dtype=np.int64)
-
-
-def calibrate_length(report: RegimeReport, config: CalibrationConfig):
-    """Calibrate the detected events of a report; see ``calibrate_events``."""
-    return calibrate_events(report.event_taus(), config)
 
 
 def calibrate_events(events: dict[str, float], config: CalibrationConfig):

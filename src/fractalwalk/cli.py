@@ -76,9 +76,10 @@ def _load_pair(args):
 
 
 def walk(lattice, selector, times, classical=False, dump=None, **params):
-    """Resolve the input site, build the Hamiltonian (the Laplacian if
-    ``classical``) from ``params``, write it to ``dump`` if given, decompose
-    it by mirror sector and evolve.  Returns (input_site, spectrum, series)."""
+    """Resolve the input site, build the walk operator from ``params`` (the
+    Hamiltonian, or the Laplacian if ``classical``), write its matrix to
+    ``dump`` if given, decompose it by mirror sector and evolve.  Returns
+    (input_site, spectrum, series)."""
     input_site = resolve_input(lattice, selector)
     operator = (build_classical_generator if classical else build_hamiltonian)(lattice, **params)
     if dump:
@@ -172,11 +173,7 @@ def cmd_render(args) -> int:
 
 def cmd_calibrate(args) -> int:
     doc = serialize.read_report_document(args.report)
-    events = {
-        name: float(doc[f"{name}_tau"])
-        for name in analysis.EVENT_NAMES
-        if doc.get(f"{name}_tau") is not None
-    }
+    events = serialize.report_event_taus(doc, args.report)
     config = CalibrationConfig(anchor_event=args.anchor_event, anchor_mm=args.anchor_mm)
     result = calibrate_events(events, config)
     if result is None:
@@ -210,6 +207,8 @@ def _parse_instances(text: str) -> list[tuple[LatticeKind, int]]:
                 f"sweep runs the void-based analysis and needs fractal kinds; "
                 f"got {kind.value!r}"
             )
+        if (kind, generation) in instances:
+            raise DomainError(f"instance {kind.value}:{generation} is listed twice")
         instances.append((kind, generation))
     if not instances:
         raise DomainError("no instances given")

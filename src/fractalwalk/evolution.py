@@ -50,12 +50,8 @@ import numpy as np
 
 from . import kernels
 from .errors import BoundsError, DomainError, NumericalError
-from .hamiltonian import ClassicalGenerator, Hamiltonian
+from .hamiltonian import Operator
 from .lattice import LatticeKind
-
-#: default dimensionless time grid: tau in [0, 25], 501 uniform samples
-DEFAULT_TAU_MAX = 25.0
-DEFAULT_STEPS = 501
 
 #: per-kind (tau_max, steps) presets; the carpet grid ends before its
 #: farthest-site event, which lies beyond any realised horizon
@@ -68,9 +64,11 @@ GRID_PRESETS = {
 }
 
 
-def time_grid(tau_max: float = DEFAULT_TAU_MAX, steps: int = DEFAULT_STEPS,
-              tau_min: float = 0.0) -> np.ndarray:
+def time_grid(tau_max: float, steps: int, tau_min: float = 0.0) -> np.ndarray:
     """Uniform time grid over [tau_min, tau_max] with ``steps`` samples."""
+    for name, bound in (("tau_min", tau_min), ("tau_max", tau_max)):
+        if not np.isfinite(bound):
+            raise DomainError(f"{name} must be finite, got {bound}")
     if not tau_max > tau_min >= 0.0:
         raise DomainError(f"need tau_max > tau_min >= 0, got [{tau_min}, {tau_max}]")
     if steps < 2:
@@ -213,7 +211,7 @@ RECONSTRUCTION_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-10
 
 
-def spectral_decompose(h: Hamiltonian | ClassicalGenerator | np.ndarray,
+def spectral_decompose(h: Operator | np.ndarray,
                        mirror: np.ndarray | None = None) -> Spectrum:
     """Eigendecomposition of a real symmetric matrix by mirror sector.
 
@@ -273,7 +271,8 @@ def _solve(block: np.ndarray, scale: float):
     eigvals, eigvecs = _eigh(block)
     residual = float(np.abs((eigvecs * eigvals) @ eigvecs.T - block).max(initial=0.0))
     ortho = float(np.abs(eigvecs.T @ eigvecs - np.eye(eigvals.size)).max(initial=0.0))
-    if residual > RECONSTRUCTION_TOL * scale or ortho > ORTHOGONALITY_TOL:
+    # written so that a NaN residual fails the check
+    if not (residual <= RECONSTRUCTION_TOL * scale and ortho <= ORTHOGONALITY_TOL):
         raise NumericalError(
             f"eigendecomposition out of tolerance: reconstruction {residual:.3e} "
             f"(limit {RECONSTRUCTION_TOL * scale:.3e}), orthogonality {ortho:.3e} "
@@ -348,11 +347,12 @@ def _evolve(kind: SeriesKind, kernel, spectrum: Spectrum, input_site: int,
 def _finalize(probs: np.ndarray) -> np.ndarray:
     """Clamp roundoff-negative entries and verify row normalisation."""
     low = float(probs.min())
-    if low < -CLAMP_TOL:
+    # each test is written so that a NaN fails it
+    if not low >= -CLAMP_TOL:
         raise NumericalError(f"probability {low:.3e} below the -1e-12 roundoff floor")
     probs = np.clip(probs, 0.0, 1.0)
     worst = float(np.abs(probs.sum(axis=1) - 1.0).max())
-    if worst > ROW_SUM_TOL:
+    if not worst <= ROW_SUM_TOL:
         raise NumericalError(f"probability rows deviate from 1 by {worst:.3e}")
     return probs
 

@@ -1,4 +1,11 @@
-"""Tight-binding Hamiltonian and classical-walk generator assembly."""
+"""Walk operators of a lattice: the quantum Hamiltonian, the classical Laplacian.
+
+Both are the lattice's connectivity matrix with a uniform value on every
+edge and a per-site diagonal, so one ``Operator`` type holds either and
+one ``_assemble`` builds both.  The builders return a holder of the dense
+matrix rather than the bare array: the holder keeps the matrix read-only,
+and ``perfbench/trace_child.py`` reads ``.matrix`` from what they return.
+"""
 
 from __future__ import annotations
 
@@ -11,72 +18,41 @@ from .lattice import Lattice
 
 
 @dataclass(frozen=True)
-class Hamiltonian:
-    """Dense real-symmetric tight-binding matrix.
+class Operator:
+    """Dense real-symmetric walk operator of a lattice (read-only)."""
 
-    Diagonal entries all equal ``beta`` (the uniform on-site propagation
-    constant); entry (i, j) equals ``coupling`` exactly when (i, j) is a
-    lattice edge.
-    """
-
-    n: int
-    beta: float
-    coupling: float
     matrix: np.ndarray
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class ClassicalGenerator:
-    """Graph Laplacian L = rate * (Degree - Adjacency) for the classical walk."""
+def _assemble(lattice: Lattice, edge_value: float, diagonal) -> Operator:
+    """``edge_value`` at (i, j) and (j, i) for every edge, ``diagonal`` (a
+    scalar or one value per site) on the diagonal, zero elsewhere."""
+    n = lattice.n_sites
+    m = np.zeros((n, n))
+    i, j = lattice.edges[:, 0], lattice.edges[:, 1]
+    m[i, j] = edge_value
+    m[j, i] = edge_value
+    np.fill_diagonal(m, diagonal)
+    return Operator(m)
 
-    n: int
-    rate: float
-    matrix: np.ndarray
 
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
-def build_hamiltonian(lattice: Lattice, beta: float = 0.0, coupling: float = 1.0) -> Hamiltonian:
-    """Assemble the tight-binding Hamiltonian of a lattice.
-
-    Parameters
-    ----------
-    lattice : Lattice
-    beta : float
-        Uniform on-site constant placed on the diagonal.  A beta shift is
-        a global phase and drops out of all occupation probabilities.
-    coupling : float
-        Uniform nearest-neighbour coupling, must be positive.
-    """
+def build_hamiltonian(lattice: Lattice, beta: float = 0.0, coupling: float = 1.0) -> Operator:
+    """Tight-binding Hamiltonian: ``coupling`` on every edge and the
+    uniform on-site constant ``beta`` on the diagonal.  A beta shift is a
+    global phase and drops out of all occupation probabilities; the
+    coupling must be positive."""
     if not coupling > 0:
         raise DomainError(f"coupling must be positive, got {coupling}")
-    n = lattice.n_sites
-    m = np.zeros((n, n))
-    i, j = lattice.edges[:, 0], lattice.edges[:, 1]
-    m[i, j] = coupling
-    m[j, i] = coupling
-    np.fill_diagonal(m, beta)
-    return Hamiltonian(n=n, beta=float(beta), coupling=float(coupling), matrix=m)
+    return _assemble(lattice, coupling, beta)
 
 
-def build_classical_generator(lattice: Lattice, rate: float = 1.0) -> ClassicalGenerator:
-    """Assemble the classical continuous-time walk generator of a lattice.
-
-    ``rate`` is the per-edge hopping rate; rows of the resulting Laplacian
-    sum to zero exactly.
-    """
+def build_classical_generator(lattice: Lattice, rate: float = 1.0) -> Operator:
+    """Graph Laplacian L = rate * (Degree - Adjacency) of the classical
+    continuous-time walk.  ``rate`` is the per-edge hopping rate and must be
+    positive; rows sum to zero exactly."""
     if not rate > 0:
         raise DomainError(f"rate must be positive, got {rate}")
-    n = lattice.n_sites
-    m = np.zeros((n, n))
-    i, j = lattice.edges[:, 0], lattice.edges[:, 1]
-    m[i, j] = -rate
-    m[j, i] = -rate
-    deg = lattice.degrees()
-    np.fill_diagonal(m, rate * deg)
-    return ClassicalGenerator(n=n, rate=float(rate), matrix=m)
-
+    return _assemble(lattice, -rate, rate * lattice.degrees())

@@ -15,11 +15,12 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
 
-from .analysis import CalibrationResult, RegimeReport, ScalingFit, SlopeCurve
+from .analysis import EVENT_NAMES, CalibrationResult, RegimeReport, ScalingFit, SlopeCurve
 from .errors import BoundsError, DomainError, InputFileError
 from .evolution import ProbabilitySeries, SeriesKind, _check_times
 from .lattice import Lattice, LatticeKind
@@ -123,6 +124,16 @@ def _integer(value) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
+def _number(value) -> float:
+    """A finite JSON number (int or float, never a bool); ValueError for any
+    other value, ``true``, ``"nan"`` and ``1e400`` included."""
+    # the comparison is false for NaN and infinity and exact for any int
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ValueError(f"{value!r} is not a finite number")
+
+
 # ---------------------------------------------------------------------------
 # lattice documents
 
@@ -155,9 +166,9 @@ def read_lattice(path: str) -> Lattice:
     generation = _require(doc, "generation", path)
     try:
         generation = _integer(generation)
-        spacing = float(doc.get("spacing", 1.0))
+        spacing = _number(doc.get("spacing", 1.0))
         ids = [_integer(s["id"]) for s in sites]
-        coords = np.array([[float(s["x"]), float(s["y"])] for s in sites])
+        coords = np.array([[_number(s["x"]), _number(s["y"])] for s in sites])
         edge_arr = np.array([[_integer(v) for v in pair] for pair in edges],
                             dtype=np.int64).reshape(-1, 2)
     except (KeyError, TypeError, ValueError) as exc:
@@ -298,9 +309,8 @@ def _slope_document(curve: SlopeCurve) -> dict:
     }
 
 
-def report_document(report: RegimeReport,
-                    calibration: CalibrationResult | None = None) -> dict:
-    doc = {
+def report_document(report: RegimeReport) -> dict:
+    return {
         "kind": report.kind,
         "input_site": report.input_site,
         "epsilon": report.epsilon,
@@ -317,9 +327,6 @@ def report_document(report: RegimeReport,
         "plateaus": [[a, b] for a, b in report.plateaus],
         "slope_curve": _slope_document(report.slope_curve),
     }
-    if calibration is not None:
-        doc["calibration"] = calibration_document(calibration)
-    return doc
 
 
 def calibration_document(calibration: CalibrationResult) -> dict:
@@ -333,13 +340,30 @@ def calibration_document(calibration: CalibrationResult) -> dict:
     }
 
 
-def write_report(report: RegimeReport, path: str,
-                 calibration: CalibrationResult | None = None) -> None:
-    write_text(path, json_dumps(report_document(report, calibration)) + "\n")
+def write_report(report: RegimeReport, path: str) -> None:
+    write_text(path, json_dumps(report_document(report)) + "\n")
 
 
 def read_report_document(path: str) -> dict:
     return _load_json(path)
+
+
+def report_event_taus(doc: dict, path: str) -> dict[str, float]:
+    """The events a report document holds, by name, as ``RegimeReport.event_taus``
+    gives them; ``null`` or a missing ``<name>_tau`` means the event is absent.
+    InputFileError if a tau is not a finite, non-negative number."""
+    events = {}
+    for name in EVENT_NAMES:
+        tau = doc.get(f"{name}_tau")
+        if tau is None:
+            continue
+        try:
+            events[name] = _number(tau)
+        except ValueError as exc:
+            raise InputFileError(f"{path}: malformed {name}_tau: {exc}") from None
+        if events[name] < 0.0:
+            raise InputFileError(f"{path}: {name}_tau must be non-negative, got {tau}")
+    return events
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from fractalwalk.analysis import (
     RegimeReport,
     SlopeCurve,
     build_regime_report,
-    calibrate_length,
+    calibrate_events,
     detect_event,
     detect_fractal_onset,
     detect_plateaus,
@@ -332,17 +332,17 @@ def make_report(**events):
 
 def test_calibration_scale_and_events():
     report = make_report(first_void=0.5, farthest=2.0, saturation=4.0)
-    result = calibrate_length(report, CalibrationConfig("farthest", 9.0))
+    result = calibrate_events(report.event_taus(), CalibrationConfig("farthest", 9.0))
     assert result.scale_s == pytest.approx(4.5)
     assert result.events_mm == pytest.approx(
         {"first_void": 2.25, "farthest": 9.0, "saturation": 18.0}
     )
-    assert result.to_mm(3.0) == pytest.approx(13.5)
+    assert result.scale_s * 3.0 == pytest.approx(13.5)
 
 
 def test_calibration_none_when_anchor_missing():
     report = make_report(first_void=0.5)
-    assert calibrate_length(report, CalibrationConfig("farthest", 9.0)) is None
+    assert calibrate_events(report.event_taus(), CalibrationConfig("farthest", 9.0)) is None
 
 
 def test_calibration_config_validation():
@@ -356,7 +356,7 @@ def test_calibration_on_real_report(dsc1_run):
     report = dsc1_run.report
     events = report.event_taus()
     assert "farthest" in events
-    result = calibrate_length(report, CalibrationConfig("farthest", 10.0))
+    result = calibrate_events(events, CalibrationConfig("farthest", 10.0))
     assert set(result.events_mm) == set(events)
     assert result.events_mm["farthest"] == pytest.approx(10.0)
 

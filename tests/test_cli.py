@@ -2,10 +2,14 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fractalwalk
 from fractalwalk import cli
 from fractalwalk.evolution import evolve_quantum, spectral_decompose
 from fractalwalk.hamiltonian import build_hamiltonian
@@ -210,14 +214,23 @@ def _set(field, value):
     return lambda doc: doc.__setitem__(field, value)
 
 
-@pytest.mark.parametrize("field,value", [
-    ("generation", "four"),
-    ("generation", 4.7),
-    ("spacing", [1]),
-    ("kind", "hexagon"),
-], ids=["generation", "fractional_generation", "spacing", "kind"])
-def test_malformed_lattice_field_is_exit_3(sg4_files, tmp_path, field, value):
-    lattice = _edited_copy(sg4_files[0], tmp_path, _set(field, value))
+def _set_site(field, value):
+    return lambda doc: doc["sites"][5].__setitem__(field, value)
+
+
+@pytest.mark.parametrize("edit", [
+    _set("generation", "four"),
+    _set("generation", 4.7),
+    _set("spacing", [1]),
+    _set("kind", "hexagon"),
+    _set("spacing", True),
+    _set_site("x", True),
+    _set_site("x", "nan"),
+    _set_site("y", 10 ** 400),
+], ids=["generation", "fractional_generation", "spacing", "kind", "boolean_spacing",
+        "boolean_x", "string_x", "overflowing_y"])
+def test_malformed_lattice_field_is_exit_3(sg4_files, tmp_path, edit):
+    lattice = _edited_copy(sg4_files[0], tmp_path, edit)
     code = run(["evolve", "--lattice", lattice, "--out", str(tmp_path / "s.json")])
     assert code == 3
 
@@ -262,11 +275,23 @@ def test_absent_anchor_is_exit_8(tmp_path):
     assert code == 8
 
 
+@pytest.mark.parametrize("tau", [True, "abc", [1], -1.0],
+                         ids=["boolean", "string", "list", "negative"])
+def test_malformed_event_tau_is_exit_3(tmp_path, tau):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"first_void_tau": tau, "farthest_tau": 2.0}))
+    code = run(["calibrate", "--report", str(report),
+                "--anchor-event", "farthest", "--anchor-mm", "5.0",
+                "--out", str(tmp_path / "c.json")])
+    assert code == 3
+
+
 def test_sweep_rejects_nonfractal_and_garbage(tmp_path):
     out = str(tmp_path / "runs")
     assert run(["sweep", "--instances", "square:3", "--out-dir", out]) == 5
     assert run(["sweep", "--instances", "sg-4", "--out-dir", out]) == 5
     assert run(["sweep", "--instances", " , ", "--out-dir", out]) == 5
+    assert run(["sweep", "--instances", "sg:3,SG:3", "--out-dir", out]) == 5
 
 
 # --- output routing and determinism ---------------------------------------
@@ -300,3 +325,26 @@ def test_sweep_is_deterministic(tmp_path):
         a = open(os.path.join(dirs[0], name), "rb").read()
         b = open(os.path.join(dirs[1], name), "rb").read()
         assert a == b, f"{name} differs between identical runs"
+
+
+# --- profiler hooks -------------------------------------------------------
+
+@pytest.mark.parametrize("args,wrapped", [
+    (["--", "sweep", "--instances", "sg:3", "--out-dir", "runs"],
+     {"build_hamiltonian", "spectral_decompose", "quantum_probabilities"}),
+    (["--kernel-cases"],
+     {"spectral_decompose", "quantum_probabilities", "classical_probabilities",
+      "gaussian_splat"}),
+], ids=["sweep", "kernel_cases"])
+def test_perfbench_tracer_finds_the_names_it_wraps(tmp_path, args, wrapped):
+    # a subprocess each: the tracer patches np.linalg.eigh and cli in the
+    # process that runs it
+    trace_child = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+    src = os.path.dirname(os.path.dirname(fractalwalk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(trace_child), "spans.json", *args],
+                          cwd=tmp_path, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    names = {span["name"] for span in json.loads((tmp_path / "spans.json").read_text())}
+    assert wrapped <= names

@@ -38,7 +38,8 @@ def test_time_grid_with_positive_start():
     assert grid[0] == 1.0 and grid[-1] == 2.0
 
 
-@pytest.mark.parametrize("args", [(0.0, 10), (5.0, 1), (2.0, 10, 3.0), (-1.0, 10)])
+@pytest.mark.parametrize("args", [(0.0, 10), (5.0, 1), (2.0, 10, 3.0), (-1.0, 10),
+                                  (np.inf, 10)])
 def test_time_grid_rejects_bad_parameters(args):
     with pytest.raises(DomainError):
         time_grid(*args)
@@ -383,6 +384,21 @@ def test_numerical_guard_rejects_corrupt_spectrum(pair):
     )
     with pytest.raises(NumericalError):
         evolve_quantum(bad, 0, np.array([0.5, 1.0]))
+
+
+def test_numerical_guard_rejects_a_nan_eigenvalue(pair):
+    spec = spectral_decompose(build_hamiltonian(pair))
+    eigenvalues = spec.eigenvalues.copy()
+    eigenvalues[0] = np.nan
+    bad = type(spec)(eigenvalues=eigenvalues, eigenvectors=spec.eigenvectors.copy())
+    with pytest.raises(NumericalError):
+        evolve_quantum(bad, 0, np.array([0.5, 1.0]))
+
+
+def test_spectral_checks_reject_a_nan_eigenvector(monkeypatch):
+    _count_eigh(monkeypatch, stretch=np.nan)
+    with pytest.raises(NumericalError):
+        spectral_decompose(build_hamiltonian(generate("sg", 3)))
 
 
 # --- documentation --------------------------------------------------------

@@ -12,12 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fractalwalk.analysis import CalibrationConfig, calibrate_length
+from fractalwalk.analysis import CalibrationConfig, calibrate_events
 from fractalwalk.errors import InputFileError
 from fractalwalk.evolution import ProbabilitySeries, SeriesKind
 from fractalwalk.hamiltonian import build_hamiltonian
 from fractalwalk.serialize import (
     build_manifest,
+    calibration_document,
     format_float,
     json_dumps,
     matrix_triplet_text,
@@ -26,6 +27,7 @@ from fractalwalk.serialize import (
     read_report_document,
     read_series,
     read_series_binary,
+    report_document,
     write_lattice,
     write_manifest,
     write_report,
@@ -315,10 +317,12 @@ def test_matrix_triplet_text(pair):
 
 def test_report_document_round_trip(tmp_path, dsc1_run):
     path = str(tmp_path / "report.json")
-    calibration = calibrate_length(
-        dsc1_run.report, CalibrationConfig("farthest", 10.0)
+    calibration = calibrate_events(
+        dsc1_run.report.event_taus(), CalibrationConfig("farthest", 10.0)
     )
-    write_report(dsc1_run.report, path, calibration)
+    doc = report_document(dsc1_run.report)
+    doc["calibration"] = calibration_document(calibration)
+    write_text(path, json_dumps(doc) + "\n")
     doc = read_report_document(path)
     assert doc["kind"] == "dsc"
     for key in (
