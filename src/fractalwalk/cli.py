@@ -85,7 +85,6 @@ def walk(lattice, selector, times, classical=False, dump=None, **params):
     if dump:
         serialize.write_matrix_triplets(operator.matrix, dump)
     spectrum = spectral_decompose(operator, mirror_permutation(lattice))
-    del operator  # freed before the evolution, whose peak memory it would raise
     evolve = evolve_classical if classical else evolve_quantum
     return input_site, spectrum, evolve(spectrum, input_site, times)
 
@@ -118,13 +117,15 @@ def cmd_evolve(args) -> int:
     params = ({"rate": args.rate} if args.classical
               else {"beta": args.beta, "coupling": args.coupling})
     dump = _outpath(args.dump_matrix) if args.dump_matrix else None
-    input_site, _, series = walk(lattice, args.input, _grid_for(args, lattice.kind),
-                                 args.classical, dump, **params)
+    # the series alone: the spectrum is freed before any artifact is written
+    series = walk(lattice, args.input, _grid_for(args, lattice.kind),
+                  args.classical, dump, **params)[2]
     out = _outpath(args.out)
     serialize.write_series(series, out)
     if args.binary_out:
         serialize.write_series_binary(series, _outpath(args.binary_out))
-    print(f"{series.kind.value} series: input {input_site}, {series.times.size} times -> {out}")
+    print(f"{series.kind.value} series: input {series.input_site}, "
+          f"{series.times.size} times -> {out}")
     return 0
 
 
@@ -221,7 +222,7 @@ def cmd_sweep(args) -> int:
     artifacts = []
     for kind, generation in instances:
         lattice = generate(kind, generation)
-        _, _, series = walk(lattice, args.input, _grid_for(args, kind))
+        series = walk(lattice, args.input, _grid_for(args, kind))[2]  # spectrum freed
         table = build_observable_table(series, lattice)
         report = build_regime_report(lattice, series, table=table, epsilon=args.epsilon)
         stem = f"{kind.value}{generation}"

@@ -12,20 +12,24 @@ that is an involution and commutes with H (a reflection of the lattice,
 in pairs a <-> b.  The fixed sites e_f and the pair sums
 (e_a + e_b)/sqrt 2 span the symmetric sector, the pair differences
 (e_a - e_b)/sqrt 2 the antisymmetric one, and H has no element between
-the two.  Each sector is a block of about N/2, read off H by indexing:
+the two.  Each sector is a block of about N/2:
 
     symmetric      S = [[H_ff, sqrt2 H_fa], [sqrt2 H_af, H_aa + H_ab]]
     antisymmetric  A = H_aa - H_ab
 
-``spectral_decompose`` solves S and leaves A unsolved.  A site's
-amplitudes on the symmetric modes are its orbit row: its own row of U_s
-for a fixed site, and its pair's row times sqrt(1/2) for either site of
-a pair.  An antisymmetric mode vanishes on every fixed site, so a walk launched on
-the mirror axis never leaves the symmetric sector.  It is contracted over
-the orbit rows alone and each pair's probability is copied to both of
-its sites.  An input off the axis, or a read of ``Spectrum.eigenvalues``
-or ``.eigenvectors``, solves A once and assembles the site-space N x N
-eigenvector matrix V, which the spectrum then keeps.
+Both are scattered into zeroed blocks from the non-zero (row, col, value)
+triplets of H.  A ``hamiltonian.Operator`` holds those triplets, so a
+walk never forms the N x N H; a dense array is reduced to its non-zero
+entries first.  ``spectral_decompose`` solves S and keeps only the O(N + E)
+triplets A is scattered from.  A site's amplitudes on the symmetric modes
+are its orbit row: its own row of U_s for a fixed site, and its pair's row
+times sqrt(1/2) for either site of a pair.  An antisymmetric mode vanishes
+on every fixed site, so a walk launched on the mirror axis never leaves
+the symmetric sector.  It is contracted over the orbit rows alone and each
+pair's probability is copied to both of its sites.  An input off the axis,
+or a read of ``Spectrum.eigenvalues`` or ``.eigenvectors``, scatters and
+solves A once and assembles the site-space N x N eigenvector matrix V,
+which the spectrum then keeps.
 
 Each block is checked as it is solved, before any of its eigenpairs is
 used: the largest entry of (U Lambda) U^T - B must stay within
@@ -107,20 +111,18 @@ class Spectrum:
     """
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
-        self._init(np.arange(eigenvalues.shape[0]), _NO_SITES, _NO_SITES,
-                   eigenvalues, eigenvectors)
+        sites = np.arange(eigenvalues.shape[0])
+        self._init(sites, _NO_SITES, _NO_SITES, sites, eigenvalues, eigenvectors)
         self._site = self._sym
 
-    def _init(self, fixed, a, b, values, rows, anti=None, scale=1.0, health=None):
-        """Sites fixed by the mirror, pairs a <-> b, the symmetric sector's
-        eigenvalues and orbit rows, the antisymmetric block still to solve
-        and the tolerance scale max(1, max|H|) its check uses."""
+    def _init(self, fixed, a, b, orbit, values, rows, anti=None, scale=1.0, health=None):
+        """Sites fixed by the mirror, pairs a <-> b, the map from a site to
+        its orbit row, the symmetric sector's eigenvalues and orbit rows, the
+        antisymmetric block's triplets still to solve (see ``_block``) and
+        the tolerance scale max(1, max|H|) its check uses."""
         values.setflags(write=False)
         rows.setflags(write=False)
-        self._fixed, self._a, self._b = fixed, a, b
-        self._orbit = np.empty(fixed.size + 2 * a.size, dtype=np.intp)
-        self._orbit[fixed] = np.arange(fixed.size)
-        self._orbit[a] = self._orbit[b] = np.arange(fixed.size, fixed.size + a.size)
+        self._fixed, self._a, self._b, self._orbit = fixed, a, b, orbit
         self._sym = values, rows
         self._anti, self._scale, self._health = anti, scale, health
         self._site = None
@@ -162,7 +164,7 @@ class Spectrum:
         if self._site is not None:
             return self._site
         lam_s, rows_s = self._sym
-        lam_a, u_a, health = _solve(self._anti, self._scale)
+        lam_a, u_a, health = _solve(_block(self._a.size, *self._anti), self._scale)
         self._health.append(health)
         self._anti = None
 
@@ -215,54 +217,92 @@ def spectral_decompose(h: Operator | np.ndarray,
                        mirror: np.ndarray | None = None) -> Spectrum:
     """Eigendecomposition of a real symmetric matrix by mirror sector.
 
-    ``mirror`` is a site permutation sigma, an involution that commutes
-    exactly with the matrix (see the module docstring); None means the
-    identity.  Solves the symmetric block now and the antisymmetric one on
-    first use.  Raises DomainError if the matrix is not symmetric or the
+    ``h`` is an ``Operator`` or a dense square array; the array is tested
+    for exact symmetry and reduced to its non-zero triplets.  ``mirror`` is
+    a site permutation sigma, an involution that commutes exactly with the
+    matrix (see the module docstring); None means the identity.  The
+    symmetry test of an operator and the commutation test compare the
+    triplets keyed (i, j) with those keyed (j, i) and (sigma i, sigma j),
+    values exactly.  Solves the symmetric block now and the antisymmetric
+    one on first use, each scattered from the triplets.  Raises DomainError
+    if the matrix is not symmetric, an operator repeats an entry or the
     mirror is neither, and NumericalError if a block's reconstruction
     residual exceeds 1e-9 * max(1, max|H|) or its eigenvectors fail
     orthonormality at 1e-10.
     """
-    matrix = getattr(h, "matrix", h)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {matrix.shape}")
-    if not np.array_equal(matrix, matrix.T):
-        raise DomainError("matrix is not symmetric")
-    n = matrix.shape[0]
+    if isinstance(h, Operator):
+        n, rows, cols, values = h.n, h.rows, h.cols, h.values
+    else:
+        matrix = np.asarray(h, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise DomainError(f"expected a square matrix, got shape {matrix.shape}")
+        if not np.array_equal(matrix, matrix.T):
+            raise DomainError("matrix is not symmetric")
+        n = matrix.shape[0]
+        rows, cols = np.nonzero(matrix)
+        values = matrix[rows, cols]
     sites = np.arange(n)
     sigma = sites if mirror is None else np.asarray(mirror)
     if (sigma.shape != (n,) or sigma.dtype.kind not in "iu"
             or n and not 0 <= sigma.min() <= sigma.max() < n
             or not np.array_equal(sigma[sigma], sites)):
         raise DomainError(f"mirror is not an involution of the {n} sites")
+    nonzero = values != 0.0
+    rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
+
+    def keyed(r, c):
+        key = r.astype(np.int64) * n + c
+        order = np.argsort(key)
+        return key[order], values[order]
+
+    entries = keyed(rows, cols)
+    if not np.all(np.diff(entries[0]) > 0):
+        raise DomainError("operator holds an entry more than once")
+
+    def same(r, c):
+        key, value = keyed(r, c)
+        return np.array_equal(key, entries[0]) and np.array_equal(value, entries[1])
+
+    if isinstance(h, Operator) and not same(cols, rows):
+        raise DomainError("matrix is not symmetric")
+    if not same(sigma[rows], sigma[cols]):
+        raise DomainError("matrix does not commute with the mirror permutation")
+
     fixed = np.flatnonzero(sigma == sites)
     a = np.flatnonzero(sigma > sites)
     b = sigma[a]
-    h_fa = matrix[np.ix_(fixed, a)]
-    h_aa = matrix[np.ix_(a, a)]
-    h_ab = matrix[np.ix_(a, b)]
-    # with H symmetric these three say H[sigma i, sigma j] == H[i, j]
-    if not (np.array_equal(matrix[np.ix_(fixed, b)], h_fa)
-            and np.array_equal(matrix[np.ix_(b, b)], h_aa)
-            and np.array_equal(h_ab, h_ab.T)):
-        raise DomainError("matrix does not commute with the mirror permutation")
-
     nf, npair = fixed.size, a.size
-    sym = np.empty((nf + npair, nf + npair))
-    sym[:nf, :nf] = matrix[np.ix_(fixed, fixed)]
-    sym[:nf, nf:] = np.sqrt(2.0) * h_fa
-    sym[nf:, :nf] = sym[:nf, nf:].T
-    np.add(h_aa, h_ab, out=sym[nf:, nf:])
-    anti = np.subtract(h_aa, h_ab, out=h_aa)
-    del h_fa, h_aa, h_ab
-    scale = max(1.0, float(np.abs(matrix).max()))
-    lam_s, u_s, health = _solve(sym, scale)
-    del sym
+    orbit = np.empty(n, dtype=np.intp)
+    orbit[fixed] = np.arange(nf)
+    orbit[a] = orbit[b] = np.arange(nf, nf + npair)
+    # by the commutation the rows of b sites mirror the others, so only rows
+    # of fixed and a sites are read: entries between two of those are
+    # written (sqrt 2 times over between a fixed site and a pair), and the
+    # (a, b) entries added on top, H_aa + H_ab, or subtracted, H_aa - H_ab
+    i, j = orbit[rows], orbit[cols]
+    near = (sigma[rows] >= rows) & (sigma[cols] >= cols)
+    cross = (sigma[rows] > rows) & (sigma[cols] < cols)
+    weights = np.where((i < nf) != (j < nf), np.sqrt(2.0) * values, values)
+    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
+    lam_s, u_s, health = _solve(_block(nf + npair, (i[near], j[near], weights[near]),
+                                         (i[cross], j[cross], values[cross])), scale)
     u_s[nf:] *= np.sqrt(0.5)  # U_s rows become orbit rows: one per fixed site, one per pair
+    pairs = near & (i >= nf) & (j >= nf)
+    anti = ((i[pairs] - nf, j[pairs] - nf, values[pairs]),
+            (i[cross] - nf, j[cross] - nf, -values[cross]))
     spectrum = Spectrum.__new__(Spectrum)
-    spectrum._init(fixed, a, b, lam_s, u_s, anti, scale, [health])
+    spectrum._init(fixed, a, b, orbit, lam_s, u_s, anti, scale, [health])
     return spectrum
+
+
+def _block(size: int, assigned, added) -> np.ndarray:
+    """A zeroed size x size block with the (i, j, value) triplets
+    ``assigned`` written and then ``added`` added; neither repeats a
+    position, so each entry takes the float operations of the dense sum."""
+    block = np.zeros((size, size))
+    block[assigned[0], assigned[1]] = assigned[2]
+    block[added[0], added[1]] += added[2]
+    return block
 
 
 def _solve(block: np.ndarray, scale: float):

@@ -2,9 +2,13 @@
 
 Both are the lattice's connectivity matrix with a uniform value on every
 edge and a per-site diagonal, so one ``Operator`` type holds either and
-one ``_assemble`` builds both.  The builders return a holder of the dense
-matrix rather than the bare array: the holder keeps the matrix read-only,
-and ``perfbench/trace_child.py`` reads ``.matrix`` from what they return.
+one ``_assemble`` builds both.  An operator is kept in triplet form, one
+(row, col, value) per entry: each edge in both directions, then the
+diagonal.  With nearest-neighbour coupling that is O(N + E) numbers, and
+``evolution.spectral_decompose`` scatters its mirror-sector blocks
+straight from them.  ``Operator.matrix`` builds the dense N x N matrix on
+each read; only the matrix dumps, the tests and ``perfbench``'s tracer
+read it.
 """
 
 from __future__ import annotations
@@ -19,24 +23,38 @@ from .lattice import Lattice
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense real-symmetric walk operator of a lattice (read-only)."""
+    """Real-symmetric walk operator of ``n`` sites as read-only triplets:
+    ``values[k]`` at (``rows[k]``, ``cols[k]``), each position at most once,
+    zero elsewhere."""
 
-    matrix: np.ndarray
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        for triplet in (self.rows, self.cols, self.values):
+            triplet.setflags(write=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, built on each read (read-only)."""
+        m = np.zeros((self.n, self.n))
+        m[self.rows, self.cols] = self.values
+        m.setflags(write=False)
+        return m
 
 
 def _assemble(lattice: Lattice, edge_value: float, diagonal) -> Operator:
     """``edge_value`` at (i, j) and (j, i) for every edge, ``diagonal`` (a
     scalar or one value per site) on the diagonal, zero elsewhere."""
-    n = lattice.n_sites
-    m = np.zeros((n, n))
+    n, halves = lattice.n_sites, 2 * lattice.n_edges
     i, j = lattice.edges[:, 0], lattice.edges[:, 1]
-    m[i, j] = edge_value
-    m[j, i] = edge_value
-    np.fill_diagonal(m, diagonal)
-    return Operator(m)
+    sites = np.arange(n)
+    values = np.empty(halves + n)
+    values[:halves] = edge_value
+    values[halves:] = diagonal
+    return Operator(n, np.concatenate((i, j, sites)), np.concatenate((j, i, sites)), values)
 
 
 def build_hamiltonian(lattice: Lattice, beta: float = 0.0, coupling: float = 1.0) -> Operator:

@@ -23,7 +23,7 @@ import numpy as np
 from .analysis import EVENT_NAMES, CalibrationResult, RegimeReport, ScalingFit, SlopeCurve
 from .errors import BoundsError, DomainError, InputFileError
 from .evolution import ProbabilitySeries, SeriesKind, _check_times
-from .lattice import Lattice, LatticeKind
+from .lattice import DIST_TOL, Lattice, LatticeKind
 from .observables import ObservableTable
 
 FLOAT_FORMAT = ".12g"
@@ -178,6 +178,14 @@ def read_lattice(path: str) -> Lattice:
     n = len(ids)
     if edge_arr.size and (edge_arr.min() < 0 or edge_arr.max() >= n):
         raise InputFileError(f"{path}: edge refers to a site id outside 0..{n - 1}")
+    i, j = edge_arr[:, 0], edge_arr[:, 1]
+    # with i < j < n the key i * n + j ascends exactly when the rows do
+    if not (np.all(i < j) and np.all(np.diff(i * n + j) > 0)):
+        raise InputFileError(f"{path}: edges must be pairs i < j, each once, in ascending order")
+    if spacing != 1.0:
+        raise InputFileError(f"{path}: spacing must be 1, the distance unit, not {spacing}")
+    if edge_arr.size and np.abs(np.hypot(*(coords[j] - coords[i]).T) - spacing).max() > DIST_TOL:
+        raise InputFileError(f"{path}: an edge is not one spacing long")
     return Lattice(kind=kind, generation=generation, coords=coords, edges=edge_arr,
                    spacing=spacing)
 

@@ -218,6 +218,12 @@ def _set_site(field, value):
     return lambda doc: doc["sites"][5].__setitem__(field, value)
 
 
+def _add_edge(pair):
+    """Insert ``pair`` (possibly again) where it sorts, so that only the
+    pair itself breaks the edge invariant."""
+    return lambda doc: doc.__setitem__("edges", sorted(doc["edges"] + [pair]))
+
+
 @pytest.mark.parametrize("edit", [
     _set("generation", "four"),
     _set("generation", 4.7),
@@ -227,8 +233,18 @@ def _set_site(field, value):
     _set_site("x", True),
     _set_site("x", "nan"),
     _set_site("y", 10 ** 400),
+    _add_edge([0, 1]),
+    _add_edge([1, 0]),
+    _add_edge([3, 3]),
+    _set("spacing", 0),
+    _set("spacing", -1),
+    _set("spacing", 2.0),
+    _add_edge([0, 122]),  # apex to a far corner of the 123 sites
+    _set_site("x", 0.5),
 ], ids=["generation", "fractional_generation", "spacing", "kind", "boolean_spacing",
-        "boolean_x", "string_x", "overflowing_y"])
+        "boolean_x", "string_x", "overflowing_y", "repeated_edge", "reversed_edge",
+        "self_loop", "zero_spacing", "negative_spacing", "double_spacing", "long_edge",
+        "moved_site"])
 def test_malformed_lattice_field_is_exit_3(sg4_files, tmp_path, edit):
     lattice = _edited_copy(sg4_files[0], tmp_path, edit)
     code = run(["evolve", "--lattice", lattice, "--out", str(tmp_path / "s.json")])

@@ -1,5 +1,6 @@
 """Propagation: spectra, closed forms, invariances, oracle agreement."""
 
+import hashlib
 import pathlib
 import re
 
@@ -19,8 +20,14 @@ from fractalwalk.evolution import (
     spectral_decompose,
     time_grid,
 )
-from fractalwalk.hamiltonian import build_classical_generator, build_hamiltonian
-from fractalwalk.lattice import LatticeKind, canonical_input, generate, mirror_permutation
+from fractalwalk.hamiltonian import Operator, build_classical_generator, build_hamiltonian
+from fractalwalk.lattice import (
+    Lattice,
+    LatticeKind,
+    canonical_input,
+    generate,
+    mirror_permutation,
+)
 from oracle import evolve_oracle
 
 
@@ -303,6 +310,11 @@ def test_sector_route_matches_the_full_route_on_random_weights(kind, generation,
         assert np.abs(gap).max() < 1e-12
 
 
+def _as_operator(matrix):
+    rows, cols = np.nonzero(matrix)
+    return Operator(matrix.shape[0], rows, cols, matrix[rows, cols])
+
+
 def _path_matrix(n, edges, diagonal=None):
     m = np.zeros((n, n)) if diagonal is None else np.diag(diagonal)
     for i, j in edges:
@@ -318,8 +330,9 @@ def _path_matrix(n, edges, diagonal=None):
     (_path_matrix(4, [(0, 1), (0, 3), (2, 3)]), [1, 0, 3, 2]),
 ], ids=["fixed_to_pair", "within_pairs", "across_pairs"])
 def test_mirror_must_commute_with_the_matrix(matrix, mirror):
-    with pytest.raises(DomainError):
-        spectral_decompose(matrix, np.array(mirror))
+    for route in (matrix, _as_operator(matrix)):
+        with pytest.raises(DomainError):
+            spectral_decompose(route, np.array(mirror))
 
 
 @pytest.mark.parametrize("mirror", [
@@ -331,6 +344,97 @@ def test_mirror_must_commute_with_the_matrix(matrix, mirror):
 def test_mirror_must_be_an_involution_of_the_sites(mirror):
     with pytest.raises(DomainError):
         spectral_decompose(np.ones((3, 3)), np.array(mirror))
+
+
+@pytest.mark.parametrize("triplets", [
+    ([0], [1], [1.0]),                   # no (1, 0) entry
+    ([0, 1], [1, 0], [1.0, 0.5]),        # (1, 0) differs
+    ([0, 0, 1, 1], [1, 1, 0, 0], [1.0] * 4),  # each entry twice
+], ids=["missing", "unequal", "repeated"])
+def test_spectral_decompose_rejects_an_asymmetric_operator(triplets):
+    rows, cols, values = (np.array(t) for t in triplets)
+    with pytest.raises(DomainError):
+        spectral_decompose(Operator(2, rows, cols, values))
+
+
+def _build(lattice, classical):
+    if classical:
+        return build_classical_generator(lattice, rate=0.7)
+    return build_hamiltonian(lattice, beta=0.3, coupling=1.5)
+
+
+@pytest.mark.parametrize("classical", [False, True], ids=["quantum", "classical"])
+@pytest.mark.parametrize("kind,generation", [("sg", 4), ("sc", 3), ("dsc", 3)])
+def test_the_triplet_route_is_bit_identical_to_the_dense_route(kind, generation, classical):
+    lattice = generate(kind, generation)
+    operator = _build(lattice, classical)
+    sigma = mirror_permutation(lattice)
+    triplets, dense = spectral_decompose(operator, sigma), spectral_decompose(operator.matrix, sigma)
+    site = canonical_input(lattice)
+    for got, want in zip(triplets._orbit_rows(site), dense._orbit_rows(site)):
+        assert np.array_equal(got, want)
+    assert triplets.sectors == dense.sectors and triplets.sectors[1] > 0
+    for spectrum in (triplets, dense):  # the lazily assembled block, solved
+        spectrum.eigenvectors
+    assert np.array_equal(triplets.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(triplets.eigenvectors, dense.eigenvectors)
+    assert (triplets.residual, triplets.orthogonality) == (dense.residual, dense.orthogonality)
+
+
+def _dense_matrix_read(self):
+    raise AssertionError("the walk path read Operator.matrix")
+
+
+# SHA-256 of the dsc:3 matrix dumps at beta 0.3 and coupling 1.5, and at
+# rate 0.7, recorded from the dense assembly: the triplet form must keep them
+DSC3_DUMPS = {
+    False: "7c0da04e34f0064bb3bc9c5a783a862e1da74096670d86988df3258fea0ec0e3",
+    True: "53411c0826ef6056b17efbee06b80875f6f577ab4a7ee5db7e8bb0a5b910857f",
+}
+
+
+@pytest.mark.parametrize("classical", [False, True], ids=["quantum", "classical"])
+def test_the_walk_path_never_builds_the_dense_matrix(monkeypatch, tmp_path, classical):
+    lattice = generate("dsc", 3)
+    params = {"rate": 0.7} if classical else {"beta": 0.3, "coupling": 1.5}
+    times = time_grid(5.0, 11)
+    off_axis = int(np.flatnonzero(mirror_permutation(lattice) != np.arange(lattice.n_sites))[0])
+    sizes = _count_eigh(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(Operator, "matrix", property(_dense_matrix_read))
+        for selector in ("auto", off_axis):
+            _, spectrum, _ = walk(lattice, selector, times, classical, **params)
+    assert sizes == [spectrum.sectors[0], *spectrum.sectors]  # the lazy block was solved too
+    dump = tmp_path / "matrix.txt"
+    walk(lattice, "auto", times, classical, str(dump), **params)
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == DSC3_DUMPS[classical]
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("kind,generation", [("sg", 3), ("dsc", 2)])
+def test_one_off_axis_edge_breaks_the_mirror(kind, generation, data):
+    lattice = generate(kind, generation)
+    sigma = mirror_permutation(lattice)
+    edges = set(map(tuple, lattice.edges.tolist()))
+
+    def off_axis(pairs):
+        # a pair whose mirror image is another pair
+        return sorted(p for p in pairs if tuple(sorted((sigma[p[0]], sigma[p[1]]))) != p)
+
+    if data.draw(st.booleans(), label="add"):
+        n = lattice.n_sites
+        absent = {(i, j) for i in range(n) for j in range(i + 1, n)} - edges
+        edges.add(data.draw(st.sampled_from(off_axis(absent)), label="added"))
+    else:
+        edges.remove(data.draw(st.sampled_from(off_axis(edges)), label="removed"))
+    perturbed = Lattice(lattice.kind, lattice.generation, lattice.coords,
+                        np.array(sorted(edges), dtype=np.int64))
+    assert np.array_equal(mirror_permutation(perturbed), np.arange(lattice.n_sites))
+    operator = _build(perturbed, data.draw(st.booleans(), label="classical"))
+    for route in (operator, operator.matrix):
+        with pytest.raises(DomainError):
+            spectral_decompose(route, sigma)
 
 
 # --- oracle agreement -----------------------------------------------------

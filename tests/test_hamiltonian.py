@@ -77,3 +77,6 @@ def test_matrix_is_frozen():
     h = build_hamiltonian(generate("sg", 1))
     with pytest.raises(ValueError):
         h.matrix[0, 0] = 5.0
+    for triplet in (h.rows, h.cols, h.values):
+        with pytest.raises(ValueError):
+            triplet[0] = 5
