@@ -1,0 +1,80 @@
+"""Every artifact of two fixed CLI runs, pinned by SHA-256.
+
+The writers must keep the bytes they write: a formatter or emitter change
+that moves one digit anywhere shows up here by file name.  The series
+digests also pin the eigensolver's output to the last printed digit; they
+were recorded with numpy 2.4.6 on OpenBLAS 0.3.31, and another LAPACK may
+round a series value differently.
+"""
+
+import hashlib
+
+import pytest
+
+from fractalwalk import cli
+
+SWEEP_DIGESTS = {
+    "dsc3.lattice.json": "dda7ee75ad6daf6b7a86c7845ac19e0fc48311a5792078007469c8da58814497",
+    "dsc3.observables.csv": "b0f59fe97a0bab23e5a8afec8ecb3b55d3841d121b43634db9f1f3cf295c83ea",
+    "dsc3.report.json": "b84e85af6872546aeb624efd0108673f86dcb8cea92f0d6c65c7c0c332673f16",
+    "dsc3.series.json": "8a2c67a502f622fab20d287865e39e5f5516e562ba0d49f693b38458e81b3b54",
+    "manifest.json": "0ff1561964088968c9474db61341a95e9d4bc0ce76942ab3cad777efa346d004",
+    "sc3.lattice.json": "43cd3d8657becbd3c7c157e4968bf60122d95aae0d7f5cb71a16b3166a9aa8f2",
+    "sc3.observables.csv": "e8cdbbecaa60f0bc664690fb4ad64da0a5fb8701fc10f8a5aef839ecdf5e8ca3",
+    "sc3.report.json": "d0b8d972c2d4186ca78c9f95a44c52b2433e15b02a5d9faa7b2711631fe6d4bb",
+    "sc3.series.json": "7a79be86e728497dfad1a49b79591182f26efec7eb312c48e16cf4457cf2e18e",
+    "sg4.lattice.json": "f3e33d22fa2dabe52c440d6c2e0fae7eb9149eb23cfb7a960981f61f2a74d253",
+    "sg4.observables.csv": "20ad3cf21294f1758509ec179f4c85c0adf0667d65999c1ca25c12f9ba855f74",
+    "sg4.report.json": "ef5e401ef0c00f82aa86b1c3e54e65d37c158dc5ef80e2767f3db5855aaacd89",
+    "sg4.series.json": "9f093dbf5f44efe03e8cba1fb2d1fd351d550b91d59e27aaa412b802867500b9",
+}
+
+# sc:3: a quantum walk from site 5 (off the mirror axis) at beta 0.3 and
+# coupling 1.5, and a classical walk at rate 0.7, each with its matrix dump
+CHAIN_DIGESTS = {
+    "lattice.json": "43cd3d8657becbd3c7c157e4968bf60122d95aae0d7f5cb71a16b3166a9aa8f2",
+    "quantum.json": "61fdc79cb13775896e327f2ea54c3d4f73a5295c58e36380554bfc2d6b896b2b",
+    "hamiltonian.txt": "204f199a006193d7275d26320710e842039a328ed7833027c683c5646da11c85",
+    "quantum.csv": "5be2d7d0117900d647009bb4b626e7137fd843485fbca046a22d011c3c116df7",
+    "quantum.report.json": "8059547bd8e2f33f6be81add1ca2965d02235ef51777f7c1fc69477f7e0c2015",
+    "classical.json": "389008a7875d24bedd8d3c20f408eb392901c6ad9bb3ad9659a08591e9b210e8",
+    "generator.txt": "0e577348075b4126e92a122ec7527430cdfe85c2a2a57e4ec15362232dc7e6d5",
+    "classical.csv": "eb6a1c7c6c7b872a746a6b20edfcf47728cd9db71f1e17bd657cba3480a70efc",
+    "classical.report.json": "98af39866587519770270fff9caad15e7441ed2c06380593b431ecdd74b81f9e",
+}
+
+
+@pytest.fixture(autouse=True)
+def isolated_output_dir(monkeypatch):
+    monkeypatch.delenv("OUTPUT_DIR", raising=False)
+
+
+def _digests(directory, names):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+def test_sweep_artifacts_keep_their_bytes(tmp_path):
+    assert cli.main(["sweep", "--instances", "sg:4,sc:3,dsc:3",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(SWEEP_DIGESTS)
+    assert _digests(tmp_path, SWEEP_DIGESTS) == SWEEP_DIGESTS
+
+
+def test_sc3_chain_artifacts_keep_their_bytes(tmp_path):
+    def path(name):
+        return str(tmp_path / name)
+
+    assert cli.main(["lattice", "--kind", "sc", "--generation", "3",
+                     "--out", path("lattice.json")]) == 0
+    assert cli.main(["evolve", "--lattice", path("lattice.json"), "--input", "5",
+                     "--beta", "0.3", "--coupling", "1.5", "--out", path("quantum.json"),
+                     "--dump-hamiltonian", path("hamiltonian.txt")]) == 0
+    assert cli.main(["classical", "--lattice", path("lattice.json"), "--rate", "0.7",
+                     "--out", path("classical.json"),
+                     "--dump-generator", path("generator.txt")]) == 0
+    for walk in ("quantum", "classical"):
+        series = ["--series", path(f"{walk}.json"), "--lattice", path("lattice.json")]
+        assert cli.main(["observables", *series, "--out", path(f"{walk}.csv")]) == 0
+        assert cli.main(["analyze", *series, "--out", path(f"{walk}.report.json")]) == 0
+    assert _digests(tmp_path, CHAIN_DIGESTS) == CHAIN_DIGESTS
