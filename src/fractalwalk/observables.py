@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .evolution import ProbabilitySeries
+from .evolution import CLAMP_TOL, ProbabilitySeries
 from .lattice import Lattice
 
 
@@ -67,7 +67,7 @@ def polya_number(return_probs) -> np.ndarray:
     grid order, each in [0, 1] (roundoff up to 1e-12 is clamped).
     """
     p = np.asarray(return_probs, dtype=np.float64)
-    if p.size and (p.min() < -1e-12 or p.max() > 1.0 + 1e-12):
+    if p.size and (p.min() < -CLAMP_TOL or p.max() > 1.0 + CLAMP_TOL):
         raise DomainError(
             f"return probabilities outside [0, 1]: min {p.min():.3e}, max {p.max():.3e}"
         )
@@ -80,8 +80,12 @@ def build_observable_table(series: ProbabilitySeries, lattice: Lattice) -> Obser
 
     Polya accumulation runs over strictly positive times; rows at tau = 0
     are padded with the first accumulated value so that all columns align
-    with the time grid.
+    with the time grid.  DomainError if any probability lies below the
+    -1e-12 roundoff floor.
     """
+    low = series.probabilities.min(initial=0.0)
+    if not low >= -CLAMP_TOL:
+        raise DomainError(f"probability {low:.3e} below the -1e-12 roundoff floor")
     var = variance(series, lattice, series.input_site)
     ret = return_probability(series)
     measured = series.times > 0.0

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BoundsError, DomainError, ShapeError
-from .evolution import ProbabilitySeries
+from .evolution import CLAMP_TOL, ProbabilitySeries
 from .lattice import Lattice
 
 PGM_MAXVAL = 65535
@@ -70,7 +70,8 @@ def render_intensity(probabilities: np.ndarray, lattice: Lattice,
 
 def render_frame(series: ProbabilitySeries, lattice: Lattice, time_index: int,
                  spec: RenderSpec = RenderSpec()) -> np.ndarray:
-    """Render one time slice of a series to a 16-bit grayscale image."""
+    """Render one time slice of a series to a 16-bit grayscale image;
+    DomainError if a probability in it lies below the -1e-12 roundoff floor."""
     if series.n_sites != lattice.n_sites:
         raise ShapeError(
             f"series has {series.n_sites} sites but lattice has {lattice.n_sites}"
@@ -79,7 +80,11 @@ def render_frame(series: ProbabilitySeries, lattice: Lattice, time_index: int,
         raise BoundsError(
             f"time index {time_index} out of range 0..{series.times.size - 1}"
         )
-    image = render_intensity(series.probabilities[time_index], lattice, spec)
+    probabilities = series.probabilities[time_index]
+    low = probabilities.min(initial=0.0)
+    if not low >= -CLAMP_TOL:
+        raise DomainError(f"probability {low:.3e} below the -1e-12 roundoff floor")
+    image = render_intensity(probabilities, lattice, spec)
     peak = image.max()
     if peak > 0:
         image = image / peak

@@ -1,8 +1,12 @@
 """Deterministic file formats: JSON, CSV, PGM frames, binary dumps, manifests.
 
-Floats are serialized with 12 significant digits everywhere, and float
-arrays (JSON arrays, CSV rows, matrix triplets) one row at a time through
-a single ``%``-format.  The stdlib json encoder cannot be told a float
+Floats are serialized with 12 significant digits everywhere.  Every float
+array (JSON arrays, CSV rows, matrix triplets) goes through one vectorised
+formatter, ``_format_rows``, which writes exactly the bytes of
+``'%.12g' % x``; the ``%``-format itself (``format_float``) is used only for
+scalars and for the values the formatter cannot place exactly: 13th-digit
+ties, carries into the next decade, zeros, subnormals and exponents beyond
+its power-of-ten table.  The stdlib json encoder cannot be told a float
 format, so a small emitter handles the fixed document shapes used here;
 parsing goes through ``json.load``, which rejects the ``NaN`` and
 ``Infinity`` tokens.  All writers are byte-deterministic and all file
@@ -27,7 +31,6 @@ from .lattice import DIST_TOL, Lattice, LatticeKind
 from .observables import ObservableTable
 
 FLOAT_FORMAT = ".12g"
-_FIELD = "%" + FLOAT_FORMAT
 
 
 def format_float(x: float) -> str:
@@ -37,13 +40,148 @@ def format_float(x: float) -> str:
     return format(x, FLOAT_FORMAT)
 
 
-def _float_rows(values: np.ndarray, fmt: str) -> list[str]:
-    """``fmt % row`` for each row of a 2-d float array; raises InputFileError
-    if any entry is non-finite.  ``_FIELD % x == format_float(x)``."""
-    finite = np.isfinite(values)
+# ---------------------------------------------------------------------------
+# vectorised 12-significant-digit formatter
+#
+# Each value becomes a 32-byte record of four little-endian uint64 words: the
+# prefix ("-", "0.000"), two words of digits with the decimal point, and the
+# exponent suffix ("e+16") followed by the separator.  Every part is
+# NUL-padded, and the NULs are deleted from the finished bytes.  Values the
+# word arithmetic cannot place exactly go through ``format_float``.
+
+_CHUNK = 1 << 14  # values per pass; larger chunks raise the peak RSS
+_TIE_MARGIN = 1e-3  # > 2.3e-4, the error bound of m in _format_chunk
+_U8, _U32, _U56 = np.uint64(8), np.uint64(32), np.uint64(56)
+
+
+def _words(strings) -> np.ndarray:
+    """Each string NUL-padded to 8 bytes, as one little-endian uint64."""
+    return np.array([s.encode("ascii") for s in strings], dtype="S8").view("<u8")
+
+
+def _digit_tables():
+    """Per 4-digit group 0000..9999, its ASCII bytes as one word and its
+    number of trailing zeros (4 for 0000)."""
+    # uint64 throughout: NumPy 1.x promotes uint64 mixed with int64 to float64
+    group = np.arange(10_000, dtype=np.uint64)
+    ascii4 = np.zeros_like(group)
+    zeros = np.zeros(group.size, dtype=np.uint8)
+    for d in range(4):
+        ascii4 |= (48 + group // 10 ** d % 10) << np.uint64(24 - 8 * d)
+        zeros += group % 10 ** (d + 1) == 0
+    return ascii4, zeros
+
+
+def _layout_tables():
+    """Byte masks over the 16 digit bytes (words A, B) that drop trailing
+    zeros and open the decimal point, by ``class * 12 + trailing zeros``.
+
+    Class 0 is scientific (point after the first digit); classes 1-4 are
+    fixed with exponent -1..-4 (no point among the digits: the prefix holds
+    "0.", ..., "0.000"); classes 5-16 are fixed with exponent 0..11 (point
+    after digit e + 1, and no integer digit dropped)."""
+    cls = np.arange(17)[:, None]
+    integral = np.where(cls >= 5, cls - 4, 0)  # digits before the point
+    kept = np.maximum(12 - np.arange(12), integral)
+    point = np.where(cls == 0, 1, np.where(cls >= 5, integral, 16))
+    point = np.where(kept > point, point, 16)  # 16: no point
+    byte = np.arange(16)[:, None, None]
+    masks = [255 * ((byte < point) & (byte < kept)),  # digits before the point
+             255 * ((byte > point) & (byte <= kept)),  # after it, shifted by one
+             46 * (byte == point)]  # "."
+
+    def word(mask, lo):  # bytes lo..lo+7 as one little-endian word
+        return sum(mask[lo + b].astype(np.uint64) << np.uint64(8 * b)
+                   for b in range(8)).ravel()
+
+    return [word(mask, lo) for lo in (0, 8) for mask in masks]
+
+
+_ASCII4, _ZEROS4 = _digit_tables()
+(_BELOW_A, _ABOVE_A, _DOT_A, _BELOW_B, _ABOVE_B, _DOT_B) = _layout_tables()
+# by index i = 311 - e of the decimal exponent e
+_EXPONENT = np.arange(311, -330, -1)
+# 10**(11 - e), correctly rounded, and 0 past 1e300, which leaves m out of range
+_POW10 = np.array([float(f"1e{11 - e}") if e >= -289 else 0.0 for e in _EXPONENT.tolist()])
+_CLASS = np.select([_EXPONENT >= 12, _EXPONENT >= 0, _EXPONENT >= -4],
+                   [0, _EXPONENT + 5, -_EXPONENT], 0)
+_SUFFIX = _words([f"e{e:+03d}" if c == 0 else ""
+                  for e, c in zip(_EXPONENT.tolist(), _CLASS.tolist())])
+_SUFFIX_BITS = 8 * np.count_nonzero(_SUFFIX.view(np.uint8).reshape(-1, 8), axis=1)
+_SUFFIX_BITS = _SUFFIX_BITS.astype(np.uint64)
+_E_ZERO = 311  # the index of e = 0, whose layout has no suffix
+_LEAD = ["", "0.", "0.0", "0.00", "0.000"] + [""] * 12  # by layout class
+_PREFIX = _words([sign + lead for lead in _LEAD for sign in ("", "-")])
+
+
+def _format_chunk(x: np.ndarray, field_tail: np.ndarray, row_tail: np.ndarray,
+                  row_ends: slice) -> str:
+    """``format_float(v)`` for each finite v in x, each followed by the
+    separator that ``field_tail`` holds, or ``row_tail`` at ``row_ends``."""
+    a = np.maximum(np.abs(x), 1e-320)  # zeros and subnormals fall off the table
+    i = (311 - np.floor(np.log10(a))).astype(np.intp)
+    m = a * _POW10[i]
+    # m = |x| * 10**(11 - e) is in [1e11, 1e12) once e is right; log10 can be
+    # one off either way next to a power of ten
+    off = np.flatnonzero((m < 1e11) | (m >= 1e12))
+    i[off] += (m[off] < 1e11).astype(np.intp) - (m[off] >= 1e12)
+    m[off] = a[off] * _POW10[i[off]]
+    # m is within 2.3e-4 of the exact product, so away from a tie and from a
+    # carry into the next decade rint(m) is the correctly rounded digit string
+    q = np.rint(m)
+    fast = (m >= 1e11) & (q < 1e12) & (np.abs(m - q) < 0.5 - _TIE_MARGIN)
+    q = np.where(fast, q, 1e11)
+    i = np.where(fast, i, _E_ZERO)
+
+    high = np.floor(q / 1e8)
+    rest = q - high * 1e8
+    mid = np.floor(rest / 1e4)
+    low = (rest - mid * 1e4).astype(np.intp)
+    high, mid = high.astype(np.intp), mid.astype(np.intp)
+    zeros = _ZEROS4[low]
+    ends = np.flatnonzero(low == 0)
+    zeros[ends] += _ZEROS4[mid[ends]] + (mid[ends] == 0) * _ZEROS4[high[ends]]
+    cls = _CLASS[i]
+    layout = cls * 12 + zeros
+
+    records = np.empty((x.size, 4), dtype="<u8")
+    records[:, 0] = _PREFIX[2 * cls + np.signbit(x)]
+    digits_a = _ASCII4[high] | (_ASCII4[mid] << _U32)
+    digits_b = _ASCII4[low]
+    # the point opens with a one-byte shift of the 128-bit pair above it
+    records[:, 1] = ((digits_a & _BELOW_A[layout]) | ((digits_a << _U8) & _ABOVE_A[layout])
+                     | _DOT_A[layout])
+    records[:, 2] = ((digits_b & _BELOW_B[layout])
+                     | (((digits_b << _U8) | (digits_a >> _U56)) & _ABOVE_B[layout])
+                     | _DOT_B[layout])
+    records[:, 3] = field_tail[i]
+    records[row_ends, 3] = row_tail[i[row_ends]]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = [format_float(v).encode("ascii") for v in x[slow].tolist()]
+        records[slow, :3] = np.array(texts, dtype="S24").view("<u8").reshape(-1, 3)
+    return records.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _format_rows(values: np.ndarray, field_sep: str, row_sep: str) -> list[str]:
+    """``format_float`` of every entry of a 2-d array, the fields of a row
+    joined by ``field_sep`` and the rows by ``row_sep`` (each at most three
+    characters), as pieces to concatenate; InputFileError naming the first
+    non-finite entry."""
+    if values.size == 0:
+        return [row_sep * max(len(values) - 1, 0)]
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    finite = np.isfinite(flat)
     if not finite.all():
-        raise InputFileError(f"cannot serialize non-finite float {values[~finite][0]}")
-    return [fmt % tuple(row.tolist()) for row in values]
+        raise InputFileError(f"cannot serialize non-finite float {flat[~finite][0]}")
+    # word 3 of a record: the exponent suffix, then the separator
+    field_tail, row_tail = _SUFFIX | (_words([field_sep, row_sep])[:, None] << _SUFFIX_BITS)
+    n_cols = values.shape[1]
+    pieces = [_format_chunk(flat[start:start + _CHUNK], field_tail, row_tail,
+                            slice((n_cols - 1 - start) % n_cols, None, n_cols))
+              for start in range(0, flat.size, _CHUNK)]
+    pieces[-1] = pieces[-1][:len(pieces[-1]) - len(row_sep)]
+    return pieces
 
 
 def json_dumps(obj) -> str:
@@ -60,11 +198,15 @@ def _emit(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return format_float(obj)
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2):
-        rows = _float_rows(np.atleast_2d(obj), ",".join([_FIELD] * obj.shape[-1]))
-        return "[" + ",".join(rows if obj.ndim == 1 else ("[" + r + "]" for r in rows)) + "]"
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 1:
+        return "".join(["[", *_format_rows(obj[None], ",", ""), "]"])
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2:
+        return "".join(["[[", *_format_rows(obj, ",", "],["), "]]"]) if len(obj) else "[]"
     if isinstance(obj, dict):
-        return "{" + ",".join(json.dumps(str(k)) + ":" + _emit(v) for k, v in obj.items()) + "}"
+        # one join, so that a member of tens of MB (a series) is copied once
+        members = [part for k, v in obj.items()
+                   for part in (",", json.dumps(str(k)), ":", _emit(v))]
+        return "".join(["{", *members[1:], "}"])
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(_emit(value) for value in obj) + "]"
     raise InputFileError(f"cannot serialize object of type {type(obj).__name__}")
@@ -225,6 +367,9 @@ def read_series(path: str) -> ProbabilitySeries:
         probs = np.asarray(probs, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise InputFileError(f"{path}: malformed series field: {exc}") from exc
+    for name, values in (("times", times), ("probabilities", probs)):
+        if not np.isfinite(values).all():  # a number such as 1e400 parses to inf
+            raise InputFileError(f"{path}: non-finite number in {name}")
     try:
         _check_times(times)
     except DomainError as exc:
@@ -270,8 +415,8 @@ def read_series_binary(path: str) -> np.ndarray:
 
 def observables_csv(table: ObservableTable) -> str:
     columns = np.column_stack((table.times, table.variance, table.return_prob, table.polya))
-    lines = ["tau,variance,return_prob,polya"] + _float_rows(columns, ",".join([_FIELD] * 4))
-    return "\n".join(lines) + "\n"
+    header = "tau,variance,return_prob,polya\n"
+    return "".join([header, *_format_rows(columns, ",", "\n"), "\n"]) if len(columns) else header
 
 
 def write_observables(table: ObservableTable, path: str) -> None:
@@ -284,8 +429,9 @@ def write_observables(table: ObservableTable, path: str) -> None:
 
 def matrix_triplet_text(matrix: np.ndarray) -> str:
     rows, cols = np.nonzero(matrix)
-    lines = _float_rows(np.column_stack((rows, cols, matrix[rows, cols])), "%d %d " + _FIELD)
-    return "\n".join(lines) + ("\n" if lines else "")
+    # indices are below 1e12, so their 12-digit form is the integer itself
+    triplets = np.column_stack((rows, cols, matrix[rows, cols]))
+    return "".join([*_format_rows(triplets, " ", "\n"), "\n"]) if len(rows) else ""
 
 
 def write_matrix_triplets(matrix: np.ndarray, path: str) -> None:

@@ -202,6 +202,37 @@ def test_non_finite_series_value_is_exit_3(sg4_files, tmp_path):
         assert code == 3
 
 
+def _series_commands(lattice, series, tmp_path):
+    pair = ["--series", series, "--lattice", lattice]
+    return [["observables", *pair, "--out", str(tmp_path / "o.csv")],
+            ["analyze", *pair, "--out", str(tmp_path / "r.json")],
+            ["render", *pair, "--run", "f", "--time-index", "5",
+             "--out-dir", str(tmp_path / "frames")]]
+
+
+@pytest.mark.parametrize("field", ["probabilities", "times"])
+def test_overflowing_series_number_is_exit_3(sg4_files, tmp_path, field):
+    lattice, series = sg4_files
+    doc = json.load(open(series))
+    # the last time, so that the grid still ascends
+    owner = doc["probabilities"][5] if field == "probabilities" else doc["times"]
+    owner[5 if field == "probabilities" else -1] = "OVERFLOW"
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(doc).replace('"OVERFLOW"', "1e400"))  # parses to inf
+    for argv in _series_commands(lattice, str(bad), tmp_path):
+        assert run(argv) == 3, argv[0]
+
+
+def test_negative_probability_is_exit_5(sg4_files, tmp_path):
+    lattice, series = sg4_files
+    doc = json.load(open(series))
+    doc["probabilities"][5][7] = -7.0
+    bad = tmp_path / "negative.json"
+    bad.write_text(json.dumps(doc))
+    for argv in _series_commands(lattice, str(bad), tmp_path):
+        assert run(argv) == 5, argv[0]
+
+
 def _edited_copy(path, tmp_path, edit):
     doc = json.load(open(path))
     edit(doc)

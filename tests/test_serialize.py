@@ -15,7 +15,10 @@ from hypothesis.extra import numpy as hnp
 from fractalwalk.analysis import CalibrationConfig, calibrate_events
 from fractalwalk.errors import InputFileError
 from fractalwalk.evolution import ProbabilitySeries, SeriesKind
+from fractalwalk import serialize
 from fractalwalk.hamiltonian import build_hamiltonian
+from fractalwalk.lattice import GENERATION_RANGE, generate
+from fractalwalk.observables import ObservableTable
 from fractalwalk.serialize import (
     build_manifest,
     calibration_document,
@@ -94,6 +97,90 @@ def test_json_dumps_float_edges():
     )
 
 
+# both sides of the 12-digit rounding, the fixed/scientific switch at 1e-4
+# and 1e12, the float range, exact 13th-digit ties and carries into the
+# next decade
+_BOUNDARY = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             -1.7976931348623157e308, 999999999999.5, 999999999999.4, 99999999999.95,
+             9.99999999999995e-05, 1e-4, 1e-5, 1e11, 1e12, 1e16, 1234567890125.0,
+             1234567890135.0, 0.1, 0.2, 0.3, 2.675, -1.5e-7, 1e-300, 1e300, 123456.0]
+
+
+def _percent(values, field_sep=",", row_sep="],["):
+    """The '%.12g' reference: one value at a time."""
+    return row_sep.join(field_sep.join("%.12g" % x for x in row) for row in values.tolist())
+
+
+def _json_reference(values):
+    if values.ndim == 1:
+        return "[" + _percent(values[None]) + "]"
+    return "[[" + _percent(values) + "]]" if len(values) else "[]"
+
+
+def _csv_reference(columns):
+    return "tau,variance,return_prob,polya\n" + "".join(
+        _percent(row[None], ",", "") + "\n" for row in columns)
+
+
+def _table(columns):
+    return ObservableTable(*(np.array(c) for c in columns.T))
+
+
+def _triplet_reference(matrix):
+    rows, cols = np.nonzero(matrix)
+    return "".join("%d %d %.12g\n" % (i, j, matrix[i, j]) for i, j in zip(rows, cols))
+
+
+_ANY_FLOAT = st.one_of(st.sampled_from(_BOUNDARY),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                                      max_side=9), elements=_ANY_FLOAT))
+def test_float_writers_match_percent_format(values):
+    assert json_dumps(values) == _json_reference(values)
+    columns = np.resize(values, (values.size // 4, 4)) if values.size >= 4 else np.zeros((0, 4))
+    assert observables_csv(_table(columns)) == _csv_reference(columns)
+    matrix = np.atleast_2d(values)
+    assert matrix_triplet_text(matrix) == _triplet_reference(matrix)
+
+
+@pytest.mark.parametrize("value", _BOUNDARY, ids=repr)
+def test_boundary_values_match_percent_format(value):
+    assert json_dumps(np.array([value, -value])) == "[%.12g,%.12g]" % (value, -value)
+
+
+def test_ties_and_zeros_go_through_format_float(monkeypatch):
+    seen = []
+
+    def recording(x):
+        seen.append(x)
+        return format_float(x)
+
+    monkeypatch.setattr("fractalwalk.serialize.format_float", recording)
+    values = np.array([0.25, 1234567890125.0, 0.0, 5e-324, 1.0 / 3.0])
+    assert json_dumps(values) == _json_reference(values)
+    assert seen == [1234567890125.0, 0.0, 5e-324]
+
+
+def test_rows_straddling_a_chunk_boundary():
+    # 2.5 chunks of values in rows of 7, so rows split at every chunk edge
+    size = serialize._CHUNK * 5 // 2 // 7 * 7
+    values = np.random.default_rng(7).standard_normal(size).reshape(-1, 7) ** 3
+    assert json_dumps(values) == _json_reference(values)
+    assert observables_csv(_table(values[:, :4])) == _csv_reference(values[:, :4])
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 0), (0, 3), (3, 0), (1, 0)])
+def test_empty_and_zero_column_arrays(shape):
+    assert json_dumps(np.zeros(shape)) == _json_reference(np.zeros(shape))
+
+
+def test_empty_observable_table():
+    assert observables_csv(_table(np.zeros((0, 4)))) == "tau,variance,return_prob,polya\n"
+
+
 def _with_nan(values):
     values = np.array(values, dtype=np.float64)
     values.flat[values.size // 2] = np.nan
@@ -134,6 +221,27 @@ def test_lattice_round_trip(tmp_path, sg2_run):
     # coordinates pass through 12-significant-digit text
     assert np.abs(loaded.coords - sg2_run.lattice.coords).max() < 1e-11
     assert np.array_equal(loaded.edges, sg2_run.lattice.edges)
+
+
+_LATTICE_PAIRS = [(kind, g) for kind, (lo, hi) in GENERATION_RANGE.items()
+                  for g in range(lo, hi + 1)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(pair=st.sampled_from(_LATTICE_PAIRS))
+def test_lattice_json_round_trips(pair):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
+        write_lattice(generate(*pair), first)
+        loaded = read_lattice(first)
+        write_lattice(loaded, second)
+        again = read_lattice(second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+    assert (again.kind, again.generation) == (loaded.kind, loaded.generation) == pair
+    assert np.array_equal(again.coords, loaded.coords)
+    assert np.array_equal(again.edges, loaded.edges)
+    assert np.array_equal(loaded.edges, generate(*pair).edges)
 
 
 def test_read_lattice_missing_file(tmp_path):
@@ -240,6 +348,10 @@ def test_read_series_rejects_shape_mismatch(tmp_path):
     (read_series, '{"kind":"quantum","input_site":0,"times":[0,1],'
                   '"probabilities":[[1],[Infinity]]}'),
     (read_report_document, '{"kind":"sg","first_void_tau":-Infinity}'),
+    (read_series, '{"kind":"quantum","input_site":0,"times":[0,1],'
+                  '"probabilities":[[1],[1e400]]}'),
+    (read_series, '{"kind":"quantum","input_site":0,"times":[0,1e400],'
+                  '"probabilities":[[1],[1]]}'),
 ])
 def test_readers_reject_non_finite_numbers(tmp_path, reader, text):
     path = tmp_path / "doc.json"
