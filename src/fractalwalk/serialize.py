@@ -62,13 +62,11 @@ def _words(strings) -> np.ndarray:
 def _digit_tables():
     """Per 4-digit group 0000..9999, its ASCII bytes as one word and its
     number of trailing zeros (4 for 0000)."""
-    # uint64 throughout: NumPy 1.x promotes uint64 mixed with int64 to float64
-    group = np.arange(10_000, dtype=np.uint64)
-    ascii4 = np.zeros_like(group)
-    zeros = np.zeros(group.size, dtype=np.uint8)
-    for d in range(4):
-        ascii4 |= (48 + group // 10 ** d % 10) << np.uint64(24 - 8 * d)
-        zeros += group % 10 ** (d + 1) == 0
+    # uint64 throughout: NumPy 1.x promotes uint64 mixed with int64 to float64,
+    # and a smaller unsigned type mixed with a uint64 scalar to itself
+    digits = np.indices((10,) * 4, dtype=np.uint64).reshape(4, -1)  # of 0000..9999
+    ascii4 = sum((digits[d] + np.uint64(48)) << np.uint64(8 * d) for d in range(4))
+    zeros = np.logical_and.accumulate(digits[::-1] == 0).sum(axis=0, dtype=np.uint8)
     return ascii4, zeros
 
 
