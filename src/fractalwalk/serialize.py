@@ -96,7 +96,7 @@ def _layout_tables():
 
 
 _ASCII4, _ZEROS4 = _digit_tables()
-(_BELOW_A, _ABOVE_A, _DOT_A, _BELOW_B, _ABOVE_B, _DOT_B) = _layout_tables()
+_BELOW_A, _ABOVE_A, _DOT_A, _BELOW_B, _ABOVE_B, _DOT_B = _layout_tables()
 # by index i = 311 - e of the decimal exponent e
 _EXPONENT = np.arange(311, -330, -1)
 # 10**(11 - e), correctly rounded, and 0 past 1e300, which leaves m out of range
@@ -167,7 +167,7 @@ def _format_rows(values: np.ndarray, field_sep: str, row_sep: str) -> list[str]:
     characters), as pieces to concatenate; InputFileError naming the first
     non-finite entry."""
     if values.size == 0:
-        return [row_sep * max(len(values) - 1, 0)]
+        return [row_sep * (len(values) - 1)]
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
     finite = np.isfinite(flat)
     if not finite.all():

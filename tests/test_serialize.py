@@ -348,10 +348,10 @@ def test_read_series_rejects_shape_mismatch(tmp_path):
     (read_series, '{"kind":"quantum","input_site":0,"times":[0,1],'
                   '"probabilities":[[1],[Infinity]]}'),
     (read_report_document, '{"kind":"sg","first_void_tau":-Infinity}'),
-    (read_series, '{"kind":"quantum","input_site":0,"times":[0,1],'
-                  '"probabilities":[[1],[1e400]]}'),
-    (read_series, '{"kind":"quantum","input_site":0,"times":[0,1e400],'
-                  '"probabilities":[[1],[1]]}'),
+    pytest.param(read_series, '{"kind":"quantum","input_site":0,"times":[0,1],'
+                              '"probabilities":[[1],[1e400]]}', id="overflowing_probability"),
+    pytest.param(read_series, '{"kind":"quantum","input_site":0,"times":[0,1e400],'
+                              '"probabilities":[[1],[1]]}', id="overflowing_time"),
 ])
 def test_readers_reject_non_finite_numbers(tmp_path, reader, text):
     path = tmp_path / "doc.json"
