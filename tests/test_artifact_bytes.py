@@ -11,7 +11,8 @@ import hashlib
 
 import pytest
 
-from fractalwalk import cli
+from fractalwalk import cli, serialize
+from fractalwalk.render import RenderSpec, pgm_bytes, render_frame
 
 SWEEP_DIGESTS = {
     "dsc3.lattice.json": "dda7ee75ad6daf6b7a86c7845ac19e0fc48311a5792078007469c8da58814497",
@@ -42,6 +43,24 @@ CHAIN_DIGESTS = {
     "classical.csv": "eb6a1c7c6c7b872a746a6b20edfcf47728cd9db71f1e17bd657cba3480a70efc",
     "classical.report.json": "98af39866587519770270fff9caad15e7441ed2c06380593b431ecdd74b81f9e",
 }
+
+# sc:3 from its canonical input on the preset grid: the frames at the launch
+# index and at perfbench's rendered indices, two frames off the default
+# gamma, and the report calibrated on its first void at 2.675 mm
+FRAME_DIGESTS = {
+    "sc3_t0.pgm": "5105bc0511322c1825780181a890bfa98ce4a8714202bb7c1da29a8b214d0705",
+    "sc3_t40.pgm": "257ed23ca7afefbc0768db0d0fcc5d8594c34c0516fabcef8e01b7f5252edaab",
+    "sc3_t80.pgm": "1b880dc1329cce64c514d1790945e197b310f1f552e76099df1f4df1d82907f8",
+    "sc3_t120.pgm": "44efdff645a7da0142e7570b0f0e8c565b2f9493f96413b48eb233d86bc89a61",
+    "sc3_t160.pgm": "9d64d92399486495357b64b8f7557959291b6a7a2d3ddce533870be942fd4cf9",
+    "sc3_t200.pgm": "786286b944fe36fcbcac58355b2d132877e93364b93ccb636ed12b231090a821",
+    "sc3_t240.pgm": "cd449c4cdf1b8b76b2d84ac9d0e97375453ab5608684f5a2756e3f493b57b93e",
+    "gamma0.3_t120.pgm": "02e78615eba543dcbd715df59d47a897991c708d7f78ca54b06c0b81815824e3",
+    "gamma2_t240.pgm": "79e8674d78376e8237ecd45ccf31d5529c34e8c4dfabe74087399a678f3b422f",
+    "calibrated.json": "85bfa1d21d281ec44f723d268882bb299106bb38ca00e2a97e668fe95b30f36d",
+}
+FRAMES = [("sc3", index, 0.5) for index in (0, 40, 80, 120, 160, 200, 240)]
+FRAMES += [("gamma0.3", 120, 0.3), ("gamma2", 240, 2.0)]
 
 
 @pytest.fixture(autouse=True)
@@ -78,3 +97,25 @@ def test_sc3_chain_artifacts_keep_their_bytes(tmp_path):
         assert cli.main(["observables", *series, "--out", path(f"{walk}.csv")]) == 0
         assert cli.main(["analyze", *series, "--out", path(f"{walk}.report.json")]) == 0
     assert _digests(tmp_path, CHAIN_DIGESTS) == CHAIN_DIGESTS
+
+
+def test_sc3_frames_and_calibrated_report_keep_their_bytes(tmp_path):
+    def path(name):
+        return str(tmp_path / name)
+
+    assert cli.main(["lattice", "--kind", "sc", "--generation", "3",
+                     "--out", path("lattice.json")]) == 0
+    assert cli.main(["evolve", "--lattice", path("lattice.json"),
+                     "--out", path("series.json")]) == 0
+    assert cli.main(["analyze", "--series", path("series.json"),
+                     "--lattice", path("lattice.json"), "--out", path("report.json")]) == 0
+    assert cli.main(["calibrate", "--report", path("report.json"),
+                     "--anchor-event", "first_void", "--anchor-mm", "2.675",
+                     "--out", path("calibrated.json")]) == 0
+    # the frames as cmd_render writes them, from one read of the series
+    lattice = serialize.read_lattice(path("lattice.json"))
+    series = serialize.read_series(path("series.json"))
+    for run, index, gamma in FRAMES:
+        image = render_frame(series, lattice, index, RenderSpec(gamma=gamma))
+        serialize.write_bytes(path(f"{run}_t{index}.pgm"), pgm_bytes(image))
+    assert _digests(tmp_path, FRAME_DIGESTS) == FRAME_DIGESTS
