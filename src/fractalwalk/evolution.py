@@ -352,6 +352,20 @@ ROW_SUM_TOL = 1e-9
 CLAMP_TOL = 1e-12
 
 
+def check_distribution(probs: np.ndarray) -> None:
+    """DomainError unless every row of ``probs`` (or ``probs`` itself, if
+    1-d) is a probability distribution up to roundoff: no entry below
+    -CLAMP_TOL and a sum within ROW_SUM_TOL of 1."""
+    # each test is written so that a NaN fails it
+    low = probs.min(initial=0.0)
+    if not low >= -CLAMP_TOL:
+        raise DomainError(f"probability {low:.3e} below the -1e-12 roundoff floor")
+    worst = np.abs(probs.sum(axis=-1) - 1.0).max(initial=0.0)
+    if not worst <= ROW_SUM_TOL:
+        raise DomainError(f"probabilities sum to 1 only within {worst:.3e}, "
+                          f"not within {ROW_SUM_TOL:.0e}")
+
+
 def evolve_quantum(spectrum: Spectrum, input_site: int, times) -> ProbabilitySeries:
     """Quantum occupation probabilities |<j| exp(-iHt) |input>|^2 on a grid."""
     return _evolve(SeriesKind.QUANTUM, kernels.quantum_probabilities, spectrum, input_site, times)

@@ -51,6 +51,10 @@ def classical_probabilities(eigvals, eigvecs, weights, times):
     return decay @ (eigvecs * weights).T
 
 
+#: image rows per product: a band's gy (rows x n) stays small beside gx (n x width)
+SPLAT_BAND = 64
+
+
 def gaussian_splat(xs, ys, probs, x0, y_top, inv_pps, width, height, sigma):
     """Accumulate probability-weighted Gaussian spots onto a raster.
 
@@ -59,12 +63,19 @@ def gaussian_splat(xs, ys, probs, x0, y_top, inv_pps, width, height, sigma):
     top of the image.  Returns a (height, width) float image, unnormalised.
 
     The spot factorises, exp(-(dx^2 + dy^2) / 2 sigma^2) = gy * gx, so the
-    frame is one product (gy * p) @ gx of an (height, n) and an (n, width)
-    matrix.
+    frame is the product (gy * p) @ gx of an (height, n) and an (n, width)
+    matrix.  It is written into the image SPLAT_BAND rows at a time, so only
+    one band of gy is alive beside gx.
     """
     cols = x0 + (np.arange(width) + 0.5) * inv_pps
     rows = y_top - (np.arange(height) + 0.5) * inv_pps
     inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
+    ys = np.asarray(ys)
     gx = np.exp(-((cols[None, :] - np.asarray(xs)[:, None]) ** 2) * inv_two_sigma2)
-    gy = np.exp(-((rows[:, None] - np.asarray(ys)[None, :]) ** 2) * inv_two_sigma2)
-    return (gy * probs) @ gx
+    image = np.empty((height, width))
+    for top in range(0, height, SPLAT_BAND):
+        band = slice(top, top + SPLAT_BAND)
+        gy = np.exp(-((rows[band, None] - ys[None, :]) ** 2) * inv_two_sigma2)
+        gy *= probs
+        np.matmul(gy, gx, out=image[band])
+    return image

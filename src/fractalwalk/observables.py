@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .evolution import CLAMP_TOL, ProbabilitySeries
+from .evolution import CLAMP_TOL, ProbabilitySeries, check_distribution
 from .lattice import Lattice
 
 
@@ -80,12 +80,10 @@ def build_observable_table(series: ProbabilitySeries, lattice: Lattice) -> Obser
 
     Polya accumulation runs over strictly positive times; rows at tau = 0
     are padded with the first accumulated value so that all columns align
-    with the time grid.  DomainError if any probability lies below the
-    -1e-12 roundoff floor.
+    with the time grid.  DomainError if a row is not a probability
+    distribution (see ``check_distribution``).
     """
-    low = series.probabilities.min(initial=0.0)
-    if not low >= -CLAMP_TOL:
-        raise DomainError(f"probability {low:.3e} below the -1e-12 roundoff floor")
+    check_distribution(series.probabilities)
     var = variance(series, lattice, series.input_site)
     ret = return_probability(series)
     measured = series.times > 0.0

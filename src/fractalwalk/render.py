@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BoundsError, DomainError, ShapeError
-from .evolution import CLAMP_TOL, ProbabilitySeries
+from .evolution import ProbabilitySeries, check_distribution
 from .lattice import Lattice
 
 PGM_MAXVAL = 65535
@@ -71,7 +71,8 @@ def render_intensity(probabilities: np.ndarray, lattice: Lattice,
 def render_frame(series: ProbabilitySeries, lattice: Lattice, time_index: int,
                  spec: RenderSpec = RenderSpec()) -> np.ndarray:
     """Render one time slice of a series to a 16-bit grayscale image;
-    DomainError if a probability in it lies below the -1e-12 roundoff floor."""
+    DomainError if that slice is not a probability distribution (see
+    ``check_distribution``)."""
     if series.n_sites != lattice.n_sites:
         raise ShapeError(
             f"series has {series.n_sites} sites but lattice has {lattice.n_sites}"
@@ -81,15 +82,15 @@ def render_frame(series: ProbabilitySeries, lattice: Lattice, time_index: int,
             f"time index {time_index} out of range 0..{series.times.size - 1}"
         )
     probabilities = series.probabilities[time_index]
-    low = probabilities.min(initial=0.0)
-    if not low >= -CLAMP_TOL:
-        raise DomainError(f"probability {low:.3e} below the -1e-12 roundoff floor")
+    check_distribution(probabilities)
+    # one float image, mapped in place
     image = render_intensity(probabilities, lattice, spec)
     peak = image.max()
     if peak > 0:
-        image = image / peak
-    image = image ** spec.gamma
-    return np.round(image * PGM_MAXVAL).astype(np.uint16)
+        image /= peak
+    image **= spec.gamma  # the operator: numpy sends ** 0.5 to sqrt
+    image *= PGM_MAXVAL
+    return np.round(image, out=image).astype(np.uint16)
 
 
 def pgm_bytes(image: np.ndarray) -> bytes:

@@ -9,13 +9,13 @@ ties, carries into the next decade, zeros, subnormals and exponents beyond
 its power-of-ten table.  The stdlib json encoder cannot be told a float
 format, so a small emitter handles the fixed document shapes used here;
 parsing goes through ``json.load``, which rejects the ``NaN`` and
-``Infinity`` tokens.  All writers are byte-deterministic and all file
-writes are atomic (write to a temp file, then rename).
+``Infinity`` tokens.  The emitter appends the document's ASCII bytes to
+one buffer, which is written as it is.  All writers are byte-deterministic
+and all file writes are atomic (write to a temp file, then rename).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -49,7 +49,11 @@ def format_float(x: float) -> str:
 # NUL-padded, and the NULs are deleted from the finished bytes.  Values the
 # word arithmetic cannot place exactly go through ``format_float``.
 
-_CHUNK = 1 << 14  # values per pass; larger chunks raise the peak RSS
+# values per pass: a pass holds about 200 bytes a value, and a value prints
+# in about 12, so a pass takes at most a sixteenth of an array (and at least
+# _MIN_CHUNK values, below which the per-pass cost shows) to stay below the
+# text it writes; larger chunks raise the peak RSS
+_CHUNK, _MIN_CHUNK = 1 << 14, 1 << 10
 _TIE_MARGIN = 1e-3  # > 2.3e-4, the error bound of m in _format_chunk
 _U8, _U32, _U56 = np.uint64(8), np.uint64(32), np.uint64(56)
 
@@ -112,10 +116,9 @@ _LEAD = ["", "0.", "0.0", "0.00", "0.000"] + [""] * 12  # by layout class
 _PREFIX = _words([sign + lead for lead in _LEAD for sign in ("", "-")])
 
 
-def _format_chunk(x: np.ndarray, field_tail: np.ndarray, row_tail: np.ndarray,
-                  row_ends: slice) -> str:
-    """``format_float(v)`` for each finite v in x, each followed by the
-    separator that ``field_tail`` holds, or ``row_tail`` at ``row_ends``."""
+def _format_chunk(x: np.ndarray, tails: np.ndarray, tail: np.ndarray) -> bytes:
+    """``format_float(v)`` for each finite v in x, as ASCII, each followed by
+    the separator of row ``tail[k]`` of ``tails``."""
     a = np.maximum(np.abs(x), 1e-320)  # zeros and subnormals fall off the table
     i = (311 - np.floor(np.log10(a))).astype(np.intp)
     m = a * _POW10[i]
@@ -152,62 +155,117 @@ def _format_chunk(x: np.ndarray, field_tail: np.ndarray, row_tail: np.ndarray,
     records[:, 2] = ((digits_b & _BELOW_B[layout])
                      | (((digits_b << _U8) | (digits_a >> _U56)) & _ABOVE_B[layout])
                      | _DOT_B[layout])
-    records[:, 3] = field_tail[i]
-    records[row_ends, 3] = row_tail[i[row_ends]]
+    records[:, 3] = tails[tail, i]
     slow = np.flatnonzero(~fast)
     if slow.size:
         texts = [format_float(v).encode("ascii") for v in x[slow].tolist()]
         records[slow, :3] = np.array(texts, dtype="S24").view("<u8").reshape(-1, 3)
-    return records.tobytes().translate(None, b"\0").decode("ascii")
+    return records.tobytes().translate(None, b"\0")
 
 
-def _format_rows(values: np.ndarray, field_sep: str, row_sep: str) -> list[str]:
-    """``format_float`` of every entry of a 2-d array, the fields of a row
-    joined by ``field_sep`` and the rows by ``row_sep`` (each at most three
-    characters), as pieces to concatenate; InputFileError naming the first
-    non-finite entry."""
+def _format_rows(values: np.ndarray, field_sep, row_sep: str):
+    """``format_float`` of every entry of a 2-d array as ASCII bytes, in
+    pieces to concatenate: each field but a row's last is followed by
+    ``field_sep`` (one separator, or a sequence of one per gap between
+    fields), each row but the last by ``row_sep``; every separator is at
+    most three characters.  InputFileError naming the first non-finite
+    entry, raised before the first piece."""
     if values.size == 0:
-        return [row_sep * (len(values) - 1)]
+        yield (row_sep * (len(values) - 1)).encode("ascii")
+        return
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
     finite = np.isfinite(flat)
     if not finite.all():
         raise InputFileError(f"cannot serialize non-finite float {flat[~finite][0]}")
-    # word 3 of a record: the exponent suffix, then the separator
-    field_tail, row_tail = _SUFFIX | (_words([field_sep, row_sep])[:, None] << _SUFFIX_BITS)
+    gaps = [field_sep] if isinstance(field_sep, str) else list(field_sep)
+    # word 3 of a record: the exponent suffix, then the separator; by row of
+    # ``tails``, the gaps, the row end, and none after the last value
+    tails = _SUFFIX | (_words([*gaps, row_sep, ""])[:, None] << _SUFFIX_BITS)
     n_cols = values.shape[1]
-    pieces = [_format_chunk(flat[start:start + _CHUNK], field_tail, row_tail,
-                            slice((n_cols - 1 - start) % n_cols, None, n_cols))
-              for start in range(0, flat.size, _CHUNK)]
-    pieces[-1] = pieces[-1][:len(pieces[-1]) - len(row_sep)]
-    return pieces
+    size = min(_CHUNK, max(_MIN_CHUNK, flat.size // 16))
+    for start in range(0, flat.size, size):
+        x = flat[start:start + size]
+        tail = np.zeros(x.size, dtype=np.intp)
+        for gap in range(1, len(gaps)):
+            tail[(gap - start) % n_cols::n_cols] = gap
+        tail[(n_cols - 1 - start) % n_cols::n_cols] = len(gaps)
+        if start + size >= flat.size:
+            tail[-1] = len(gaps) + 1
+        yield _format_chunk(x, tails, tail)
 
 
 def json_dumps(obj) -> str:
     """Compact JSON with 12-significant-digit floats and stable key order."""
-    # nested values recurse through _emit, so a wrapper on this name (the
-    # perfbench tracer's) sees one call per document
-    return _emit(obj)
+    return _json_bytes(obj).decode("ascii")
 
 
-def _emit(obj) -> str:
+def _json_bytes(obj, end: bytes = b"") -> bytearray:
+    """The ASCII bytes of ``json_dumps(obj)``, then ``end``, in one buffer."""
+    out = bytearray()
+    _emit(obj, out)
+    out += end
+    return out
+
+
+def _emit(obj, out: bytearray) -> None:
+    """Append the JSON text of ``obj`` to ``out``."""
     if obj is None or isinstance(obj, (bool, str)):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 1:
-        return "".join(["[", *_format_rows(obj[None], ",", ""), "]"])
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2:
-        return "".join(["[[", *_format_rows(obj, ",", "],["), "]]"]) if len(obj) else "[]"
-    if isinstance(obj, dict):
-        # one join, so that a member of tens of MB (a series) is copied once
-        members = [part for k, v in obj.items()
-                   for part in (",", json.dumps(str(k)), ":", _emit(v))]
-        return "".join(["{", *members[1:], "}"])
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_emit(value) for value in obj) + "]"
-    raise InputFileError(f"cannot serialize object of type {type(obj).__name__}")
+        out += json.dumps(obj).encode("ascii")
+    elif isinstance(obj, (int, np.integer)):
+        out += b"%d" % int(obj)
+    elif isinstance(obj, (float, np.floating)):
+        out += format_float(obj).encode("ascii")
+    elif isinstance(obj, np.ndarray) and obj.dtype.names is not None:
+        _emit_records(obj, out)
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 1:
+        _emit_rows(obj[None], ",", "", b"[", b"]", out)
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2 and len(obj):
+        _emit_rows(obj, ",", "],[", b"[[", b"]]", out)
+    elif isinstance(obj, dict):
+        out += b"{"
+        for n, (key, value) in enumerate(obj.items()):
+            out += b"," if n else b""
+            out += json.dumps(str(key)).encode("ascii") + b":"
+            _emit(value, out)
+        out += b"}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        out += b"["
+        for n, value in enumerate(obj):
+            out += b"," if n else b""
+            _emit(value, out)
+        out += b"]"
+    else:
+        raise InputFileError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _emit_rows(values, field_sep, row_sep, opening: bytes, closing: bytes,
+               out: bytearray) -> None:
+    out += opening
+    for piece in _format_rows(values, field_sep, row_sep):
+        out += piece
+    out += closing
+
+
+def _emit_records(records: np.ndarray, out: bytearray) -> None:
+    """A 1-d structured array of numbers as a list of objects keyed by its
+    field names; every value is written as a float (so an integer below
+    1e12 prints as itself)."""
+    if not len(records):
+        out += b"[]"
+        return
+    names = records.dtype.names
+    keys = [json.dumps(name).encode("ascii") + b":" for name in names]
+    # the separators hold the keys and are longer than _format_rows writes,
+    # so it writes the marks \x01, \x02, ... in their place, one per field
+    marks = [chr(k) for k in range(1, len(names) + 1)]
+    seps = [b"," + key for key in keys[1:]] + [b"},{" + keys[0]]
+    rows = np.column_stack([records[name] for name in names])
+    text = b"".join(_format_rows(rows, marks[:-1], marks[-1]))
+    for mark, sep in zip(marks, seps):
+        text = text.replace(mark.encode("ascii"), sep)
+    out += b"[{" + keys[0]
+    out += text
+    out += b"}]"
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +337,26 @@ def _number(value) -> float:
 
 
 def lattice_document(lattice: Lattice) -> dict:
+    # site ids and edge ends are below 1e12, so their 12-digit float form is
+    # the integer itself, and every number of the document is formatted in bulk
+    sites = np.empty(lattice.n_sites, dtype=[("id", "f8"), ("x", "f8"), ("y", "f8")])
+    sites["id"] = np.arange(lattice.n_sites)
+    sites["x"], sites["y"] = lattice.coords.T
     return {
         "kind": lattice.kind.value,
         "generation": int(lattice.generation),
         "spacing": float(lattice.spacing),
-        "sites": [
-            {"id": i, "x": float(x), "y": float(y)}
-            for i, (x, y) in enumerate(lattice.coords)
-        ],
-        "edges": [[int(a), int(b)] for a, b in lattice.edges],
+        "sites": sites,
+        "edges": lattice.edges.astype(np.float64),
     }
 
 
+def _write_json(doc: dict, path: str) -> None:
+    write_bytes(path, _json_bytes(doc, b"\n"))
+
+
 def write_lattice(lattice: Lattice, path: str) -> None:
-    write_text(path, json_dumps(lattice_document(lattice)) + "\n")
+    _write_json(lattice_document(lattice), path)
 
 
 def read_lattice(path: str) -> Lattice:
@@ -344,7 +408,7 @@ def series_document(series: ProbabilitySeries) -> dict:
 
 
 def write_series(series: ProbabilitySeries, path: str) -> None:
-    write_text(path, json_dumps(series_document(series)) + "\n")
+    _write_json(series_document(series), path)
 
 
 def read_series(path: str) -> ProbabilitySeries:
@@ -413,8 +477,10 @@ def read_series_binary(path: str) -> np.ndarray:
 
 def observables_csv(table: ObservableTable) -> str:
     columns = np.column_stack((table.times, table.variance, table.return_prob, table.polya))
-    header = "tau,variance,return_prob,polya\n"
-    return "".join([header, *_format_rows(columns, ",", "\n"), "\n"]) if len(columns) else header
+    header = b"tau,variance,return_prob,polya\n"
+    if not len(columns):
+        return header.decode("ascii")
+    return b"".join([header, *_format_rows(columns, ",", "\n"), b"\n"]).decode("ascii")
 
 
 def write_observables(table: ObservableTable, path: str) -> None:
@@ -429,7 +495,9 @@ def matrix_triplet_text(matrix: np.ndarray) -> str:
     rows, cols = np.nonzero(matrix)
     # indices are below 1e12, so their 12-digit form is the integer itself
     triplets = np.column_stack((rows, cols, matrix[rows, cols]))
-    return "".join([*_format_rows(triplets, " ", "\n"), "\n"]) if len(rows) else ""
+    if not len(rows):
+        return ""
+    return b"".join([*_format_rows(triplets, " ", "\n"), b"\n"]).decode("ascii")
 
 
 def write_matrix_triplets(matrix: np.ndarray, path: str) -> None:
@@ -493,7 +561,7 @@ def calibration_document(calibration: CalibrationResult) -> dict:
 
 
 def write_report(report: RegimeReport, path: str) -> None:
-    write_text(path, json_dumps(report_document(report)) + "\n")
+    _write_json(report_document(report), path)
 
 
 def read_report_document(path: str) -> dict:
@@ -523,6 +591,8 @@ def report_event_taus(doc: dict, path: str) -> dict[str, float]:
 
 
 def build_manifest(paths: list[str], base_dir: str) -> dict:
+    import hashlib  # here, not at the top: it loads OpenSSL, which no other writer needs
+
     artifacts = []
     for path in sorted(paths):
         with open(path, "rb") as handle:
@@ -538,4 +608,4 @@ def build_manifest(paths: list[str], base_dir: str) -> dict:
 
 
 def write_manifest(paths: list[str], base_dir: str, path: str) -> None:
-    write_text(path, json_dumps(build_manifest(paths, base_dir)) + "\n")
+    _write_json(build_manifest(paths, base_dir), path)

@@ -202,11 +202,11 @@ def test_non_finite_series_value_is_exit_3(sg4_files, tmp_path):
         assert code == 3
 
 
-def _series_commands(lattice, series, tmp_path):
+def _series_commands(lattice, series, tmp_path, time_index=5):
     pair = ["--series", series, "--lattice", lattice]
     return [["observables", *pair, "--out", str(tmp_path / "o.csv")],
             ["analyze", *pair, "--out", str(tmp_path / "r.json")],
-            ["render", *pair, "--run", "f", "--time-index", "5",
+            ["render", *pair, "--run", "f", "--time-index", str(time_index),
              "--out-dir", str(tmp_path / "frames")]]
 
 
@@ -230,6 +230,28 @@ def test_negative_probability_is_exit_5(sg4_files, tmp_path):
     bad = tmp_path / "negative.json"
     bad.write_text(json.dumps(doc))
     for argv in _series_commands(lattice, str(bad), tmp_path):
+        assert run(argv) == 5, argv[0]
+
+
+@pytest.fixture(scope="module")
+def sc3_files(tmp_path_factory):
+    """An sc-3 lattice and its quantum series on the preset grid (printed
+    with 12 digits, its rows sum to 1 within 1.6e-12)."""
+    root = tmp_path_factory.mktemp("sc3")
+    lattice, series = str(root / "lat.json"), str(root / "series.json")
+    assert run(["lattice", "--kind", "sc", "--generation", "3", "--out", lattice]) == 0
+    assert run(["evolve", "--lattice", lattice, "--out", series]) == 0
+    return lattice, series
+
+
+def test_unnormalised_series_row_is_exit_5(sc3_files, tmp_path):
+    lattice, series = sc3_files
+    doc = json.load(open(series))
+    # the launch row holds 1 at the input and 0 elsewhere; now it sums to 8
+    doc["probabilities"][0][doc["input_site"] + 1] = 7.0
+    bad = tmp_path / "unnormalised.json"
+    bad.write_text(json.dumps(doc))
+    for argv in _series_commands(lattice, str(bad), tmp_path, time_index=0):
         assert run(argv) == 5, argv[0]
 
 

@@ -1,6 +1,7 @@
 """Frame rendering and PGM encoding."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,3 +115,17 @@ def test_pgm_rejects_wrong_dtype():
 def test_read_pgm_rejects_foreign_stream():
     with pytest.raises(DomainError):
         read_pgm(b"P2\n4 4\n255\n" + b"\x00" * 16)
+
+
+def test_render_frame_holds_one_float_image_at_a_time(sc3_run):
+    # numpy reports its buffers to tracemalloc; the splat's gx is about one
+    # image more, and the uint16 result a quarter
+    spec = RenderSpec()
+    width, height, _, _ = frame_geometry(sc3_run.lattice, spec)
+    tracemalloc.start()
+    try:
+        render_frame(sc3_run.series, sc3_run.lattice, 120, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * width * height * 8

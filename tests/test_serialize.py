@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -489,3 +490,15 @@ def test_write_text_replaces_and_leaves_no_temp(tmp_path):
     assert path.read_text() == "two"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_write_lattice_peaks_at_a_few_times_its_file(tmp_path):
+    lattice = generate("dsc", 4)
+    path = tmp_path / "dsc4.lattice.json"
+    tracemalloc.start()
+    try:
+        write_lattice(lattice, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * path.stat().st_size
