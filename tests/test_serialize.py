@@ -166,7 +166,8 @@ def test_ties_and_zeros_go_through_format_float(monkeypatch):
 
 
 def test_rows_straddling_a_chunk_boundary():
-    # 2.5 chunks of values in rows of 7, so rows split at every chunk edge
+    # 2.5 full chunks of values (taken in passes of a sixteenth) in rows of
+    # 7, so rows split at every pass edge
     size = serialize._CHUNK * 5 // 2 // 7 * 7
     values = np.random.default_rng(7).standard_normal(size).reshape(-1, 7) ** 3
     assert json_dumps(values) == _json_reference(values)
