@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, StructuralError
+from .errors import DomainError, ShapeError, StructuralError, check_finite
 from .evolution import ProbabilitySeries
 from .lattice import Lattice, fractal_meta, landmark_sites
 from .observables import ObservableTable, build_observable_table
@@ -120,6 +120,7 @@ class CalibrationConfig:
             raise DomainError(
                 f"anchor_event must be 'first_void' or 'farthest', got {self.anchor_event!r}"
             )
+        check_finite(anchor_mm=self.anchor_mm)
         if not self.anchor_mm > 0:
             raise DomainError(f"anchor_mm must be positive, got {self.anchor_mm}")
 
@@ -232,6 +233,7 @@ def detect_fractal_onset(slope_curve: SlopeCurve, d_f: float, band: float = DEFA
 
     Returns the entry tau, or None without a sustained entry.
     """
+    check_finite(band=band)
     if not band > 0:
         raise DomainError(f"band must be positive, got {band}")
     tau = slope_curve.tau
@@ -253,6 +255,7 @@ def detect_plateaus(polya_curve, delta: float = DEFAULT_DELTA,
     (start, end) pairs in tau when ``times`` is given, else index pairs
     (inclusive).
     """
+    check_finite(delta=delta)
     if not delta > 0:
         raise DomainError(f"delta must be positive, got {delta}")
     if min_span < 2:

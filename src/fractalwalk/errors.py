@@ -6,6 +6,8 @@ raise the most specific type that applies.
 
 from __future__ import annotations
 
+import math
+
 
 class FractalwalkError(Exception):
     """Base class for all errors raised by this package."""
@@ -21,6 +23,13 @@ class ShapeError(FractalwalkError):
 
 class DomainError(FractalwalkError):
     """A parameter value is outside its allowed domain."""
+
+
+def check_finite(**params: float) -> None:
+    """DomainError naming the first of ``params`` that is NaN or infinite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 class BoundsError(DomainError):

@@ -33,13 +33,14 @@ which the spectrum then keeps.
 
 Each block is checked as it is solved, before any of its eigenpairs is
 used: the largest entry of (U Lambda) U^T - B must stay within
-1e-9 * max(1, max|H|) and that of U^T U - I within 1e-10.  The map from
+1e-9 * max(1, max|H - d I|) and that of U^T U - I within 1e-10, where d
+is the mean diagonal entry of H.  A uniform diagonal only shifts every
+eigenvalue, so it does not widen the limit.  The map from
 the blocks to the sites is orthogonal, so this bounds V as well: an
 entry of (V Lambda) V^T - H is an entry of the symmetric residual, that
 entry over sqrt 2, or half the sum or difference of a symmetric and an
 antisymmetric one, and V^T V - I is block diagonal.  Without a
-permutation every site is fixed: S is all of H and A is empty.  A
-spectrum built by hand from site-space eigenpairs is the same case.
+permutation every site is fixed: S is all of H and A is empty.
 
 Times are dimensionless, tau = C * t; with the default coupling C = 1
 they coincide with plain time arguments to exp(-iHt).
@@ -53,7 +54,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .errors import BoundsError, DomainError, NumericalError
+from .errors import BoundsError, DomainError, NumericalError, check_finite
 from .hamiltonian import Operator
 from .lattice import LatticeKind
 
@@ -70,9 +71,7 @@ GRID_PRESETS = {
 
 def time_grid(tau_max: float, steps: int, tau_min: float = 0.0) -> np.ndarray:
     """Uniform time grid over [tau_min, tau_max] with ``steps`` samples."""
-    for name, bound in (("tau_min", tau_min), ("tau_max", tau_max)):
-        if not np.isfinite(bound):
-            raise DomainError(f"{name} must be finite, got {bound}")
+    check_finite(tau_min=tau_min, tau_max=tau_max)
     if not tau_max > tau_min >= 0.0:
         raise DomainError(f"need tau_max > tau_min >= 0, got [{tau_min}, {tau_max}]")
     if steps < 2:
@@ -91,40 +90,31 @@ class SeriesKind(str, Enum):
     CLASSICAL = "classical"
 
 
-_NO_SITES = np.empty(0, dtype=np.intp)
-
-
 class Spectrum:
     """Eigenpairs of a real symmetric matrix, kept in mirror-sector form.
 
-    ``eigenvalues`` (ascending) and ``eigenvectors`` (orthonormal
-    site-space columns) are assembled on their first read, which solves
-    the antisymmetric block if it is still pending (see the module
-    docstring).  ``Spectrum(eigenvalues, eigenvectors)`` takes site-space
-    eigenpairs as they are, with every site on the axis.
+    Built by ``spectral_decompose``.  ``eigenvalues`` (ascending) and
+    ``eigenvectors`` (orthonormal site-space columns) are assembled on
+    their first read, which solves the antisymmetric block if it is still
+    pending (see the module docstring).
 
-    ``spectral_decompose`` also keeps its health figures, over the blocks
-    solved so far: the largest entry of (U Lambda) U^T - B (``residual``)
-    and of U^T U - I (``orthogonality``), and the sizes of the symmetric
-    and antisymmetric blocks (``sectors``).  They are None for a spectrum
-    built by hand.
+    The health figures cover the blocks solved so far: the largest entry
+    of (U Lambda) U^T - B (``residual``) and of U^T U - I
+    (``orthogonality``), and the sizes of the symmetric and antisymmetric
+    blocks (``sectors``).
     """
 
-    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
-        sites = np.arange(eigenvalues.shape[0])
-        self._init(sites, _NO_SITES, _NO_SITES, sites, eigenvalues, eigenvectors)
-        self._site = self._sym
-
-    def _init(self, fixed, a, b, orbit, values, rows, anti=None, scale=1.0, health=None):
+    def __init__(self, fixed, a, b, orbit, values, rows, anti, scale, health):
         """Sites fixed by the mirror, pairs a <-> b, the map from a site to
         its orbit row, the symmetric sector's eigenvalues and orbit rows, the
-        antisymmetric block's triplets still to solve (see ``_block``) and
-        the tolerance scale max(1, max|H|) its check uses."""
+        antisymmetric block's triplets still to solve (see ``_block``), the
+        tolerance scale max(1, max|H - d I|) its check uses and the
+        symmetric block's (residual, orthogonality)."""
         values.setflags(write=False)
         rows.setflags(write=False)
         self._fixed, self._a, self._b, self._orbit = fixed, a, b, orbit
         self._sym = values, rows
-        self._anti, self._scale, self._health = anti, scale, health
+        self._anti, self._scale, self._health = anti, scale, [health]
         self._site = None
 
     @property
@@ -140,16 +130,16 @@ class Spectrum:
         return self._site_space()[1]
 
     @property
-    def residual(self) -> float | None:
-        return None if self._health is None else max(r for r, _ in self._health)
+    def residual(self) -> float:
+        return max(r for r, _ in self._health)
 
     @property
-    def orthogonality(self) -> float | None:
-        return None if self._health is None else max(o for _, o in self._health)
+    def orthogonality(self) -> float:
+        return max(o for _, o in self._health)
 
     @property
-    def sectors(self) -> tuple[int, int] | None:
-        return None if self._health is None else (self.n - self._a.size, self._a.size)
+    def sectors(self) -> tuple[int, int]:
+        return self.n - self._a.size, self._a.size
 
     def _orbit_rows(self, site: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Eigenvalues, rows and the site -> row map to contract a walk from
@@ -227,8 +217,8 @@ def spectral_decompose(h: Operator | np.ndarray,
     one on first use, each scattered from the triplets.  Raises DomainError
     if the matrix is not symmetric, an operator repeats an entry or the
     mirror is neither, and NumericalError if a block's reconstruction
-    residual exceeds 1e-9 * max(1, max|H|) or its eigenvectors fail
-    orthonormality at 1e-10.
+    residual exceeds 1e-9 * max(1, max|H - d I|), d the mean diagonal
+    entry, or its eigenvectors fail orthonormality at 1e-10.
     """
     if isinstance(h, Operator):
         n, rows, cols, values = h.n, h.rows, h.cols, h.values
@@ -283,16 +273,19 @@ def spectral_decompose(h: Operator | np.ndarray,
     near = (sigma[rows] >= rows) & (sigma[cols] >= cols)
     cross = (sigma[rows] > rows) & (sigma[cols] < cols)
     weights = np.where((i < nf) != (j < nf), np.sqrt(2.0) * values, values)
-    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
+    diagonal = np.zeros(n)
+    on = rows == cols
+    diagonal[rows[on]] = values[on]
+    diagonal -= diagonal.sum() / max(n, 1)  # d, the mean diagonal entry
+    scale = max(1.0, float(np.abs(values[~on]).max(initial=0.0)),
+                float(np.abs(diagonal).max(initial=0.0)))
     lam_s, u_s, health = _solve(_block(nf + npair, (i[near], j[near], weights[near]),
                                          (i[cross], j[cross], values[cross])), scale)
     u_s[nf:] *= np.sqrt(0.5)  # U_s rows become orbit rows: one per fixed site, one per pair
     pairs = near & (i >= nf) & (j >= nf)
     anti = ((i[pairs] - nf, j[pairs] - nf, values[pairs]),
             (i[cross] - nf, j[cross] - nf, -values[cross]))
-    spectrum = Spectrum.__new__(Spectrum)
-    spectrum._init(fixed, a, b, orbit, lam_s, u_s, anti, scale, [health])
-    return spectrum
+    return Spectrum(fixed, a, b, orbit, lam_s, u_s, anti, scale, health)
 
 
 def _block(size: int, assigned, added) -> np.ndarray:

@@ -7,8 +7,8 @@ R rows over T times: a (2T x n) by (n x R) product for the quantum walk and
 a (T x n) by (n x R) one for the classical walk, where R is the site count
 or, for an input on the mirror axis, the number of orbit rows of the
 symmetric sector (about N/2).  Both loops are written as dense matrix
-products so the work lands in BLAS; time them with
-benchmarks/bench_kernels.py.
+products so the work lands in BLAS; ``perfbench/run.py --trace 1`` times
+them alone as ``kernels.case_*_s``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BoundsError, DomainError, ShapeError
+from .errors import BoundsError, DomainError, ShapeError, check_finite
 from .evolution import ProbabilitySeries, check_distribution
 from .lattice import Lattice
 
@@ -30,12 +30,15 @@ class RenderSpec:
     gamma: float = 0.5
 
     def __post_init__(self):
+        check_finite(spot_sigma=self.spot_sigma, margin=self.margin, gamma=self.gamma)
         if self.pixels_per_spacing < 4:
             raise DomainError(
                 f"pixels_per_spacing must be >= 4, got {self.pixels_per_spacing}"
             )
-        if not self.spot_sigma > 0:
-            raise DomainError(f"spot_sigma must be positive, got {self.spot_sigma}")
+        two_sigma2 = 2.0 * self.spot_sigma * self.spot_sigma  # gaussian_splat divides by it
+        if not (self.spot_sigma > 0 and two_sigma2 > 0 and math.isfinite(1.0 / two_sigma2)):
+            raise DomainError(f"spot_sigma must be positive with 1 / (2 spot_sigma^2) "
+                              f"finite, got {self.spot_sigma}")
         if self.margin < 0:
             raise DomainError(f"margin must be >= 0, got {self.margin}")
         if not self.gamma > 0:

@@ -363,6 +363,60 @@ def test_sweep_rejects_nonfractal_and_garbage(tmp_path):
     assert run(["sweep", "--instances", "sg:3,SG:3", "--out-dir", out]) == 5
 
 
+@pytest.fixture(scope="module")
+def sg3_files(tmp_path_factory):
+    """An sg-3 lattice, its quantum series on the preset grid and its report."""
+    root = tmp_path_factory.mktemp("sg3")
+    lattice, series, report = (str(root / name) for name in ("lat.json", "s.json", "r.json"))
+    assert run(["lattice", "--kind", "sg", "--generation", "3", "--out", lattice]) == 0
+    assert run(["evolve", "--lattice", lattice, "--out", series]) == 0
+    assert run(["analyze", "--series", series, "--lattice", lattice, "--out", report]) == 0
+    return lattice, series, report
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("render", "--margin", "nan"),
+    ("render", "--margin", "inf"),
+    ("render", "--spot-sigma", "1e-300"),  # 2 sigma^2 underflows to 0
+    ("render", "--spot-sigma", "1e-160"),  # 1 / (2 sigma^2) overflows to inf
+    ("render", "--spot-sigma", "inf"),
+    ("render", "--gamma", "inf"),
+    ("analyze", "--band", "inf"),
+    ("analyze", "--delta", "inf"),
+    ("evolve", "--beta", "inf"),
+    ("evolve", "--beta", "nan"),
+    ("evolve", "--coupling", "inf"),
+    ("classical", "--rate", "inf"),
+    ("calibrate", "--anchor-mm", "inf"),
+])
+def test_non_finite_parameter_is_exit_5(sg3_files, tmp_path, capsys, command, flag, value):
+    lattice, series, report = sg3_files
+    pair = ["--series", series, "--lattice", lattice]
+    argv = {
+        "render": ["render", *pair, "--run", "f", "--time-index", "5",
+                   "--out-dir", str(tmp_path)],
+        "analyze": ["analyze", *pair, "--out", str(tmp_path / "r.json")],
+        "evolve": ["evolve", "--lattice", lattice, "--out", str(tmp_path / "s.json")],
+        "classical": ["classical", "--lattice", lattice, "--out", str(tmp_path / "s.json")],
+        "calibrate": ["calibrate", "--report", report, "--anchor-event", "first_void",
+                      "--out", str(tmp_path / "c.json")],
+    }[command]
+    capsys.readouterr()
+    assert run([*argv, flag, value]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be "), err
+
+
+def test_a_large_beta_fails_the_eigensolver_check(sg3_files, tmp_path):
+    # beta is a global phase, but at 1e10 eigh loses 1.7e-5 of accuracy
+    # to it; the check's limit no longer grows with a uniform diagonal
+    lattice, _, _ = sg3_files
+    assert run(["evolve", "--lattice", lattice, "--beta", "1e10",
+                "--out", str(tmp_path / "s.json")]) == 7
+    assert not (tmp_path / "s.json").exists()
+
+
 # --- output routing and determinism ---------------------------------------
 
 def test_output_dir_prefixes_relative_paths(tmp_path, monkeypatch):
