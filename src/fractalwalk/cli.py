@@ -13,15 +13,7 @@ import sys
 
 from . import analysis, serialize
 from .analysis import CalibrationConfig, build_regime_report, calibrate_events
-from .errors import (
-    DomainError,
-    FractalwalkError,
-    InputFileError,
-    NotFoundError,
-    NumericalError,
-    ShapeError,
-    StructuralError,
-)
+from .errors import DomainError, FractalwalkError, NotFoundError, ShapeError
 from .evolution import (
     GRID_PRESETS,
     evolve_classical,
@@ -33,15 +25,6 @@ from .hamiltonian import build_classical_generator, build_hamiltonian
 from .lattice import FRACTAL_KINDS, LatticeKind, generate, mirror_permutation, resolve_input
 from .observables import build_observable_table
 from .render import RenderSpec, pgm_bytes, render_frame
-
-EXIT_CODES = {
-    InputFileError: 3,
-    ShapeError: 4,
-    DomainError: 5,
-    StructuralError: 6,
-    NumericalError: 7,
-    NotFoundError: 8,
-}
 
 _EPILOG = """\
 exit codes:
@@ -77,13 +60,13 @@ def _load_pair(args):
 
 def walk(lattice, selector, times, classical=False, dump=None, **params):
     """Resolve the input site, build the walk operator from ``params`` (the
-    Hamiltonian, or the Laplacian if ``classical``), write its matrix to
+    Hamiltonian, or the Laplacian if ``classical``), write its triplets to
     ``dump`` if given, decompose it by mirror sector and evolve.  Returns
     (input_site, spectrum, series)."""
     input_site = resolve_input(lattice, selector)
     operator = (build_classical_generator if classical else build_hamiltonian)(lattice, **params)
     if dump:
-        serialize.write_matrix_triplets(operator.matrix, dump)
+        serialize.write_matrix_triplets(operator, dump)
     spectrum = spectral_decompose(operator, mirror_permutation(lattice))
     evolve = evolve_classical if classical else evolve_quantum
     return input_site, spectrum, evolve(spectrum, input_site, times)
@@ -356,12 +339,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except FractalwalkError as exc:
-        for klass, code in EXIT_CODES.items():
-            if isinstance(exc, klass):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

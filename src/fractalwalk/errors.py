@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Each class maps to one CLI exit code (see cli.py), so library code should
-raise the most specific type that applies.
+Each class carries the CLI exit code it maps to as ``exit_code`` (a
+subclass inherits its parent's unless it sets its own), so library code
+should raise the most specific type that applies.
 """
 
 from __future__ import annotations
@@ -12,17 +13,25 @@ import math
 class FractalwalkError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 class InputFileError(FractalwalkError):
     """A file is missing, unreadable, or does not match the expected schema."""
+
+    exit_code = 3
 
 
 class ShapeError(FractalwalkError):
     """Array dimensions of two inputs do not agree."""
 
+    exit_code = 4
+
 
 class DomainError(FractalwalkError):
     """A parameter value is outside its allowed domain."""
+
+    exit_code = 5
 
 
 def check_finite(**params: float) -> None:
@@ -42,9 +51,13 @@ class StructuralError(FractalwalkError):
     Example: asking for void landmarks on a regular lattice that has none.
     """
 
+    exit_code = 6
+
 
 class NumericalError(FractalwalkError):
     """A numerical routine failed to converge or violated its tolerance."""
+
+    exit_code = 7
 
 
 class NotFoundError(FractalwalkError):
@@ -54,3 +67,5 @@ class NotFoundError(FractalwalkError):
     reserved for contexts (such as the CLI) where absence cannot be encoded
     in the result.
     """
+
+    exit_code = 8

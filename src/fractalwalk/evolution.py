@@ -18,18 +18,18 @@ the two.  Each sector is a block of about N/2:
     antisymmetric  A = H_aa - H_ab
 
 Both are scattered into zeroed blocks from the non-zero (row, col, value)
-triplets of H.  A ``hamiltonian.Operator`` holds those triplets, so a
-walk never forms the N x N H; a dense array is reduced to its non-zero
-entries first.  ``spectral_decompose`` solves S and keeps only the O(N + E)
-triplets A is scattered from.  A site's amplitudes on the symmetric modes
-are its orbit row: its own row of U_s for a fixed site, and its pair's row
-times sqrt(1/2) for either site of a pair.  An antisymmetric mode vanishes
-on every fixed site, so a walk launched on the mirror axis never leaves
-the symmetric sector.  It is contracted over the orbit rows alone and each
-pair's probability is copied to both of its sites.  An input off the axis,
-or a read of ``Spectrum.eigenvalues`` or ``.eigenvectors``, scatters and
-solves A once and assembles the site-space N x N eigenvector matrix V,
-which the spectrum then keeps.
+triplets of H, which a ``hamiltonian.Operator`` holds; that is the only
+form ``spectral_decompose`` takes, so a walk never forms the N x N H.  It
+solves S and keeps only the O(N + E) triplets A is scattered from.  A
+site's amplitudes on the symmetric modes are its orbit row: its own row of
+U_s for a fixed site, and its pair's row times sqrt(1/2) for either site
+of a pair.  An antisymmetric mode vanishes on every fixed site, so a walk
+launched on the mirror axis never leaves the symmetric sector.  It is
+contracted over the orbit rows alone and each pair's probability is copied
+to both of its sites.  An input off the axis, or a read of
+``Spectrum.eigenvalues`` or ``.eigenvectors``, scatters and solves A once
+and assembles the site-space N x N eigenvector matrix V, which the
+spectrum then keeps.
 
 Each block is checked as it is solved, before any of its eigenpairs is
 used: the largest entry of (U Lambda) U^T - B must stay within
@@ -203,34 +203,21 @@ RECONSTRUCTION_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-10
 
 
-def spectral_decompose(h: Operator | np.ndarray,
-                       mirror: np.ndarray | None = None) -> Spectrum:
-    """Eigendecomposition of a real symmetric matrix by mirror sector.
+def spectral_decompose(h: Operator, mirror: np.ndarray | None = None) -> Spectrum:
+    """Eigendecomposition of a walk operator by mirror sector.
 
-    ``h`` is an ``Operator`` or a dense square array; the array is tested
-    for exact symmetry and reduced to its non-zero triplets.  ``mirror`` is
-    a site permutation sigma, an involution that commutes exactly with the
-    matrix (see the module docstring); None means the identity.  The
-    symmetry test of an operator and the commutation test compare the
-    triplets keyed (i, j) with those keyed (j, i) and (sigma i, sigma j),
-    values exactly.  Solves the symmetric block now and the antisymmetric
-    one on first use, each scattered from the triplets.  Raises DomainError
-    if the matrix is not symmetric, an operator repeats an entry or the
-    mirror is neither, and NumericalError if a block's reconstruction
+    ``mirror`` is a site permutation sigma, an involution that commutes
+    exactly with ``h`` (see the module docstring); None means the identity.
+    The symmetry and commutation tests compare the non-zero triplets keyed
+    (i, j) with those keyed (j, i) and (sigma i, sigma j), values exactly.
+    Solves the symmetric block now and the antisymmetric one on first use,
+    each scattered from the triplets.  Raises DomainError if ``h`` is not
+    symmetric or repeats an entry or the mirror is not an involution that
+    commutes with it, and NumericalError if a block's reconstruction
     residual exceeds 1e-9 * max(1, max|H - d I|), d the mean diagonal
     entry, or its eigenvectors fail orthonormality at 1e-10.
     """
-    if isinstance(h, Operator):
-        n, rows, cols, values = h.n, h.rows, h.cols, h.values
-    else:
-        matrix = np.asarray(h, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DomainError(f"expected a square matrix, got shape {matrix.shape}")
-        if not np.array_equal(matrix, matrix.T):
-            raise DomainError("matrix is not symmetric")
-        n = matrix.shape[0]
-        rows, cols = np.nonzero(matrix)
-        values = matrix[rows, cols]
+    n, rows, cols, values = h.n, h.rows, h.cols, h.values
     sites = np.arange(n)
     sigma = sites if mirror is None else np.asarray(mirror)
     if (sigma.shape != (n,) or sigma.dtype.kind not in "iu"
@@ -253,7 +240,7 @@ def spectral_decompose(h: Operator | np.ndarray,
         key, value = keyed(r, c)
         return np.array_equal(key, entries[0]) and np.array_equal(value, entries[1])
 
-    if isinstance(h, Operator) and not same(cols, rows):
+    if not same(cols, rows):
         raise DomainError("matrix is not symmetric")
     if not same(sigma[rows], sigma[cols]):
         raise DomainError("matrix does not commute with the mirror permutation")

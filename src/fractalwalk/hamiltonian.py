@@ -4,11 +4,11 @@ Both are the lattice's connectivity matrix with a uniform value on every
 edge and a per-site diagonal, so one ``Operator`` type holds either and
 one ``_assemble`` builds both.  An operator is kept in triplet form, one
 (row, col, value) per entry: each edge in both directions, then the
-diagonal.  With nearest-neighbour coupling that is O(N + E) numbers, and
-``evolution.spectral_decompose`` scatters its mirror-sector blocks
-straight from them.  ``Operator.matrix`` builds the dense N x N matrix on
-each read; only the matrix dumps, the tests and ``perfbench``'s tracer
-read it.
+diagonal.  With nearest-neighbour coupling that is O(N + E) numbers.  The
+package reads no other form: ``evolution.spectral_decompose`` scatters its
+mirror-sector blocks straight from the triplets, and the matrix dumps sort
+and print them.  ``Operator.matrix`` builds the dense N x N matrix on each
+read; only the tests and ``perfbench``'s tracer read it.
 """
 
 from __future__ import annotations

@@ -75,7 +75,7 @@ def render_frame(series: ProbabilitySeries, lattice: Lattice, time_index: int,
                  spec: RenderSpec = RenderSpec()) -> np.ndarray:
     """Render one time slice of a series to a 16-bit grayscale image;
     DomainError if that slice is not a probability distribution (see
-    ``check_distribution``)."""
+    ``check_distribution``) or no spot lights any pixel."""
     if series.n_sites != lattice.n_sites:
         raise ShapeError(
             f"series has {series.n_sites} sites but lattice has {lattice.n_sites}"
@@ -89,8 +89,13 @@ def render_frame(series: ProbabilitySeries, lattice: Lattice, time_index: int,
     # one float image, mapped in place
     image = render_intensity(probabilities, lattice, spec)
     peak = image.max()
-    if peak > 0:
-        image /= peak
+    # the slice sums to 1, so a zero peak means no spot reaches a pixel centre
+    if not peak > 0:
+        raise DomainError(
+            f"the frame is all black: no spot reaches a pixel centre with spot_sigma "
+            f"{spec.spot_sigma} at pixels_per_spacing {spec.pixels_per_spacing}"
+        )
+    image /= peak
     image **= spec.gamma  # the operator: numpy sends ** 0.5 to sqrt
     image *= PGM_MAXVAL
     return np.round(image, out=image).astype(np.uint16)

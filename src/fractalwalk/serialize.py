@@ -27,6 +27,7 @@ import numpy as np
 from .analysis import EVENT_NAMES, CalibrationResult, RegimeReport, ScalingFit, SlopeCurve
 from .errors import BoundsError, DomainError, InputFileError
 from .evolution import ProbabilitySeries, SeriesKind, _check_times
+from .hamiltonian import Operator
 from .lattice import DIST_TOL, Lattice, LatticeKind
 from .observables import ObservableTable
 
@@ -491,17 +492,19 @@ def write_observables(table: ObservableTable, path: str) -> None:
 # matrix triplet dump
 
 
-def matrix_triplet_text(matrix: np.ndarray) -> str:
-    rows, cols = np.nonzero(matrix)
-    # indices are below 1e12, so their 12-digit form is the integer itself
-    triplets = np.column_stack((rows, cols, matrix[rows, cols]))
-    if not len(rows):
+def matrix_triplet_text(operator: Operator) -> str:
+    """One "row col value" line per non-zero entry, sorted by (row, col)."""
+    keep = np.flatnonzero(operator.values)
+    keep = keep[np.lexsort((operator.cols[keep], operator.rows[keep]))]
+    if not keep.size:
         return ""
+    # indices are below 1e12, so their 12-digit form is the integer itself
+    triplets = np.column_stack((operator.rows[keep], operator.cols[keep], operator.values[keep]))
     return b"".join([*_format_rows(triplets, " ", "\n"), b"\n"]).decode("ascii")
 
 
-def write_matrix_triplets(matrix: np.ndarray, path: str) -> None:
-    write_text(path, matrix_triplet_text(matrix))
+def write_matrix_triplets(operator: Operator, path: str) -> None:
+    write_text(path, matrix_triplet_text(operator))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 import fractalwalk
 from fractalwalk import cli
 from fractalwalk.evolution import evolve_quantum, spectral_decompose
-from fractalwalk.hamiltonian import build_hamiltonian
+from fractalwalk.hamiltonian import Operator, build_hamiltonian
 from fractalwalk.lattice import mirror_permutation
 from fractalwalk.render import read_pgm
 from fractalwalk.serialize import read_lattice, read_series
@@ -253,6 +253,38 @@ def test_unnormalised_series_row_is_exit_5(sc3_files, tmp_path):
     bad.write_text(json.dumps(doc))
     for argv in _series_commands(lattice, str(bad), tmp_path, time_index=0):
         assert run(argv) == 5, argv[0]
+
+
+def test_an_all_black_frame_is_exit_5(sc3_files, tmp_path, capsys):
+    # the slice sums to 1, but no spot this narrow reaches a pixel centre
+    lattice, series = sc3_files
+    capsys.readouterr()
+    assert run(["render", "--series", series, "--lattice", lattice, "--run", "f",
+                "--time-index", "120", "--spot-sigma", "1e-100",
+                "--out-dir", str(tmp_path)]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: the frame is all black") and "spot_sigma" in err
+    assert "pixels_per_spacing" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _dense_matrix_read(self):
+    raise AssertionError("the matrix dump read Operator.matrix")
+
+
+def test_the_matrix_dumps_never_build_the_dense_matrix(sc3_files, tmp_path, monkeypatch):
+    # test_artifact_bytes.py pins the bytes of both dumps
+    lattice, _ = sc3_files
+    monkeypatch.setattr(Operator, "matrix", property(_dense_matrix_read))
+    built = read_lattice(lattice)
+    for command, flag, lines in (("evolve", "--dump-hamiltonian", 2 * built.n_edges),
+                                 ("classical", "--dump-generator",
+                                  2 * built.n_edges + built.n_sites)):
+        dump = tmp_path / f"{command}.txt"
+        assert run([command, "--lattice", lattice, "--steps", "3",
+                    "--out", str(tmp_path / "s.json"), flag, str(dump)]) == 0
+        assert len(dump.read_text().splitlines()) == lines
 
 
 def _edited_copy(path, tmp_path, edit):

@@ -28,7 +28,7 @@ from fractalwalk.lattice import (
     generate,
     mirror_permutation,
 )
-from oracle import evolve_oracle
+from oracle import _bessel_series, chebyshev_probabilities, evolve_oracle
 
 
 # --- time grids -----------------------------------------------------------
@@ -71,20 +71,9 @@ def test_spectrum_properties():
     assert np.abs(rebuilt - h.matrix).max() < 1e-9
 
 
-def test_spectral_decompose_accepts_plain_arrays():
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    spec = spectral_decompose(m)
-    assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
-
-
-def test_spectral_decompose_rejects_nonsquare():
-    with pytest.raises(DomainError):
-        spectral_decompose(np.zeros((3, 2)))
-
-
 def test_spectral_decompose_rejects_asymmetric():
     with pytest.raises(DomainError):
-        spectral_decompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        spectral_decompose(_as_operator(np.array([[0.0, 1.0], [0.5, 0.0]])))
 
 
 # --- closed forms on the two-site pair ------------------------------------
@@ -263,7 +252,7 @@ def test_assembled_eigenvectors_meet_the_site_space_bounds(kind, generation):
     # so V must still pass the bounds the full decomposition was held to
     lattice = generate(kind, generation)
     h = build_hamiltonian(lattice).matrix
-    spectrum = spectral_decompose(h, mirror_permutation(lattice))
+    spectrum = spectral_decompose(_as_operator(h), mirror_permutation(lattice))
     assert spectrum.sectors[1] > 0
     v, lam = spectrum.eigenvectors, spectrum.eigenvalues
     assert np.abs((v * lam) @ v.T - h).max() <= 1e-9 * max(1.0, float(np.abs(h).max()))
@@ -300,7 +289,7 @@ def test_sector_route_matches_the_full_route_on_random_weights(kind, generation,
     sigma = mirror_permutation(lattice)
     weight = st.floats(0.25, 2.0)
     m = _mirror_tied_matrix(lattice, sigma, lambda: data.draw(weight), classical)
-    split, full = spectral_decompose(m, sigma), spectral_decompose(m)
+    split, full = spectral_decompose(_as_operator(m), sigma), spectral_decompose(_as_operator(m))
     assert np.abs(split.eigenvalues - full.eigenvalues).max() < 1e-12
     evolve = evolve_classical if classical else evolve_quantum
     off_axis = data.draw(st.sampled_from(np.flatnonzero(sigma != np.arange(lattice.n_sites)).tolist()))
@@ -330,9 +319,8 @@ def _path_matrix(n, edges, diagonal=None):
     (_path_matrix(4, [(0, 1), (0, 3), (2, 3)]), [1, 0, 3, 2]),
 ], ids=["fixed_to_pair", "within_pairs", "across_pairs"])
 def test_mirror_must_commute_with_the_matrix(matrix, mirror):
-    for route in (matrix, _as_operator(matrix)):
-        with pytest.raises(DomainError):
-            spectral_decompose(route, np.array(mirror))
+    with pytest.raises(DomainError):
+        spectral_decompose(_as_operator(matrix), np.array(mirror))
 
 
 @pytest.mark.parametrize("mirror", [
@@ -343,7 +331,7 @@ def test_mirror_must_commute_with_the_matrix(matrix, mirror):
 ], ids=["three_cycle", "length", "range", "dtype"])
 def test_mirror_must_be_an_involution_of_the_sites(mirror):
     with pytest.raises(DomainError):
-        spectral_decompose(np.ones((3, 3)), np.array(mirror))
+        spectral_decompose(_as_operator(np.ones((3, 3))), np.array(mirror))
 
 
 @pytest.mark.parametrize("triplets", [
@@ -369,7 +357,8 @@ def test_the_triplet_route_is_bit_identical_to_the_dense_route(kind, generation,
     lattice = generate(kind, generation)
     operator = _build(lattice, classical)
     sigma = mirror_permutation(lattice)
-    triplets, dense = spectral_decompose(operator, sigma), spectral_decompose(operator.matrix, sigma)
+    triplets = spectral_decompose(operator, sigma)
+    dense = spectral_decompose(_as_operator(operator.matrix), sigma)
     site = canonical_input(lattice)
     for got, want in zip(triplets._orbit_rows(site), dense._orbit_rows(site)):
         assert np.array_equal(got, want)
@@ -400,13 +389,13 @@ def test_the_walk_path_never_builds_the_dense_matrix(monkeypatch, tmp_path, clas
     times = time_grid(5.0, 11)
     off_axis = int(np.flatnonzero(mirror_permutation(lattice) != np.arange(lattice.n_sites))[0])
     sizes = _count_eigh(monkeypatch)
+    dump = tmp_path / "matrix.txt"
     with monkeypatch.context() as patch:
         patch.setattr(Operator, "matrix", property(_dense_matrix_read))
         for selector in ("auto", off_axis):
             _, spectrum, _ = walk(lattice, selector, times, classical, **params)
-    assert sizes == [spectrum.sectors[0], *spectrum.sectors]  # the lazy block was solved too
-    dump = tmp_path / "matrix.txt"
-    walk(lattice, "auto", times, classical, str(dump), **params)
+        assert sizes == [spectrum.sectors[0], *spectrum.sectors]  # the lazy block was solved too
+        walk(lattice, "auto", times, classical, str(dump), **params)
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == DSC3_DUMPS[classical]
 
 
@@ -432,7 +421,7 @@ def test_one_off_axis_edge_breaks_the_mirror(kind, generation, data):
                         np.array(sorted(edges), dtype=np.int64))
     assert np.array_equal(mirror_permutation(perturbed), np.arange(lattice.n_sites))
     operator = _build(perturbed, data.draw(st.booleans(), label="classical"))
-    for route in (operator, operator.matrix):
+    for route in (operator, _as_operator(operator.matrix)):
         with pytest.raises(DomainError):
             spectral_decompose(route, sigma)
 
@@ -503,6 +492,35 @@ def test_spectral_checks_reject_a_nan_eigenvector(monkeypatch):
     _count_eigh(monkeypatch, stretch=np.nan)
     with pytest.raises(NumericalError):
         spectral_decompose(build_hamiltonian(generate("sg", 3)))
+
+
+@pytest.mark.parametrize("modified", [False, True], ids=["J", "I"])
+def test_chebyshev_coefficients_match_scipy(modified):
+    from scipy.special import ive, jv
+    x = np.array([0.0, 1e-3, 0.2, 5.0, 37.3, 150.0])
+    series = _bessel_series(x, modified)
+    k = np.arange(len(series))[:, None]
+    want = np.where(k > 0, 2.0, 1.0) * (ive(k, x) if modified else jv(k, x))
+    assert np.abs(series - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("classical", [False, True], ids=["quantum", "classical"])
+@pytest.mark.parametrize("kind,generation", [("sg", 4), ("sc", 3), ("dsc", 3)])
+def test_the_walk_matches_the_chebyshev_oracle(kind, generation, classical):
+    # the sector route against a propagator that never solves an eigenproblem,
+    # from the canonical input (symmetric block only) and from one off the
+    # mirror axis (the lazily solved antisymmetric block as well)
+    lattice = generate(kind, generation)
+    params = {"rate": 0.7} if classical else {"beta": 0.3, "coupling": 1.5}
+    times = preset_grid(lattice.kind)
+    site, spectrum, series = walk(lattice, "auto", times, classical, **params)
+    off_axis = int(np.flatnonzero(mirror_permutation(lattice) != np.arange(lattice.n_sites))[0])
+    evolve = evolve_classical if classical else evolve_quantum
+    operator = _build(lattice, classical)
+    for start, probs in ((site, series.probabilities),
+                         (off_axis, evolve(spectrum, off_axis, times).probabilities)):
+        oracle = chebyshev_probabilities(operator, start, times, classical)
+        assert np.abs(probs - oracle).max() < 1e-12, start
 
 
 # --- documentation --------------------------------------------------------

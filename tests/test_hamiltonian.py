@@ -64,7 +64,7 @@ def test_matrix_triplets_round_trip():
     h = build_hamiltonian(lat, coupling=2.0)
     triplets = [
         (int(r), int(c), float(v))
-        for r, c, v in (line.split() for line in matrix_triplet_text(h.matrix).splitlines())
+        for r, c, v in (line.split() for line in matrix_triplet_text(h).splitlines())
     ]
     assert triplets == sorted(triplets)
     rebuilt = np.zeros_like(h.matrix)

@@ -17,7 +17,7 @@ from fractalwalk.analysis import CalibrationConfig, calibrate_events
 from fractalwalk.errors import InputFileError
 from fractalwalk.evolution import ProbabilitySeries, SeriesKind
 from fractalwalk import serialize
-from fractalwalk.hamiltonian import build_hamiltonian
+from fractalwalk.hamiltonian import Operator, build_hamiltonian
 from fractalwalk.lattice import GENERATION_RANGE, generate
 from fractalwalk.observables import ObservableTable
 from fractalwalk.serialize import (
@@ -132,6 +132,13 @@ def _triplet_reference(matrix):
     return "".join("%d %d %.12g\n" % (i, j, matrix[i, j]) for i, j in zip(rows, cols))
 
 
+def _every_entry(matrix):
+    """An operator holding every entry of ``matrix``, zeros included, in
+    reverse (row, col) order."""
+    rows, cols = (index.ravel()[::-1] for index in np.indices(matrix.shape))
+    return Operator(max(matrix.shape), rows, cols, matrix[rows, cols])
+
+
 _ANY_FLOAT = st.one_of(st.sampled_from(_BOUNDARY),
                        st.floats(allow_nan=False, allow_infinity=False))
 
@@ -144,7 +151,7 @@ def test_float_writers_match_percent_format(values):
     columns = np.resize(values, (values.size // 4, 4)) if values.size >= 4 else np.zeros((0, 4))
     assert observables_csv(_table(columns)) == _csv_reference(columns)
     matrix = np.atleast_2d(values)
-    assert matrix_triplet_text(matrix) == _triplet_reference(matrix)
+    assert matrix_triplet_text(_every_entry(matrix)) == _triplet_reference(matrix)
 
 
 @pytest.mark.parametrize("value", _BOUNDARY, ids=repr)
@@ -204,7 +211,7 @@ def test_matrix_triplet_text_rejects_nan_inside_the_matrix(pair):
     matrix = build_hamiltonian(pair).matrix.copy()
     matrix[0, 1] = np.nan
     with pytest.raises(InputFileError, match="non-finite"):
-        matrix_triplet_text(matrix)
+        matrix_triplet_text(_every_entry(matrix))
 
 
 def test_json_dumps_rejects_unknown_types():
@@ -423,8 +430,8 @@ def test_observables_csv_layout(sg2_run):
 
 def test_matrix_triplet_text(pair):
     h = build_hamiltonian(pair, coupling=1.5)
-    assert matrix_triplet_text(h.matrix) == "0 1 1.5\n1 0 1.5\n"
-    assert matrix_triplet_text(np.zeros((2, 2))) == ""
+    assert matrix_triplet_text(h) == "0 1 1.5\n1 0 1.5\n"
+    assert matrix_triplet_text(_every_entry(np.zeros((2, 2)))) == ""
 
 
 # --- report documents -----------------------------------------------------
