@@ -1,4 +1,7 @@
-"""Scaling fits, regime-transition detection, and length calibration.
+"""Scaling fits and regime-transition detection.
+
+The length calibration lives in the numpy-free ``calibration`` module and
+is re-exported here.
 
 Detection routines return None for "not found"; exceptions are reserved
 for malformed inputs.  Default thresholds (event mass epsilon = 0.02,
@@ -9,10 +12,16 @@ exposed on the CLI and sweepable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .calibration import (  # noqa: F401  (re-exported)
+    EVENT_NAMES,
+    CalibrationConfig,
+    CalibrationResult,
+    calibrate_events,
+)
 from .errors import DomainError, ShapeError, StructuralError, check_finite
 from .evolution import ProbabilitySeries
 from .lattice import Lattice, fractal_meta, landmark_sites
@@ -49,9 +58,6 @@ OSCILLATION_PROMINENCE = 0.005
 #: step (2e-9 of the step on a 1201-point grid to tau 40), so a tighter
 #: bound would refuse uniform grids; any real stretch is far above it.
 GRID_STEP_RTOL = 1e-6
-
-#: detected events in report order; a report stores each as ``<name>_tau``
-EVENT_NAMES = ("first_void", "l_f", "farthest", "saturation")
 
 
 @dataclass(frozen=True)
@@ -106,32 +112,6 @@ class RegimeReport:
         """Present events by name, for calibration and reporting."""
         taus = {name: getattr(self, f"{name}_tau") for name in EVENT_NAMES}
         return {name: float(tau) for name, tau in taus.items() if tau is not None}
-
-
-@dataclass(frozen=True)
-class CalibrationConfig:
-    """Anchor one detected event to a physical propagation length in mm."""
-
-    anchor_event: str          # "first_void" or "farthest"
-    anchor_mm: float
-
-    def __post_init__(self):
-        if self.anchor_event not in ("first_void", "farthest"):
-            raise DomainError(
-                f"anchor_event must be 'first_void' or 'farthest', got {self.anchor_event!r}"
-            )
-        check_finite(anchor_mm=self.anchor_mm)
-        if not self.anchor_mm > 0:
-            raise DomainError(f"anchor_mm must be positive, got {self.anchor_mm}")
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    anchor_event: str
-    anchor_mm: float
-    anchor_tau: float
-    scale_s: float                         # mm per unit tau
-    events_mm: dict[str, float] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -370,27 +350,6 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
         if x[peak] - base >= min_prominence:
             kept.append(peak)
     return np.asarray(kept, dtype=np.int64)
-
-
-def calibrate_events(events: dict[str, float], config: CalibrationConfig):
-    """Map dimensionless event times to physical mm via one anchored event.
-
-    ``events`` maps event names to taus, as ``RegimeReport.event_taus``
-    returns them.  scale_s = anchor_mm / anchor_event_tau; every other
-    event is converted to a mm prediction.  Returns None when the anchor
-    event was not detected (not-found propagation).
-    """
-    anchor_tau = events.get(config.anchor_event)
-    if anchor_tau is None or anchor_tau <= 0.0:
-        return None
-    scale = config.anchor_mm / anchor_tau
-    return CalibrationResult(
-        anchor_event=config.anchor_event,
-        anchor_mm=float(config.anchor_mm),
-        anchor_tau=float(anchor_tau),
-        scale_s=float(scale),
-        events_mm={name: float(scale * tau) for name, tau in events.items()},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,28 +3,50 @@
 All flags are long-form.  The only environment variable honoured is
 OUTPUT_DIR, which prefixes every relative output path.  Outputs are
 deterministic: identical inputs and flags give byte-identical files.
+
+Each subcommand imports only the stages it runs.  Importing this module
+loads nothing of the package but ``errors`` and ``kinds``; ``calibrate``,
+``--help`` and usage errors run without numpy.  The pipeline stages
+(``generate``, ``spectral_decompose``, ``render_frame``, ...) resolve as
+attributes of this module on first use, through ``__getattr__`` over
+``_STAGES``, and every call looks them up there: a wrapper set on
+``cli.<stage>`` is what runs.  Flags whose default belongs to a stage
+default to None here, so that the stage's own default applies.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 
-from . import analysis, serialize
-from .analysis import CalibrationConfig, build_regime_report, calibrate_events
 from .errors import DomainError, FractalwalkError, NotFoundError, ShapeError
-from .evolution import (
-    GRID_PRESETS,
-    evolve_classical,
-    evolve_quantum,
-    spectral_decompose,
-    time_grid,
-)
-from .hamiltonian import build_classical_generator, build_hamiltonian
-from .lattice import FRACTAL_KINDS, LatticeKind, generate, mirror_permutation, resolve_input
-from .observables import build_observable_table
-from .render import RenderSpec, pgm_bytes, render_frame
+from .kinds import LatticeKind
+
+#: stage name -> the submodule that defines it
+_STAGES = {
+    **dict.fromkeys(["generate", "resolve_input", "mirror_permutation"], "lattice"),
+    **dict.fromkeys(["build_hamiltonian", "build_classical_generator"], "hamiltonian"),
+    **dict.fromkeys(["time_grid", "spectral_decompose", "evolve_quantum",
+                     "evolve_classical"], "evolution"),
+    "build_observable_table": "observables",
+    "build_regime_report": "analysis",
+    **dict.fromkeys(["render_frame", "pgm_bytes"], "render"),
+}
+
+
+def __getattr__(name):
+    if name not in _STAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_STAGES[name]}", __package__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+# this module as ``python -m`` runs it (``__main__``) or as it is imported;
+# stage calls go through it
+_stage = sys.modules[__name__]
 
 _EPILOG = """\
 exit codes:
@@ -49,6 +71,8 @@ def _outpath(path: str) -> str:
 
 
 def _load_pair(args):
+    from . import serialize
+
     lattice = serialize.read_lattice(args.lattice)
     series = serialize.read_series(args.series)
     if series.n_sites != lattice.n_sites:
@@ -63,22 +87,33 @@ def walk(lattice, selector, times, classical=False, dump=None, **params):
     Hamiltonian, or the Laplacian if ``classical``), write its triplets to
     ``dump`` if given, decompose it by mirror sector and evolve.  Returns
     (input_site, spectrum, series)."""
-    input_site = resolve_input(lattice, selector)
-    operator = (build_classical_generator if classical else build_hamiltonian)(lattice, **params)
+    input_site = _stage.resolve_input(lattice, selector)
+    build = _stage.build_classical_generator if classical else _stage.build_hamiltonian
+    operator = build(lattice, **params)
     if dump:
+        from . import serialize
+
         serialize.write_matrix_triplets(operator, dump)
-    spectrum = spectral_decompose(operator, mirror_permutation(lattice))
-    evolve = evolve_classical if classical else evolve_quantum
+    spectrum = _stage.spectral_decompose(operator, _stage.mirror_permutation(lattice))
+    evolve = _stage.evolve_classical if classical else _stage.evolve_quantum
     return input_site, spectrum, evolve(spectrum, input_site, times)
 
 
 def _grid_for(args, kind: LatticeKind):
+    from .evolution import GRID_PRESETS
+
     tau_max, steps = GRID_PRESETS[kind]
     if args.tau_max is not None:
         tau_max = args.tau_max
     if args.steps is not None:
         steps = args.steps
-    return time_grid(tau_max, steps, args.tau_min)
+    return _stage.time_grid(tau_max, steps, args.tau_min)
+
+
+def _given(args, *names) -> dict:
+    """The flags among ``names`` that were given, by name; the others are
+    left to the defaults of the stage they are passed to."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +121,9 @@ def _grid_for(args, kind: LatticeKind):
 
 
 def cmd_lattice(args) -> int:
-    lattice = generate(args.kind, args.generation)
+    from . import serialize
+
+    lattice = _stage.generate(args.kind, args.generation)
     out = _outpath(args.out)
     serialize.write_lattice(lattice, out)
     print(f"{lattice.kind.value} generation {lattice.generation}: "
@@ -96,6 +133,8 @@ def cmd_lattice(args) -> int:
 
 def cmd_evolve(args) -> int:
     """The ``evolve`` and ``classical`` subcommands."""
+    from . import serialize
+
     lattice = serialize.read_lattice(args.lattice)
     params = ({"rate": args.rate} if args.classical
               else {"beta": args.beta, "coupling": args.coupling})
@@ -113,8 +152,10 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_observables(args) -> int:
+    from . import serialize
+
     lattice, series = _load_pair(args)
-    table = build_observable_table(series, lattice)
+    table = _stage.build_observable_table(series, lattice)
     out = _outpath(args.out)
     serialize.write_observables(table, out)
     print(f"observables: {table.times.size} rows -> {out}")
@@ -122,14 +163,12 @@ def cmd_observables(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import serialize
+
     lattice, series = _load_pair(args)
-    report = build_regime_report(
+    report = _stage.build_regime_report(
         lattice, series,
-        epsilon=args.epsilon,
-        slope_window=args.slope_window,
-        band=args.band,
-        delta=args.delta,
-        min_span=args.min_span,
+        **_given(args, "epsilon", "slope_window", "band", "delta", "min_span"),
     )
     out = _outpath(args.out)
     serialize.write_report(report, out)
@@ -139,6 +178,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import serialize
+    from .render import RenderSpec
+
     lattice, series = _load_pair(args)
     spec = RenderSpec(
         pixels_per_spacing=args.pixels_per_spacing,
@@ -148,31 +190,37 @@ def cmd_render(args) -> int:
     )
     out_dir = _outpath(args.out_dir)
     for index in args.time_index:
-        image = render_frame(series, lattice, index, spec)
+        image = _stage.render_frame(series, lattice, index, spec)
         path = os.path.join(out_dir, f"{args.run}_t{index}.pgm")
-        serialize.write_bytes(path, pgm_bytes(image))
+        serialize.write_bytes(path, _stage.pgm_bytes(image))
         print(f"frame {index} ({image.shape[1]}x{image.shape[0]}) -> {path}")
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    doc = serialize.read_report_document(args.report)
-    events = serialize.report_event_taus(doc, args.report)
+    """Runs on ``textio`` and ``calibration`` alone, without numpy."""
+    from . import textio
+    from .calibration import CalibrationConfig, calibrate_events
+
+    doc = textio.read_report_document(args.report)
+    events = textio.report_event_taus(doc, args.report)
     config = CalibrationConfig(anchor_event=args.anchor_event, anchor_mm=args.anchor_mm)
     result = calibrate_events(events, config)
     if result is None:
         raise NotFoundError(
             f"anchor event {config.anchor_event!r} not present in {args.report}"
         )
-    doc["calibration"] = serialize.calibration_document(result)
+    doc["calibration"] = textio.calibration_document(result)
     out = _outpath(args.out)
-    serialize.write_text(out, serialize.json_dumps(doc) + "\n")
+    textio.write_json(doc, out)
     predicted = ", ".join(f"{k}={v:.3f}mm" for k, v in result.events_mm.items())
     print(f"calibration: scale {result.scale_s:.4f} mm/tau; {predicted} -> {out}")
     return 0
 
 
 def _parse_instances(text: str) -> list[tuple[LatticeKind, int]]:
+    from .lattice import FRACTAL_KINDS
+
     instances = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -200,14 +248,17 @@ def _parse_instances(text: str) -> list[tuple[LatticeKind, int]]:
 
 
 def cmd_sweep(args) -> int:
+    from . import serialize
+
     instances = _parse_instances(args.instances)
     out_dir = _outpath(args.out_dir)
     artifacts = []
     for kind, generation in instances:
-        lattice = generate(kind, generation)
+        lattice = _stage.generate(kind, generation)
         series = walk(lattice, args.input, _grid_for(args, kind))[2]  # spectrum freed
-        table = build_observable_table(series, lattice)
-        report = build_regime_report(lattice, series, table=table, epsilon=args.epsilon)
+        table = _stage.build_observable_table(series, lattice)
+        report = _stage.build_regime_report(lattice, series, table=table,
+                                            **_given(args, "epsilon"))
         stem = f"{kind.value}{generation}"
         paths = {
             "lattice": os.path.join(out_dir, f"{stem}.lattice.json"),
@@ -289,14 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="regime report for a fractal run")
     p.add_argument("--series", required=True)
     p.add_argument("--lattice", required=True)
-    p.add_argument("--epsilon", type=float, default=analysis.DEFAULT_EPSILON,
+    # the threshold flags default to None: build_regime_report's defaults apply
+    p.add_argument("--epsilon", type=float, default=None,
                    help="event-detection probability mass (default 0.02)")
-    p.add_argument("--slope-window", type=int, default=analysis.DEFAULT_SLOPE_WINDOW)
-    p.add_argument("--band", type=float, default=analysis.DEFAULT_BAND,
+    p.add_argument("--slope-window", type=int, default=None)
+    p.add_argument("--band", type=float, default=None,
                    help="fractal-onset exponent band around d_f (default 0.15)")
-    p.add_argument("--delta", type=float, default=analysis.DEFAULT_DELTA,
+    p.add_argument("--delta", type=float, default=None,
                    help="Polya plateau flatness (default 0.002)")
-    p.add_argument("--min-span", type=int, default=analysis.DEFAULT_MIN_SPAN)
+    p.add_argument("--min-span", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 
@@ -324,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", required=True,
                    help="comma list of kind:generation, e.g. sg:4,sc:3,dsc:2")
     p.add_argument("--input", default="auto")
-    p.add_argument("--epsilon", type=float, default=analysis.DEFAULT_EPSILON)
+    p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--tau-max", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--out-dir", required=True)

@@ -50,13 +50,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import kernels
 from .errors import BoundsError, DomainError, NumericalError, check_finite
-from .hamiltonian import Operator
 from .lattice import LatticeKind
+
+if TYPE_CHECKING:  # an annotation only: reading a series needs no operator
+    from .hamiltonian import Operator
 
 #: per-kind (tau_max, steps) presets; the carpet grid ends before its
 #: farthest-site event, which lies beyond any realised horizon

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .errors import BoundsError, StructuralError
+from .kinds import LatticeKind
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -40,24 +40,6 @@ DIST_TOL = 1e-6
 
 #: coordinate tolerance for "same position" and farthest-distance ties
 COORD_TOL = 1e-9
-
-
-class LatticeKind(str, Enum):
-    SG = "sg"
-    SC = "sc"
-    DSC = "dsc"
-    TRIANGLE = "triangle"
-    SQUARE = "square"
-
-    @classmethod
-    def parse(cls, name: str) -> "LatticeKind":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise BoundsError(
-                f"unknown lattice kind {name!r}; expected one of "
-                + ", ".join(k.value for k in cls)
-            ) from None
 
 
 GENERATION_RANGE = {

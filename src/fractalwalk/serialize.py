@@ -7,38 +7,49 @@ formatter, ``_format_rows``, which writes exactly the bytes of
 scalars and for the values the formatter cannot place exactly: 13th-digit
 ties, carries into the next decade, zeros, subnormals and exponents beyond
 its power-of-ten table.  The stdlib json encoder cannot be told a float
-format, so a small emitter handles the fixed document shapes used here;
-parsing goes through ``json.load``, which rejects the ``NaN`` and
-``Infinity`` tokens.  The emitter appends the document's ASCII bytes to
-one buffer, which is written as it is.  All writers are byte-deterministic
-and all file writes are atomic (write to a temp file, then rename).
+format, so a small emitter handles the fixed document shapes used here.
+The emitter appends the document's ASCII bytes to one buffer, which is
+written as it is.  All writers are byte-deterministic.
+
+The parts that need no numpy live in ``textio`` and are re-exported here:
+the atomic writes, the strict JSON load, the emitter for Python values,
+``format_float`` and the calibrated report document.  This module adds
+the array formats and hands the emitter its numpy branches
+(``_emit_numpy``).  Of the pipeline stages it imports only ``lattice``,
+and ``evolution`` when a series is read: writing a report or a table
+loads nothing of the stage that built it.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
-import sys
-import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import EVENT_NAMES, CalibrationResult, RegimeReport, ScalingFit, SlopeCurve
+from . import textio
 from .errors import BoundsError, DomainError, InputFileError
-from .evolution import ProbabilitySeries, SeriesKind, _check_times
-from .hamiltonian import Operator
 from .lattice import DIST_TOL, Lattice, LatticeKind
-from .observables import ObservableTable
+from .textio import (  # noqa: F401  (re-exported)
+    FLOAT_FORMAT,
+    _emit,
+    _integer,
+    _load_json,
+    _number,
+    _require,
+    calibration_document,
+    format_float,
+    read_report_document,
+    report_event_taus,
+    write_bytes,
+)
 
-FLOAT_FORMAT = ".12g"
-
-
-def format_float(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise InputFileError(f"cannot serialize non-finite float {x}")
-    return format(x, FLOAT_FORMAT)
+if TYPE_CHECKING:  # annotations only: a writer loads no stage it does not write
+    from .analysis import RegimeReport, ScalingFit, SlopeCurve
+    from .evolution import ProbabilitySeries
+    from .hamiltonian import Operator
+    from .observables import ObservableTable
 
 
 # ---------------------------------------------------------------------------
@@ -202,41 +213,26 @@ def json_dumps(obj) -> str:
 
 def _json_bytes(obj, end: bytes = b"") -> bytearray:
     """The ASCII bytes of ``json_dumps(obj)``, then ``end``, in one buffer."""
-    out = bytearray()
-    _emit(obj, out)
-    out += end
-    return out
+    return textio._json_bytes(obj, end, _emit_numpy)
 
 
-def _emit(obj, out: bytearray) -> None:
-    """Append the JSON text of ``obj`` to ``out``."""
-    if obj is None or isinstance(obj, (bool, str)):
-        out += json.dumps(obj).encode("ascii")
-    elif isinstance(obj, (int, np.integer)):
-        out += b"%d" % int(obj)
-    elif isinstance(obj, (float, np.floating)):
-        out += format_float(obj).encode("ascii")
-    elif isinstance(obj, np.ndarray) and obj.dtype.names is not None:
+def _emit_numpy(obj, out: bytearray) -> None:
+    """The numpy branches of ``_emit``: float arrays through the vectorised
+    formatter, other arrays value by value, numpy scalars as Python numbers."""
+    if isinstance(obj, np.ndarray) and obj.dtype.names is not None:
         _emit_records(obj, out)
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 1:
         _emit_rows(obj[None], ",", "", b"[", b"]", out)
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2 and len(obj):
         _emit_rows(obj, ",", "],[", b"[[", b"]]", out)
-    elif isinstance(obj, dict):
-        out += b"{"
-        for n, (key, value) in enumerate(obj.items()):
-            out += b"," if n else b""
-            out += json.dumps(str(key)).encode("ascii") + b":"
-            _emit(value, out)
-        out += b"}"
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out += b"["
-        for n, value in enumerate(obj):
-            out += b"," if n else b""
-            _emit(value, out)
-        out += b"]"
+    elif isinstance(obj, np.ndarray):
+        _emit(list(obj), out, _emit_numpy)
+    elif isinstance(obj, np.integer):
+        _emit(int(obj), out)
+    elif isinstance(obj, np.floating):
+        _emit(float(obj), out)
     else:
-        raise InputFileError(f"cannot serialize object of type {type(obj).__name__}")
+        _emit(obj, out)  # which refuses it
 
 
 def _emit_rows(values, field_sep, row_sep, opening: bytes, closing: bytes,
@@ -267,70 +263,6 @@ def _emit_records(records: np.ndarray, out: bytearray) -> None:
     out += b"[{" + keys[0]
     out += text
     out += b"}]"
-
-
-# ---------------------------------------------------------------------------
-# atomic writes
-
-
-def write_bytes(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_text(path: str, text: str) -> None:
-    write_bytes(path, text.encode("utf-8"))
-
-
-def _load_json(path: str) -> dict:
-    def reject(token: str):
-        raise InputFileError(f"{path}: non-finite number {token} is not allowed")
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle, parse_constant=reject)
-    except OSError as exc:
-        raise InputFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputFileError(f"{path}: expected a JSON object at top level")
-    return doc
-
-
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise InputFileError(f"{path}: missing required field {key!r}")
-    return doc[key]
-
-
-def _integer(value) -> int:
-    """A JSON integer (``4`` or ``4.0``); ValueError for any other value,
-    ``0.7``, ``true`` and ``"4"`` included, instead of truncating it."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{value!r} is not an integer")
-
-
-def _number(value) -> float:
-    """A finite JSON number (int or float, never a bool); ValueError for any
-    other value, ``true``, ``"nan"`` and ``1e400`` included."""
-    # the comparison is false for NaN and infinity and exact for any int
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max):
-        return float(value)
-    raise ValueError(f"{value!r} is not a finite number")
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +345,8 @@ def write_series(series: ProbabilitySeries, path: str) -> None:
 
 
 def read_series(path: str) -> ProbabilitySeries:
+    from .evolution import ProbabilitySeries, SeriesKind, _check_times
+
     doc = _load_json(path)
     kind_name = str(_require(doc, "kind", path))
     try:
@@ -484,6 +418,10 @@ def observables_csv(table: ObservableTable) -> str:
     return b"".join([header, *_format_rows(columns, ",", "\n"), b"\n"]).decode("ascii")
 
 
+def write_text(path: str, text: str) -> None:
+    write_bytes(path, text.encode("utf-8"))
+
+
 def write_observables(table: ObservableTable, path: str) -> None:
     write_text(path, observables_csv(table))
 
@@ -552,41 +490,8 @@ def report_document(report: RegimeReport) -> dict:
     }
 
 
-def calibration_document(calibration: CalibrationResult) -> dict:
-    """The ``calibration`` block of a report document."""
-    return {
-        "anchor_event": calibration.anchor_event,
-        "anchor_mm": calibration.anchor_mm,
-        "anchor_tau": calibration.anchor_tau,
-        "scale_mm_per_tau": calibration.scale_s,
-        "events_mm": calibration.events_mm,
-    }
-
-
 def write_report(report: RegimeReport, path: str) -> None:
     _write_json(report_document(report), path)
-
-
-def read_report_document(path: str) -> dict:
-    return _load_json(path)
-
-
-def report_event_taus(doc: dict, path: str) -> dict[str, float]:
-    """The events a report document holds, by name, as ``RegimeReport.event_taus``
-    gives them; ``null`` or a missing ``<name>_tau`` means the event is absent.
-    InputFileError if a tau is not a finite, non-negative number."""
-    events = {}
-    for name in EVENT_NAMES:
-        tau = doc.get(f"{name}_tau")
-        if tau is None:
-            continue
-        try:
-            events[name] = _number(tau)
-        except ValueError as exc:
-            raise InputFileError(f"{path}: malformed {name}_tau: {exc}") from None
-        if events[name] < 0.0:
-            raise InputFileError(f"{path}: {name}_tau must be non-negative, got {tau}")
-    return events
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,180 @@
+"""Text I/O that needs no numpy: atomic writes, the strict JSON load, the
+JSON emitter for Python values, and the calibrated report document.
+
+``calibrate`` reads a report, adds its ``calibration`` block and writes it
+back through this module alone (``write_json``).  ``serialize`` re-exports
+the rest and adds the array formats; it hands its numpy branches to the
+one emitter, ``_emit``, which reaches them only when an array or a numpy
+scalar is present.  Floats are written with 12 significant digits
+(``format_float``); parsing goes through ``json.load``, which rejects the
+``NaN`` and ``Infinity`` tokens.  All file writes are atomic (write to a
+temp file, then rename).
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import sys
+import tempfile
+
+from .calibration import EVENT_NAMES, CalibrationResult
+from .errors import InputFileError
+
+FLOAT_FORMAT = ".12g"
+
+
+def format_float(x: float) -> str:
+    x = float(x)
+    if not math.isfinite(x):
+        raise InputFileError(f"cannot serialize non-finite float {x}")
+    return format(x, FLOAT_FORMAT)
+
+
+# ---------------------------------------------------------------------------
+# JSON emitter
+
+
+def _json_bytes(obj, end: bytes = b"", other=None) -> bytearray:
+    """The compact JSON of ``obj``, then ``end``, as ASCII bytes in one buffer."""
+    out = bytearray()
+    _emit(obj, out, other)
+    out += end
+    return out
+
+
+def _emit(obj, out: bytearray, other=None) -> None:
+    """Append the JSON text of ``obj`` to ``out``, keys in insertion order.
+    Values other than None, bools, strings, ints, floats, dicts, lists and
+    tuples go to ``other(obj, out)`` when it is given, and are refused
+    otherwise; nested values pass ``other`` on."""
+    if obj is None or isinstance(obj, (bool, str)):
+        out += json.dumps(obj).encode("ascii")
+    elif isinstance(obj, int):
+        out += b"%d" % int(obj)
+    elif isinstance(obj, float):
+        out += format_float(obj).encode("ascii")
+    elif isinstance(obj, dict):
+        out += b"{"
+        for n, (key, value) in enumerate(obj.items()):
+            out += b"," if n else b""
+            out += json.dumps(str(key)).encode("ascii") + b":"
+            _emit(value, out, other)
+        out += b"}"
+    elif isinstance(obj, (list, tuple)):
+        out += b"["
+        for n, value in enumerate(obj):
+            out += b"," if n else b""
+            _emit(value, out, other)
+        out += b"]"
+    elif other is not None:
+        other(obj, out)
+    else:
+        raise InputFileError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+
+def write_bytes(path: str, data: bytes) -> None:
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_json(doc: dict, path: str) -> None:
+    """A document of Python values as one line of JSON."""
+    write_bytes(path, _json_bytes(doc, b"\n"))
+
+
+# ---------------------------------------------------------------------------
+# strict reads
+
+
+def _load_json(path: str) -> dict:
+    def reject(token: str):
+        raise InputFileError(f"{path}: non-finite number {token} is not allowed")
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle, parse_constant=reject)
+    except OSError as exc:
+        raise InputFileError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputFileError(f"{path}: expected a JSON object at top level")
+    return doc
+
+
+def _require(doc: dict, key: str, path: str):
+    if key not in doc:
+        raise InputFileError(f"{path}: missing required field {key!r}")
+    return doc[key]
+
+
+def _integer(value) -> int:
+    """A JSON integer (``4`` or ``4.0``); ValueError for any other value,
+    ``0.7``, ``true`` and ``"4"`` included, instead of truncating it."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{value!r} is not an integer")
+
+
+def _number(value) -> float:
+    """A finite JSON number (int or float, never a bool); ValueError for any
+    other value, ``true``, ``"nan"`` and ``1e400`` included."""
+    # the comparison is false for NaN and infinity and exact for any int
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ValueError(f"{value!r} is not a finite number")
+
+
+# ---------------------------------------------------------------------------
+# report documents, as read back for calibration
+
+
+def read_report_document(path: str) -> dict:
+    return _load_json(path)
+
+
+def report_event_taus(doc: dict, path: str) -> dict[str, float]:
+    """The events a report document holds, by name, as ``RegimeReport.event_taus``
+    gives them; ``null`` or a missing ``<name>_tau`` means the event is absent.
+    InputFileError if a tau is not a finite, non-negative number."""
+    events = {}
+    for name in EVENT_NAMES:
+        tau = doc.get(f"{name}_tau")
+        if tau is None:
+            continue
+        try:
+            events[name] = _number(tau)
+        except ValueError as exc:
+            raise InputFileError(f"{path}: malformed {name}_tau: {exc}") from None
+        if events[name] < 0.0:
+            raise InputFileError(f"{path}: {name}_tau must be non-negative, got {tau}")
+    return events
+
+
+def calibration_document(calibration: CalibrationResult) -> dict:
+    """The ``calibration`` block of a report document."""
+    return {
+        "anchor_event": calibration.anchor_event,
+        "anchor_mm": calibration.anchor_mm,
+        "anchor_tau": calibration.anchor_tau,
+        "scale_mm_per_tau": calibration.scale_s,
+        "events_mm": calibration.events_mm,
+    }

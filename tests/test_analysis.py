@@ -345,6 +345,16 @@ def test_calibration_none_when_anchor_missing():
     assert calibrate_events(report.event_taus(), CalibrationConfig("farthest", 9.0)) is None
 
 
+@pytest.mark.parametrize("events,anchor_mm", [
+    ({"farthest": 0.0}, 9.0),
+    ({"farthest": 1e-320}, 9.0),
+    ({"farthest": 2.0, "saturation": 4.0}, 1.7e308),
+])
+def test_calibration_without_a_finite_scale_is_a_domain_error(events, anchor_mm):
+    with pytest.raises(DomainError, match="anchor farthest"):
+        calibrate_events(events, CalibrationConfig("farthest", anchor_mm))
+
+
 def test_calibration_config_validation():
     with pytest.raises(DomainError):
         CalibrationConfig("saturation", 9.0)

@@ -376,6 +376,25 @@ def test_absent_anchor_is_exit_8(tmp_path):
     assert code == 8
 
 
+@pytest.mark.parametrize("events,anchor_mm", [
+    ({"first_void_tau": 1.7, "l_f_tau": 2.55}, "1.7e308"),  # l_f overflows to inf
+    ({"first_void_tau": 1e-320}, "2.675"),  # the scale overflows to inf
+    ({"first_void_tau": 0}, "2.675"),  # present, but fixes no scale
+], ids=["huge-anchor-mm", "tiny-tau", "zero-tau"])
+def test_calibration_without_a_finite_scale_is_exit_5(tmp_path, capsys, events, anchor_mm):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(events))
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    code = run(["calibrate", "--report", str(report), "--anchor-event", "first_void",
+                "--anchor-mm", anchor_mm, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert "Traceback" not in err
+    assert err.startswith("error: anchor first_void at tau "), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tau", [True, "abc", [1], -1.0],
                          ids=["boolean", "string", "list", "negative"])
 def test_malformed_event_tau_is_exit_3(tmp_path, tau):

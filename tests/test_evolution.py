@@ -1,8 +1,6 @@
 """Propagation: spectra, closed forms, invariances, oracle agreement."""
 
 import hashlib
-import pathlib
-import re
 
 import numpy as np
 import pytest
@@ -521,12 +519,3 @@ def test_the_walk_matches_the_chebyshev_oracle(kind, generation, classical):
                          (off_axis, evolve(spectrum, off_axis, times).probabilities)):
         oracle = chebyshev_probabilities(operator, start, times, classical)
         assert np.abs(probs - oracle).max() < 1e-12, start
-
-
-# --- documentation --------------------------------------------------------
-
-def test_readme_quick_start_runs(capsys):
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    block = re.search(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
-    exec(compile(block.group(1), str(readme), "exec"), {})
-    assert "first_void" in capsys.readouterr().out

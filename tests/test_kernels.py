@@ -60,8 +60,12 @@ def test_quantum_kernel_matches_the_complex_sum():
 
 
 def test_import_pulls_in_neither_scipy_nor_numba():
+    # every export resolved and the CLI imported: the namespace is lazy, so
+    # a bare ``import fractalwalk`` would pass without loading anything
     code = (
-        "import sys, fractalwalk\n"
+        "import sys, fractalwalk, fractalwalk.cli\n"
+        "for name in fractalwalk.__all__: getattr(fractalwalk, name)\n"
+        "assert 'fractalwalk.evolution' in sys.modules and 'numpy' in sys.modules\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'numba')]\n"
         "assert not loaded, loaded\n"
     )

@@ -1,0 +1,137 @@
+"""What each entry point loads: the lazy package namespace and the CLI's
+per-subcommand imports, each checked in a fresh interpreter."""
+
+import importlib
+import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
+
+import fractalwalk
+from fractalwalk import cli
+
+SRC = str(pathlib.Path(fractalwalk.__file__).resolve().parents[1])
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def python(*args, cwd=None):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd)
+
+
+def test_import_fractalwalk_loads_no_submodule_and_no_numpy():
+    proc = python("-c", "import sys, json, fractalwalk; print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert [m for m in loaded if m.startswith("fractalwalk.")] == []
+    assert "numpy" not in loaded
+
+
+@pytest.fixture()
+def report(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text('{"first_void_tau":1.7,"l_f_tau":2.55,"farthest_tau":null}')
+    return str(path)
+
+
+# what ``python -m fractalwalk.cli ARGS`` runs, then the modules it loaded on stderr
+RUN_CLI = (
+    "import json, runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('fractalwalk.cli', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["calibrate", "--report", "{report}", "--anchor-event", "first_void",
+      "--anchor-mm", "2.675", "--out", "{out}"], 0),
+    (["--help"], 0),
+    (["calibrate", "--help"], 0),
+    (["lattice", "--kind", "bogus", "--generation", "3", "--out", "{out}"], 2),
+    (["calibrate", "--report", "{report}"], 2),
+], ids=["calibrate", "help", "calibrate-help", "bad-choice", "missing-flags"])
+def test_these_commands_run_without_numpy(tmp_path, report, argv, status):
+    argv = [arg.format(report=report, out=tmp_path / "out.json") for arg in argv]
+    proc = python("-c", RUN_CLI, *argv, cwd=tmp_path)
+    assert proc.returncode == status, proc.stderr[-2000:]
+    loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert "fractalwalk.errors" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "numpy"]
+    if "--anchor-mm" in argv:
+        doc = json.loads((tmp_path / "out.json").read_text())
+        assert doc["calibration"]["events_mm"]["l_f"] == pytest.approx(2.675 * 2.55 / 1.7)
+
+
+@pytest.fixture(scope="module")
+def loaded_by_step(tmp_path_factory):
+    """The modules each step of a dsc:1 lattice -> evolve -> analyze chain loads."""
+    root = tmp_path_factory.mktemp("steps")
+    lattice, series = str(root / "lattice.json"), str(root / "series.json")
+    steps = {
+        "lattice": ["lattice", "--kind", "dsc", "--generation", "1", "--out", lattice],
+        "evolve": ["evolve", "--lattice", lattice, "--out", series],
+        "analyze": ["analyze", "--series", series, "--lattice", lattice,
+                    "--out", str(root / "report.json")],
+    }
+    loaded = {}
+    for step, argv in steps.items():
+        proc = python("-c", RUN_CLI, *argv, cwd=root)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        loaded[step] = set(json.loads(proc.stderr.splitlines()[-1]))
+    return loaded
+
+
+@pytest.mark.parametrize("command,absent", [
+    ("lattice", {"hamiltonian", "evolution", "observables", "analysis", "render"}),
+    ("evolve", {"observables", "analysis", "render"}),
+    ("analyze", {"hamiltonian", "render"}),
+])
+def test_each_subcommand_loads_only_its_stages(loaded_by_step, command, absent):
+    assert not {f"fractalwalk.{name}" for name in absent} & loaded_by_step[command]
+
+
+def test_every_export_is_its_module_attribute():
+    for name in fractalwalk.__all__:
+        module = importlib.import_module(f"fractalwalk.{fractalwalk._EXPORTS[name]}")
+        assert getattr(fractalwalk, name) is getattr(module, name), name
+    assert set(fractalwalk.__all__) <= set(dir(fractalwalk))
+    with pytest.raises(AttributeError):
+        fractalwalk.no_such_name
+
+
+def test_every_stage_resolves_on_cli():
+    for name, module in cli._STAGES.items():
+        owner = importlib.import_module(f"fractalwalk.{module}")
+        assert getattr(cli, name) is getattr(owner, name), name
+    with pytest.raises(AttributeError):
+        cli.no_such_stage
+
+
+def test_a_wrapper_set_on_cli_is_what_runs(tmp_path, monkeypatch):
+    calls = []
+    generate = cli.generate
+
+    def recording(*args):
+        calls.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(cli, "generate", recording)
+    assert cli.main(["lattice", "--kind", "sg", "--generation", "2",
+                     "--out", str(tmp_path / "lattice.json")]) == 0
+    assert calls == [("sg", 2)]
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # in a fresh process, so that every name comes through the lazy namespace
+    block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    proc = python("-c", block.group(1), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "first_void" in proc.stdout
