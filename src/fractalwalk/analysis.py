@@ -22,7 +22,7 @@ from .calibration import (  # noqa: F401  (re-exported)
     CalibrationResult,
     calibrate_events,
 )
-from .errors import DomainError, ShapeError, StructuralError, check_finite
+from .errors import DomainError, ShapeError, StructuralError, check_positive
 from .evolution import ProbabilitySeries
 from .lattice import Lattice, fractal_meta, landmark_sites
 from .observables import ObservableTable, build_observable_table
@@ -213,9 +213,7 @@ def detect_fractal_onset(slope_curve: SlopeCurve, d_f: float, band: float = DEFA
 
     Returns the entry tau, or None without a sustained entry.
     """
-    check_finite(band=band)
-    if not band > 0:
-        raise DomainError(f"band must be positive, got {band}")
+    check_positive(band=band)
     tau = slope_curve.tau
     inside = np.abs(slope_curve.exponent - d_f) <= band
     eligible = tau > after_tau
@@ -235,9 +233,7 @@ def detect_plateaus(polya_curve, delta: float = DEFAULT_DELTA,
     (start, end) pairs in tau when ``times`` is given, else index pairs
     (inclusive).
     """
-    check_finite(delta=delta)
-    if not delta > 0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    check_positive(delta=delta)
     if min_span < 2:
         raise DomainError(f"min_span must be at least 2, got {min_span}")
     p = np.asarray(polya_curve, dtype=np.float64)

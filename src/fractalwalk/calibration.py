@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, check_finite
+from .errors import DomainError, check_positive
 
 #: detected events in report order; a report stores each as ``<name>_tau``
 EVENT_NAMES = ("first_void", "l_f", "farthest", "saturation")
@@ -29,9 +29,7 @@ class CalibrationConfig:
             raise DomainError(
                 f"anchor_event must be 'first_void' or 'farthest', got {self.anchor_event!r}"
             )
-        check_finite(anchor_mm=self.anchor_mm)
-        if not self.anchor_mm > 0:
-            raise DomainError(f"anchor_mm must be positive, got {self.anchor_mm}")
+        check_positive(anchor_mm=self.anchor_mm)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ Each subcommand imports only the stages it runs.  Importing this module
 loads nothing of the package but ``errors`` and ``kinds``; ``calibrate``,
 ``--help`` and usage errors run without numpy.  The pipeline stages
 (``generate``, ``spectral_decompose``, ``render_frame``, ...) resolve as
-attributes of this module on first use, through ``__getattr__`` over
-``_STAGES``, and every call looks them up there: a wrapper set on
+attributes of this module on first use: ``__getattr__`` looks each name
+of ``_STAGES`` up in the package's lazy namespace, which loads its
+submodule.  Every call looks the stages up here, so a wrapper set on
 ``cli.<stage>`` is what runs.  Flags whose default belongs to a stage
 default to None here, so that the stage's own default applies.
 """
@@ -17,29 +18,25 @@ default to None here, so that the stage's own default applies.
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import sys
 
-from .errors import DomainError, FractalwalkError, NotFoundError, ShapeError
+from .errors import DomainError, FractalwalkError, NotFoundError
 from .kinds import LatticeKind
 
-#: stage name -> the submodule that defines it
-_STAGES = {
-    **dict.fromkeys(["generate", "resolve_input", "mirror_permutation"], "lattice"),
-    **dict.fromkeys(["build_hamiltonian", "build_classical_generator"], "hamiltonian"),
-    **dict.fromkeys(["time_grid", "spectral_decompose", "evolve_quantum",
-                     "evolve_classical"], "evolution"),
-    "build_observable_table": "observables",
-    "build_regime_report": "analysis",
-    **dict.fromkeys(["render_frame", "pgm_bytes"], "render"),
-}
+#: the pipeline stages, resolved through the package's lazy namespace
+_STAGES = (
+    "generate", "resolve_input", "mirror_permutation",
+    "build_hamiltonian", "build_classical_generator",
+    "time_grid", "spectral_decompose", "evolve_quantum", "evolve_classical",
+    "build_observable_table", "build_regime_report", "render_frame", "pgm_bytes",
+)
 
 
 def __getattr__(name):
     if name not in _STAGES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_STAGES[name]}", __package__), name)
+    value = getattr(sys.modules[__package__], name)
     globals()[name] = value  # later lookups skip this function
     return value
 
@@ -75,10 +72,7 @@ def _load_pair(args):
 
     lattice = serialize.read_lattice(args.lattice)
     series = serialize.read_series(args.series)
-    if series.n_sites != lattice.n_sites:
-        raise ShapeError(
-            f"series has {series.n_sites} sites but lattice has {lattice.n_sites}"
-        )
+    series.check_lattice(lattice)
     return lattice, series
 
 
@@ -219,7 +213,8 @@ def cmd_calibrate(args) -> int:
 
 
 def _parse_instances(text: str) -> list[tuple[LatticeKind, int]]:
-    from .lattice import FRACTAL_KINDS
+    """The instances of a sweep, each checked before the first walk runs."""
+    from .lattice import FRACTAL_KINDS, _check_generation
 
     instances = []
     for chunk in text.split(","):
@@ -239,6 +234,7 @@ def _parse_instances(text: str) -> list[tuple[LatticeKind, int]]:
                 f"sweep runs the void-based analysis and needs fractal kinds; "
                 f"got {kind.value!r}"
             )
+        _check_generation(kind, generation)
         if (kind, generation) in instances:
             raise DomainError(f"instance {kind.value}:{generation} is listed twice")
         instances.append((kind, generation))

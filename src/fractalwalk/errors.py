@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the checks every
+module applies to its parameters.
 
 Each class carries the CLI exit code it maps to as ``exit_code`` (a
 subclass inherits its parent's unless it sets its own), so library code
-should raise the most specific type that applies.
+should raise the most specific type that applies.  A rule that more than
+one module applies is written once here: a parameter is finite
+(``check_finite``) or finite and above zero (``check_positive``), and a
+site id lies in range (``check_site``).
 """
 
 from __future__ import annotations
@@ -41,8 +45,24 @@ def check_finite(**params: float) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def check_positive(**params: float) -> None:
+    """DomainError naming the first of ``params`` that is not finite, then
+    the first that is not above zero."""
+    check_finite(**params)
+    for name, value in params.items():
+        if not value > 0:
+            raise DomainError(f"{name} must be positive, got {value}")
+
+
 class BoundsError(DomainError):
     """An index or generation number is out of range."""
+
+
+def check_site(site: int, n: int) -> int:
+    """``site`` as an int; BoundsError unless it is a site id of ``n`` sites."""
+    if not 0 <= site < n:
+        raise BoundsError(f"site id {site} out of range 0..{n - 1}")
+    return int(site)
 
 
 class StructuralError(FractalwalkError):

@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernels
-from .errors import BoundsError, DomainError, NumericalError, check_finite
+from .errors import DomainError, NumericalError, ShapeError, check_finite, check_site
 from .lattice import LatticeKind
 
 if TYPE_CHECKING:  # an annotation only: reading a series needs no operator
@@ -83,8 +83,7 @@ def time_grid(tau_max: float, steps: int, tau_min: float = 0.0) -> np.ndarray:
 
 
 def preset_grid(kind: LatticeKind | str) -> np.ndarray:
-    kind = LatticeKind.parse(kind) if isinstance(kind, str) else kind
-    tau_max, steps = GRID_PRESETS[kind]
+    tau_max, steps = GRID_PRESETS[LatticeKind.parse(kind)]
     return time_grid(tau_max, steps)
 
 
@@ -200,6 +199,13 @@ class ProbabilitySeries:
     @property
     def n_sites(self) -> int:
         return self.probabilities.shape[1]
+
+    def check_lattice(self, lattice) -> None:
+        """ShapeError unless ``lattice`` has the sites of this series."""
+        if self.n_sites != lattice.n_sites:
+            raise ShapeError(
+                f"series has {self.n_sites} sites but lattice has {lattice.n_sites}"
+            )
 
 
 RECONSTRUCTION_TOL = 1e-9
@@ -325,12 +331,6 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _check_input_site(n: int, input_site: int) -> int:
-    if not 0 <= input_site < n:
-        raise BoundsError(f"input site {input_site} out of range 0..{n - 1}")
-    return int(input_site)
-
-
 ROW_SUM_TOL = 1e-9
 CLAMP_TOL = 1e-12
 
@@ -367,7 +367,7 @@ def evolve_classical(spectrum: Spectrum, input_site: int, times) -> ProbabilityS
 def _evolve(kind: SeriesKind, kernel, spectrum: Spectrum, input_site: int,
             times) -> ProbabilitySeries:
     times = _check_times(times)
-    input_site = _check_input_site(spectrum.n, input_site)
+    input_site = check_site(input_site, spectrum.n)
     eigvals, rows, orbit = spectrum._orbit_rows(input_site)
     weights = rows[orbit[input_site]]
     # a mode the input does not excite adds exactly nothing
@@ -382,21 +382,19 @@ def _evolve(kind: SeriesKind, kernel, spectrum: Spectrum, input_site: int,
 
 
 def _finalize(probs: np.ndarray) -> np.ndarray:
-    """Clamp roundoff-negative entries and verify row normalisation."""
-    low = float(probs.min())
-    # each test is written so that a NaN fails it
-    if not low >= -CLAMP_TOL:
-        raise NumericalError(f"probability {low:.3e} below the -1e-12 roundoff floor")
-    probs = np.clip(probs, 0.0, 1.0)
-    worst = float(np.abs(probs.sum(axis=1) - 1.0).max())
-    if not worst <= ROW_SUM_TOL:
-        raise NumericalError(f"probability rows deviate from 1 by {worst:.3e}")
-    return probs
+    """Verify that every computed row is a probability distribution (see
+    ``check_distribution``), then clamp the roundoff outside [0, 1].  A
+    row that fails is the solver's fault: NumericalError."""
+    try:
+        check_distribution(probs)
+    except DomainError as exc:
+        raise NumericalError(str(exc)) from None
+    return np.clip(probs, 0.0, 1.0)
 
 
 def return_amplitude(spectrum: Spectrum, input_site: int, tau: float) -> complex:
     """Return amplitude <input| exp(-iHt) |input> at any real tau."""
-    input_site = _check_input_site(spectrum.n, input_site)
+    input_site = check_site(input_site, spectrum.n)
     eigvals, rows, orbit = spectrum._orbit_rows(input_site)
     w = rows[orbit[input_site]]
     return complex(np.sum(w * w * np.exp(-1j * eigvals * tau)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_finite
+from .errors import check_finite, check_positive
 from .lattice import Lattice
 
 
@@ -60,19 +60,16 @@ def _assemble(lattice: Lattice, edge_value: float, diagonal) -> Operator:
 def build_hamiltonian(lattice: Lattice, beta: float = 0.0, coupling: float = 1.0) -> Operator:
     """Tight-binding Hamiltonian: ``coupling`` on every edge and the
     uniform on-site constant ``beta`` on the diagonal.  A beta shift is a
-    global phase and drops out of all occupation probabilities; the
-    coupling must be positive.  Both must be finite."""
-    check_finite(beta=beta, coupling=coupling)
-    if not coupling > 0:
-        raise DomainError(f"coupling must be positive, got {coupling}")
+    global phase and drops out of all occupation probabilities.  DomainError
+    unless beta is finite and the coupling finite and above zero."""
+    check_finite(beta=beta)
+    check_positive(coupling=coupling)
     return _assemble(lattice, coupling, beta)
 
 
 def build_classical_generator(lattice: Lattice, rate: float = 1.0) -> Operator:
     """Graph Laplacian L = rate * (Degree - Adjacency) of the classical
-    continuous-time walk.  ``rate`` is the per-edge hopping rate and must be
-    positive and finite; rows sum to zero exactly."""
-    check_finite(rate=rate)
-    if not rate > 0:
-        raise DomainError(f"rate must be positive, got {rate}")
+    continuous-time walk.  ``rate`` is the per-edge hopping rate, finite and
+    above zero (else DomainError); rows sum to zero exactly."""
+    check_positive(rate=rate)
     return _assemble(lattice, -rate, rate * lattice.degrees())

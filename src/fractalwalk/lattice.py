@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BoundsError, StructuralError
+from .errors import BoundsError, StructuralError, check_site
 from .kinds import LatticeKind
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -59,7 +59,6 @@ class Lattice:
     generation: int          # rows for TRIANGLE, side for SQUARE
     coords: np.ndarray       # (N, 2) float64
     edges: np.ndarray        # (E, 2) int64, each row i < j, lexicographically sorted
-    spacing: float = 1.0
 
     def __post_init__(self):
         self.coords.setflags(write=False)
@@ -84,7 +83,6 @@ class Lattice:
 class FractalMeta:
     fractal_dimension: float
     spectral_dimension: float
-    embedding_dimension: int = 2
 
 
 # The carpet's spectral dimension has no closed form; 1.805 is the accepted
@@ -99,8 +97,8 @@ _META = {
 
 
 def fractal_meta(kind: LatticeKind) -> FractalMeta:
-    """Fractal, spectral, and embedding dimensions for a lattice kind."""
-    return _META[LatticeKind.parse(kind) if isinstance(kind, str) else kind]
+    """Fractal and spectral dimensions of a lattice kind (the lattices are planar)."""
+    return _META[LatticeKind.parse(kind)]
 
 
 @dataclass(frozen=True)
@@ -133,34 +131,27 @@ def _check_generation(kind: LatticeKind, generation: int) -> None:
 # point sets on integer coordinates
 
 
-def _gasket_points(generation: int) -> set[tuple[int, int]]:
-    """Corners of the 3^g smallest blue triangles, found recursively.
-
-    The unit upward triangle anchored at (p, q) has corners (p, q),
-    (p+2, q), (p+1, q+1); a side-s triangle anchored at (p, q) spans to
-    (p+2s, q) with apex (p+s, q+s).
-    """
-    points: set[tuple[int, int]] = set()
-
-    def rec(p: int, q: int, s: int) -> None:
-        if s == 1:
-            points.update(((p, q), (p + 2, q), (p + 1, q + 1)))
-            return
-        h = s // 2
-        rec(p, q, h)
-        rec(p + s, q, h)
-        rec(p + h, q + h, h)
-
-    rec(0, 0, 2 ** generation)
-    return points
-
-
 def _triangle_points(rows: int) -> set[tuple[int, int]]:
     pts = set()
     for q in range(rows + 1):
         for p in range(q, 2 * rows - q + 1, 2):
             pts.add((p, q))
     return pts
+
+
+def _gasket_points(generation: int) -> set[tuple[int, int]]:
+    """Corners of the 3^g smallest triangles of the gasket of side 2^g.
+
+    A point (p, q) of the filled triangle with rows = 2^g has barycentric
+    integer coordinates a = q, b = (p - q) / 2, c = (2^(g+1) - p - q) / 2,
+    which sum to 2^g, and is a gasket vertex exactly when a & b & c == 0
+    (Pascal's triangle mod 2).  This set equals that of the recursive
+    construction (three half-size copies at the corners) for every
+    generation 1-7.
+    """
+    side = 2 ** generation
+    return {(p, q) for p, q in _triangle_points(side)
+            if q & ((p - q) // 2) & ((2 * side - p - q) // 2) == 0}
 
 
 def _carpet_cells(generation: int) -> set[tuple[int, int]]:
@@ -260,7 +251,7 @@ def generate(kind: LatticeKind | str, generation: int) -> Lattice:
     Edges are every pair of sites exactly one spacing apart, each row
     (i, j) with i < j, rows sorted.
     """
-    kind = LatticeKind.parse(kind) if isinstance(kind, str) else kind
+    kind = LatticeKind.parse(kind)
     _check_generation(kind, generation)
     geometry = _GEOMETRY[kind]
     ordered, xy = geometry.sites(generation)
@@ -362,9 +353,7 @@ def resolve_input(lattice: Lattice, selector: str | int) -> int:
                 f"input selector {selector!r} is neither a site id nor one of "
                 + ", ".join(_NAMED_INPUTS)
             ) from None
-    if not 0 <= site < lattice.n_sites:
-        raise BoundsError(f"site id {site} out of range 0..{lattice.n_sites - 1}")
-    return site
+    return check_site(site, lattice.n_sites)
 
 
 def _deleted_positions(lattice: Lattice) -> list[np.ndarray]:
@@ -423,8 +412,7 @@ def landmark_sites(lattice: Lattice, input_site: int) -> Landmarks:
     nearer ties go to the smaller region.  ``first_void_boundary`` collects
     the sites within 1 + 1e-6 spacings of that void's deleted positions.
     """
-    if not 0 <= input_site < lattice.n_sites:
-        raise BoundsError(f"site id {input_site} out of range 0..{lattice.n_sites - 1}")
+    check_site(input_site, lattice.n_sites)
     origin = lattice.coords[input_site]
 
     def nearest(xy: np.ndarray) -> float:

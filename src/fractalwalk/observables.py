@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, check_site
 from .evolution import CLAMP_TOL, ProbabilitySeries, check_distribution
 from .lattice import Lattice
 
@@ -43,12 +43,8 @@ def variance(series: ProbabilitySeries, lattice: Lattice, input_site: int) -> np
     sigma^2(tau) = sum_j dl_j^2 p_j(tau) / sum_j p_j(tau), with dl_j the
     Euclidean distance from the input site to site j in spacings.
     """
-    if series.n_sites != lattice.n_sites:
-        raise ShapeError(
-            f"series has {series.n_sites} sites but lattice has {lattice.n_sites}"
-        )
-    if not 0 <= input_site < lattice.n_sites:
-        raise ShapeError(f"input site {input_site} out of range 0..{lattice.n_sites - 1}")
+    series.check_lattice(lattice)
+    check_site(input_site, lattice.n_sites)
     origin = lattice.coords[input_site]
     dl2 = ((lattice.coords - origin) ** 2).sum(axis=1)
     weighted = series.probabilities @ dl2

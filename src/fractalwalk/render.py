@@ -15,11 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BoundsError, DomainError, ShapeError, check_finite
+from .errors import BoundsError, DomainError, check_finite, check_positive
 from .evolution import ProbabilitySeries, check_distribution
 from .lattice import Lattice
 
 PGM_MAXVAL = 65535
+
+#: the largest frame rendered, in pixels: about 8 times the default frame of
+#: the largest lattice (sg:7, 3120 x 2709)
+MAX_FRAME_PIXELS = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -30,19 +34,18 @@ class RenderSpec:
     gamma: float = 0.5
 
     def __post_init__(self):
-        check_finite(spot_sigma=self.spot_sigma, margin=self.margin, gamma=self.gamma)
+        check_finite(margin=self.margin)
+        check_positive(spot_sigma=self.spot_sigma, gamma=self.gamma)
         if self.pixels_per_spacing < 4:
             raise DomainError(
                 f"pixels_per_spacing must be >= 4, got {self.pixels_per_spacing}"
             )
         two_sigma2 = 2.0 * self.spot_sigma * self.spot_sigma  # gaussian_splat divides by it
-        if not (self.spot_sigma > 0 and two_sigma2 > 0 and math.isfinite(1.0 / two_sigma2)):
-            raise DomainError(f"spot_sigma must be positive with 1 / (2 spot_sigma^2) "
-                              f"finite, got {self.spot_sigma}")
+        if not (two_sigma2 > 0 and math.isfinite(1.0 / two_sigma2)):
+            raise DomainError(f"spot_sigma must be large enough for a finite "
+                              f"1 / (2 spot_sigma^2), got {self.spot_sigma}")
         if self.margin < 0:
             raise DomainError(f"margin must be >= 0, got {self.margin}")
-        if not self.gamma > 0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
 
 
 def frame_geometry(lattice: Lattice, spec: RenderSpec):
@@ -50,13 +53,23 @@ def frame_geometry(lattice: Lattice, spec: RenderSpec):
 
     Returns (width, height, x0, y_top) where x0 is the world x of the left
     image edge and y_top the world y of the top edge; image dimensions are
-    ceil((bbox + 2 * margin) * pixels_per_spacing) per axis.
+    ceil((bbox + 2 * margin) * pixels_per_spacing) per axis.  DomainError
+    when the frame would hold more than MAX_FRAME_PIXELS pixels.
     """
     xmin, ymin = lattice.coords.min(axis=0)
     xmax, ymax = lattice.coords.max(axis=0)
-    width = math.ceil((xmax - xmin + 2 * spec.margin) * spec.pixels_per_spacing)
-    height = math.ceil((ymax - ymin + 2 * spec.margin) * spec.pixels_per_spacing)
-    return width, height, float(xmin - spec.margin), float(ymax + spec.margin)
+    # the size in floats, checked before it becomes an integer or an image
+    # (an int past the float range would not convert: it counts as infinite)
+    scale = spec.pixels_per_spacing if spec.pixels_per_spacing < 2 ** 1000 else math.inf
+    span_x = (xmax - xmin + 2 * spec.margin) * scale
+    span_y = (ymax - ymin + 2 * spec.margin) * scale
+    if not span_x * span_y <= MAX_FRAME_PIXELS:  # NaN fails too
+        raise DomainError(
+            f"pixels_per_spacing {spec.pixels_per_spacing} and margin {spec.margin} give "
+            f"a frame of {span_x * span_y:.3g} pixels, above {MAX_FRAME_PIXELS}"
+        )
+    return (math.ceil(span_x), math.ceil(span_y),
+            float(xmin - spec.margin), float(ymax + spec.margin))
 
 
 def render_intensity(probabilities: np.ndarray, lattice: Lattice,
@@ -76,10 +89,7 @@ def render_frame(series: ProbabilitySeries, lattice: Lattice, time_index: int,
     """Render one time slice of a series to a 16-bit grayscale image;
     DomainError if that slice is not a probability distribution (see
     ``check_distribution``) or no spot lights any pixel."""
-    if series.n_sites != lattice.n_sites:
-        raise ShapeError(
-            f"series has {series.n_sites} sites but lattice has {lattice.n_sites}"
-        )
+    series.check_lattice(lattice)
     if not 0 <= time_index < series.times.size:
         raise BoundsError(
             f"time index {time_index} out of range 0..{series.times.size - 1}"

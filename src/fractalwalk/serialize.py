@@ -278,7 +278,7 @@ def lattice_document(lattice: Lattice) -> dict:
     return {
         "kind": lattice.kind.value,
         "generation": int(lattice.generation),
-        "spacing": float(lattice.spacing),
+        "spacing": 1,  # the distance unit; read_lattice refuses any other
         "sites": sites,
         "edges": lattice.edges.astype(np.float64),
     }
@@ -321,10 +321,9 @@ def read_lattice(path: str) -> Lattice:
         raise InputFileError(f"{path}: edges must be pairs i < j, each once, in ascending order")
     if spacing != 1.0:
         raise InputFileError(f"{path}: spacing must be 1, the distance unit, not {spacing}")
-    if edge_arr.size and np.abs(np.hypot(*(coords[j] - coords[i]).T) - spacing).max() > DIST_TOL:
+    if edge_arr.size and np.abs(np.hypot(*(coords[j] - coords[i]).T) - 1.0).max() > DIST_TOL:
         raise InputFileError(f"{path}: an edge is not one spacing long")
-    return Lattice(kind=kind, generation=generation, coords=coords, edges=edge_arr,
-                   spacing=spacing)
+    return Lattice(kind=kind, generation=generation, coords=coords, edges=edge_arr)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ triplets, so it reaches the largest lattices the tests run.
 
 import numpy as np
 
-from fractalwalk.errors import DomainError, NumericalError
-from fractalwalk.evolution import _check_input_site
+from fractalwalk.errors import DomainError, NumericalError, check_site
 
 ORACLE_TOL = 1e-10
 _ORACLE_ORDER = 16
@@ -28,7 +27,7 @@ def evolve_oracle(h, input_site: int, tau: float) -> np.ndarray:
     """
     matrix = np.asarray(getattr(h, "matrix", h), dtype=np.float64)
     n = matrix.shape[0]
-    input_site = _check_input_site(n, input_site)
+    input_site = check_site(input_site, n)
     if tau < 0:
         raise DomainError(f"oracle requires tau >= 0, got {tau}")
 
@@ -78,7 +77,7 @@ def chebyshev_probabilities(operator, input_site: int, times, classical: bool = 
     ``_bessel_series``.
     """
     n = operator.n
-    input_site = _check_input_site(n, input_site)
+    input_site = check_site(input_site, n)
     times = np.asarray(times, dtype=np.float64)
     rows, cols, values = operator.rows, operator.cols, operator.values
     on = rows == cols

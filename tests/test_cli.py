@@ -269,6 +269,23 @@ def test_an_all_black_frame_is_exit_5(sc3_files, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--margin", "1e308"),  # the frame width overflows a float
+    ("--margin", "1e17"),
+    ("--pixels-per-spacing", "100000000000000000000"),
+    ("--pixels-per-spacing", "1" + "0" * 400),  # beyond the float range
+], ids=["margin-1e308", "margin-1e17", "pixels-1e20", "pixels-1e400"])
+def test_an_oversized_frame_is_exit_5(workspace, tmp_path, capsys, flag, value):
+    capsys.readouterr()
+    assert run(["render", "--series", workspace["series"], "--lattice", workspace["lattice"],
+                "--run", "f", "--time-index", "5", "--out-dir", str(tmp_path),
+                flag, value]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: pixels_per_spacing ") and "margin" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _dense_matrix_read(self):
     raise AssertionError("the matrix dump read Operator.matrix")
 
@@ -414,6 +431,17 @@ def test_sweep_rejects_nonfractal_and_garbage(tmp_path):
     assert run(["sweep", "--instances", "sg:3,SG:3", "--out-dir", out]) == 5
 
 
+def test_sweep_checks_every_generation_before_the_first_walk(tmp_path, capsys):
+    out = tmp_path / "runs"
+    out.mkdir()
+    capsys.readouterr()
+    assert run(["sweep", "--instances", "dsc:1,dsc:9", "--out-dir", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: dsc generation must be"), err
+    assert list(out.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def sg3_files(tmp_path_factory):
     """An sg-3 lattice, its quantum series on the preset grid and its report."""
@@ -439,6 +467,13 @@ def sg3_files(tmp_path_factory):
     ("evolve", "--coupling", "inf"),
     ("classical", "--rate", "inf"),
     ("calibrate", "--anchor-mm", "inf"),
+    # and each parameter that must be above zero, at or below it
+    ("evolve", "--coupling", "0"),
+    ("classical", "--rate", "-1"),
+    ("render", "--gamma", "0"),
+    ("analyze", "--band", "0"),
+    ("analyze", "--delta", "0"),
+    ("calibrate", "--anchor-mm", "0"),
 ])
 def test_non_finite_parameter_is_exit_5(sg3_files, tmp_path, capsys, command, flag, value):
     lattice, series, report = sg3_files

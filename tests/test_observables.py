@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fractalwalk.errors import DomainError, ShapeError
+from fractalwalk.errors import BoundsError, DomainError, ShapeError
 from fractalwalk.evolution import (
     ProbabilitySeries,
     SeriesKind,
@@ -59,7 +59,7 @@ def test_variance_rejects_mismatched_lattice(sg2_run):
 
 
 def test_variance_rejects_bad_input_site(sg2_run):
-    with pytest.raises(ShapeError):
+    with pytest.raises(BoundsError):
         variance(sg2_run.series, sg2_run.lattice, sg2_run.lattice.n_sites)
 
 
