@@ -22,7 +22,7 @@ from .calibration import (  # noqa: F401  (re-exported)
     CalibrationResult,
     calibrate_events,
 )
-from .errors import DomainError, ShapeError, StructuralError, check_positive
+from .errors import DomainError, ShapeError, StructuralError, check_positive, check_site
 from .evolution import ProbabilitySeries
 from .lattice import Lattice, fractal_meta, landmark_sites
 from .observables import ObservableTable, build_observable_table
@@ -199,8 +199,8 @@ def detect_event(series: ProbabilitySeries, landmark_set, epsilon: float = DEFAU
     ids = np.asarray(sorted(landmark_set), dtype=np.int64)
     if ids.size == 0:
         raise DomainError("landmark set is empty")
-    if ids.min() < 0 or ids.max() >= series.n_sites:
-        raise ShapeError(f"landmark ids outside 0..{series.n_sites - 1}")
+    check_site(ids[0], series.n_sites)
+    check_site(ids[-1], series.n_sites)
     mass = series.probabilities[:, ids].sum(axis=1)
     hits = np.flatnonzero(mass >= epsilon)
     return float(series.times[hits[0]]) if hits.size else None

@@ -213,8 +213,8 @@ def cmd_calibrate(args) -> int:
 
 
 def _parse_instances(text: str) -> list[tuple[LatticeKind, int]]:
-    """The instances of a sweep, each checked before the first walk runs."""
-    from .lattice import FRACTAL_KINDS, _check_generation
+    """The instances of a sweep, each checked for a void before the first walk runs."""
+    from .lattice import FRACTAL_KINDS, void_map
 
     instances = []
     for chunk in text.split(","):
@@ -234,7 +234,7 @@ def _parse_instances(text: str) -> list[tuple[LatticeKind, int]]:
                 f"sweep runs the void-based analysis and needs fractal kinds; "
                 f"got {kind.value!r}"
             )
-        _check_generation(kind, generation)
+        void_map(kind, generation)
         if (kind, generation) in instances:
             raise DomainError(f"instance {kind.value}:{generation} is listed twice")
         instances.append((kind, generation))

@@ -6,12 +6,13 @@ Sierpinski carpet, the dual carpet (one site per kept square), and the
 filled triangle and square baselines of matching geometry.
 
 One table, ``_GEOMETRY``, describes every kind on integer coordinates: the
-point set it keeps, the point set of its filled counterpart (none for the
-baselines), the affine map to xy, and the integer offsets that are one
-spacing long.  ``generate`` builds a lattice from it, and the void map
-behind ``landmark_sites`` takes the filled set minus the kept set from the
-same entry.  Working on integers keeps deduplication and adjacency exact;
-float coordinates are produced once at the end.
+points it keeps and those of its filled counterpart (none for the
+baselines), each a pair of int64 arrays (a, b) built from a membership
+rule, the affine map to xy, and the integer offsets one spacing long.  One
+exact integer-key lookup, ``_lookup``, finds the edges of ``generate`` and,
+in ``void_map``, the filled points a fractal deletes and the adjacency that
+groups them into the voids ``landmark_sites`` ranks.  Float coordinates
+are produced once at the end.
 
 The edge rule is purely metric: every pair of sites at exactly one
 spacing is coupled, whatever the pair bounds.  For the gasket this
@@ -73,10 +74,7 @@ class Lattice:
         return self.edges.shape[0]
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_sites, dtype=np.int64)
-        np.add.at(deg, self.edges[:, 0], 1)
-        np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n_sites)
 
 
 @dataclass(frozen=True)
@@ -128,18 +126,22 @@ def _check_generation(kind: LatticeKind, generation: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# point sets on integer coordinates
+# point sets on integer coordinates, each an (a, b) pair of int64 arrays
 
 
-def _triangle_points(rows: int) -> set[tuple[int, int]]:
-    pts = set()
-    for q in range(rows + 1):
-        for p in range(q, 2 * rows - q + 1, 2):
-            pts.add((p, q))
-    return pts
+def _grid(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with 0 <= i, j < side, i major: the square of side - 1."""
+    return np.divmod(np.arange(side * side, dtype=np.int64), side)
 
 
-def _gasket_points(generation: int) -> set[tuple[int, int]]:
+def _triangle_points(rows: int) -> tuple[np.ndarray, np.ndarray]:
+    # barycentric integers u + v <= rows sit at (p, q) = (u + 2 v, u)
+    u, v = _grid(rows + 1)
+    inside = u + v <= rows
+    return u[inside] + 2 * v[inside], u[inside]
+
+
+def _gasket_points(generation: int) -> tuple[np.ndarray, np.ndarray]:
     """Corners of the 3^g smallest triangles of the gasket of side 2^g.
 
     A point (p, q) of the filled triangle with rows = 2^g has barycentric
@@ -150,38 +152,38 @@ def _gasket_points(generation: int) -> set[tuple[int, int]]:
     generation 1-7.
     """
     side = 2 ** generation
-    return {(p, q) for p, q in _triangle_points(side)
-            if q & ((p - q) // 2) & ((2 * side - p - q) // 2) == 0}
+    p, q = _triangle_points(side)
+    b = (p - q) // 2
+    keep = q & b & (side - q - b) == 0
+    return p[keep], q[keep]
 
 
-def _carpet_cells(generation: int) -> set[tuple[int, int]]:
+def _carpet_cells(generation: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit squares kept by the carpet: no base-3 digit pair equals (1, 1)."""
-    side = 3 ** generation
-    kept = set()
-    for i in range(side):
-        for j in range(side):
-            a, b = i, j
-            keep = True
-            while a or b:
-                if a % 3 == 1 and b % 3 == 1:
-                    keep = False
-                    break
-                a //= 3
-                b //= 3
-            if keep:
-                kept.add((i, j))
-    return kept
+    i, j = _grid(3 ** generation)
+    place = 3 ** np.arange(generation, dtype=np.int64)
+    keep = ~((i[:, None] // place % 3 == 1) & (j[:, None] // place % 3 == 1)).any(axis=1)
+    return i[keep], j[keep]
 
 
-def _carpet_points(generation: int) -> set[tuple[int, int]]:
-    pts = set()
-    for (i, j) in _carpet_cells(generation):
-        pts.update(((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)))
-    return pts
+def _carpet_points(generation: int) -> tuple[np.ndarray, np.ndarray]:
+    # the four corners of every kept cell, deduplicated by integer key
+    i, j = _carpet_cells(generation)
+    width = 3 ** generation + 1
+    corners = ((i * width + j)[:, None] + [0, 1, width, width + 1]).ravel()
+    return np.divmod(np.unique(corners), width)
 
 
-def _square_points(side: int) -> set[tuple[int, int]]:
-    return {(i, j) for i in range(side + 1) for j in range(side + 1)}
+def _lookup(a: np.ndarray, b: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Row of each query point (qa, qb), of any shape, among the points (a, b);
+    -1 where absent.  Both are keyed exactly by a * width + b - min(b)."""
+    low = min(b.min(), qb.min())
+    width = max(b.max(), qb.max()) - low + 1
+    key = a * width + (b - low)
+    order = np.argsort(key)
+    query = qa * width + (qb - low)
+    row = order[np.searchsorted(key, query, sorter=order).clip(max=key.size - 1)]
+    return np.where(key[row] == query, row, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +194,26 @@ def _square_points(side: int) -> set[tuple[int, int]]:
 class _Geometry:
     """One lattice kind; an integer point (a, b) sits at (a, b) * scale + offset."""
 
-    points: Callable[[int], set[tuple[int, int]]]
-    filled: Callable[[int], set[tuple[int, int]]] | None
+    points: Callable[[int], tuple[np.ndarray, np.ndarray]]
+    filled: Callable[[int], tuple[np.ndarray, np.ndarray]] | None
     scale: tuple[float, float]
     offset: float
     steps: tuple[tuple[int, int], ...]
 
-    def sites(self, generation: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    def sites(self, generation: int) -> tuple[np.ndarray, np.ndarray]:
         # ids run top row first, left to right inside a row: the apex or
         # the top-left corner is site 0 for every kind
-        ordered = sorted(self.points(generation), key=lambda ab: (-ab[1], ab[0]))
-        return ordered, self.xy(ordered)
+        a, b = self.points(generation)
+        order = np.lexsort((a, -b))
+        return a[order], b[order]
 
-    def xy(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) * self.scale + self.offset
+    def xy(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.column_stack((a, b)) * self.scale + self.offset
+
+    def neighbours(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row of the point one step away, (n, steps), -1 off the point set."""
+        da, db = np.array(self.steps, dtype=np.int64).T
+        return _lookup(a, b, a[:, None] + da, b[:, None] + db)
 
 
 # triangle family: (p, q) -> (p/2, q sqrt(3)/2); the six offsets solve
@@ -225,17 +233,19 @@ _GEOMETRY = {
     # corners of the 8^g kept unit squares of a square with side 3^g; the
     # 1 x 1 holes hold no vertex, so they leave the graph unchanged
     LatticeKind.SC: _Geometry(
-        _carpet_points, lambda g: _square_points(3 ** g), _GRID_SCALE, 0.0, _GRID_STEPS
+        _carpet_points, lambda g: _grid(3 ** g + 1), _GRID_SCALE, 0.0, _GRID_STEPS
     ),
     # one site per kept square, N = 8^g; side-sharing squares are the
     # unit-distance pairs of the centres
     LatticeKind.DSC: _Geometry(
-        _carpet_cells, lambda g: _square_points(3 ** g - 1), _GRID_SCALE, 0.5, _GRID_STEPS
+        _carpet_cells, lambda g: _grid(3 ** g), _GRID_SCALE, 0.5, _GRID_STEPS
     ),
     # row k below the apex holds k + 1 sites; side = rows spacings
     LatticeKind.TRIANGLE: _Geometry(_triangle_points, None, _TRI_SCALE, 0.0, _TRI_STEPS),
     # (side + 1)^2 vertices
-    LatticeKind.SQUARE: _Geometry(_square_points, None, _GRID_SCALE, 0.0, _GRID_STEPS),
+    LatticeKind.SQUARE: _Geometry(
+        lambda side: _grid(side + 1), None, _GRID_SCALE, 0.0, _GRID_STEPS
+    ),
 }
 
 FRACTAL_KINDS = tuple(kind for kind, geo in _GEOMETRY.items() if geo.filled is not None)
@@ -254,16 +264,10 @@ def generate(kind: LatticeKind | str, generation: int) -> Lattice:
     kind = LatticeKind.parse(kind)
     _check_generation(kind, generation)
     geometry = _GEOMETRY[kind]
-    ordered, xy = geometry.sites(generation)
-    index = {ab: i for i, ab in enumerate(ordered)}
-    pairs = set()
-    for (a, b), i in index.items():
-        for da, db in geometry.steps:
-            j = index.get((a + da, b + db), -1)
-            if j > i:
-                pairs.add((i, j))
-    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    return Lattice(kind, generation, xy, edges)
+    a, b = geometry.sites(generation)
+    i, j = np.arange(a.size, dtype=np.int64)[:, None], geometry.neighbours(a, b)
+    pairs = np.sort((i * a.size + j)[j > i])
+    return Lattice(kind, generation, geometry.xy(a, b), np.column_stack(np.divmod(pairs, a.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +320,12 @@ def mirror_permutation(lattice: Lattice) -> np.ndarray:
     image = origin + 2.0 * (d @ axis)[:, None] * axis - d
     # label every x and every y value of sites and images by cluster (a new
     # cluster past a quarter-spacing gap), so an image and its site share a
-    # (row, column) key; a site found under another key lies more than a
-    # quarter spacing away, which the gap check below refuses
-    labels = [_cluster_labels(np.concatenate((coords[:, k], image[:, k]))) for k in (0, 1)]
-    key = labels[1] * (labels[0].max() + 1) + labels[0]
-    site_key, image_key = key[:n], key[n:]
-    order = np.argsort(site_key)
-    sigma = order[np.searchsorted(site_key[order], image_key).clip(max=n - 1)]
+    # (column, row) key; an image with no site under its key, or one more
+    # than DIST_TOL away, refuses the mirror
+    x, y = (_cluster_labels(np.concatenate((coords[:, k], image[:, k]))) for k in (0, 1))
+    sigma = _lookup(x[:n], y[:n], x[n:], y[n:])
     gap = np.hypot(*(image - coords[sigma]).T)
-    if gap.max() > DIST_TOL or not np.array_equal(sigma[sigma], identity):
+    if sigma.min() < 0 or gap.max() > DIST_TOL or not np.array_equal(sigma[sigma], identity):
         return identity
 
     def keys(edges):
@@ -356,51 +357,39 @@ def resolve_input(lattice: Lattice, selector: str | int) -> int:
     return check_site(site, lattice.n_sites)
 
 
-def _deleted_positions(lattice: Lattice) -> list[np.ndarray]:
-    """Positions of the filled counterpart that the fractal deletes, one
-    (k, 2) array per connected void (unit-step adjacency on the filled grid).
-
-    The lattice's coordinates must be the ones its kind and generation
-    generate; a relabelled or edited file raises StructuralError.
+def void_map(kind: LatticeKind | str, generation: int) -> tuple[np.ndarray, np.ndarray]:
+    """The filled counterpart's positions that a fractal deletes, as xy rows
+    in ascending integer (a, b) order, and the label of the void (connected
+    by one-step adjacency) each lies in: the row of the void's first one.
+    StructuralError for a regular kind or a generation that deletes nothing.
     """
-    geometry = _GEOMETRY[lattice.kind]
-    g = lattice.generation
+    kind = LatticeKind.parse(kind)
+    geometry = _GEOMETRY[kind]
     if geometry.filled is None:
         raise StructuralError(
-            f"lattice kind {lattice.kind.value!r} has no voids; landmarks require "
+            f"lattice kind {kind.value!r} has no voids; landmarks require "
             "a fractal kind (sg, sc, dsc)"
         )
-    _check_generation(lattice.kind, g)
-    present, xy = geometry.sites(g)
-    if xy.shape != lattice.coords.shape or np.abs(xy - lattice.coords).max() > DIST_TOL:
+    _check_generation(kind, generation)
+    a, b = geometry.filled(generation)
+    deleted = _lookup(*geometry.points(generation), a, b) < 0
+    if not deleted.any():
         raise StructuralError(
-            f"lattice coordinates differ from those of {lattice.kind.value} "
-            f"generation {g} ({lattice.n_sites} sites, {xy.shape[0]} expected)"
-        )
-
-    clusters: list[list[tuple[int, int]]] = []
-    remaining = geometry.filled(g) - set(present)
-    while remaining:
-        seed = min(remaining)
-        stack = [seed]
-        remaining.discard(seed)
-        comp = [seed]
-        while stack:
-            p, q = stack.pop()
-            for dp, dq in geometry.steps:
-                other = (p + dp, q + dq)
-                if other in remaining:
-                    remaining.discard(other)
-                    stack.append(other)
-                    comp.append(other)
-        clusters.append(sorted(comp))
-
-    if not clusters:
-        raise StructuralError(
-            f"{lattice.kind.value} generation {g} deletes no site of its filled "
+            f"{kind.value} generation {generation} deletes no site of its filled "
             "counterpart; no effective void exists"
         )
-    return [geometry.xy(comp) for comp in clusters]
+    a, b = a[deleted], b[deleted]
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    # min-label propagation with pointer jumping; a missing neighbour
+    # stands in for itself
+    label, step = np.arange(a.size), geometry.neighbours(a, b)
+    step = np.where(step < 0, label[:, None], step)
+    while True:
+        hooked = np.minimum(label, label[step].min(axis=1))
+        if np.array_equal(hooked, label):
+            return geometry.xy(a, b), label
+        label = hooked[hooked]
 
 
 def landmark_sites(lattice: Lattice, input_site: int) -> Landmarks:
@@ -409,28 +398,38 @@ def landmark_sites(lattice: Lattice, input_site: int) -> Landmarks:
     The first effective void is the removed region nearest to the input
     whose interior strictly contains at least one point of the
     corresponding filled lattice (for the dual carpet, a missing site);
-    nearer ties go to the smaller region.  ``first_void_boundary`` collects
-    the sites within 1 + 1e-6 spacings of that void's deleted positions.
+    nearer ties go to the smaller region, then to the region whose first
+    position comes first.  ``first_void_boundary`` collects the sites
+    within 1 + 1e-6 spacings of that void's deleted positions.
+
+    The lattice's coordinates must be the ones its kind and generation
+    generate; a relabelled or edited file raises StructuralError.
     """
     check_site(input_site, lattice.n_sites)
+    g = lattice.generation
+    deleted_xy, label = void_map(lattice.kind, g)
+    geometry = _GEOMETRY[lattice.kind]
+    xy = geometry.xy(*geometry.sites(g))
+    if xy.shape != lattice.coords.shape or np.abs(xy - lattice.coords).max() > DIST_TOL:
+        raise StructuralError(
+            f"lattice coordinates differ from those of {lattice.kind.value} "
+            f"generation {g} ({lattice.n_sites} sites, {xy.shape[0]} expected)"
+        )
+
     origin = lattice.coords[input_site]
-
-    def nearest(xy: np.ndarray) -> float:
-        return float(np.hypot(xy[:, 0] - origin[0], xy[:, 1] - origin[1]).min())
-
-    void_xy = min(
-        _deleted_positions(lattice),
-        key=lambda xy: (nearest(xy), len(xy), tuple(map(tuple, xy))),
-    )
-    probe_length = nearest(void_xy)
+    dist = np.hypot(*(deleted_xy - origin).T)
+    first, void, size = np.unique(label, return_inverse=True, return_counts=True)
+    nearest = np.full(first.size, np.inf)
+    np.minimum.at(nearest, void, dist)
+    best = np.lexsort((first, size, nearest))[0]
+    void_xy = deleted_xy[label == first[best]]
+    probe_length = float(nearest[best])
 
     diff = lattice.coords[:, None, :] - void_xy[None, :, :]
     site_to_void = np.sqrt((diff ** 2).sum(axis=2)).min(axis=1)
     boundary = tuple(int(i) for i in np.flatnonzero(site_to_void <= 1.0 + DIST_TOL))
 
-    site_dists = np.hypot(
-        lattice.coords[:, 0] - origin[0], lattice.coords[:, 1] - origin[1]
-    )
+    site_dists = np.hypot(*(lattice.coords - origin).T)
     dmax = float(site_dists.max())
     farthest = tuple(int(i) for i in np.flatnonzero(site_dists >= dmax - COORD_TOL))
 

@@ -18,7 +18,7 @@ from fractalwalk.analysis import (
     loglog_slope,
     _prominent_peaks,
 )
-from fractalwalk.errors import DomainError, ShapeError, StructuralError
+from fractalwalk.errors import BoundsError, DomainError, ShapeError, StructuralError
 from fractalwalk.evolution import (
     ProbabilitySeries,
     SeriesKind,
@@ -152,8 +152,10 @@ def test_detect_event_set_validation():
     series = series_of([1.0], [[0.5, 0.5]])
     with pytest.raises(DomainError):
         detect_event(series, set())
-    with pytest.raises(ShapeError):
+    with pytest.raises(BoundsError):
         detect_event(series, {5})
+    with pytest.raises(BoundsError):
+        detect_event(series, {-1, 0})
 
 
 # --- fractal onset --------------------------------------------------------

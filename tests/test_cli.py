@@ -442,6 +442,24 @@ def test_sweep_checks_every_generation_before_the_first_walk(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("instances", ["sg:3,sg:1", "sc:1"])
+def test_sweep_refuses_a_void_free_instance_before_the_first_walk(
+        instances, tmp_path, capsys, monkeypatch):
+    # sg:1 and sc:1 delete no site of their filled counterpart
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk ran before the instances were checked")
+
+    monkeypatch.setattr(cli, "walk", no_walk)
+    out = tmp_path / "runs"
+    out.mkdir()
+    capsys.readouterr()
+    assert run(["sweep", "--instances", instances, "--out-dir", str(out)]) == 6
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "no effective void" in err, err
+    assert list(out.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def sg3_files(tmp_path_factory):
     """An sg-3 lattice, its quantum series on the preset grid and its report."""

@@ -1,5 +1,6 @@
 """Propagation: spectra, closed forms, invariances, oracle agreement."""
 
+import functools
 import hashlib
 
 import numpy as np
@@ -422,6 +423,41 @@ def test_one_off_axis_edge_breaks_the_mirror(kind, generation, data):
     for route in (operator, _as_operator(operator.matrix)):
         with pytest.raises(DomainError):
             spectral_decompose(route, sigma)
+
+
+# --- site relabelling -----------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _canonical_walks(kind, generation):
+    """The quantum and the classical walk from the canonical input."""
+    lattice = generate(kind, generation)
+    times = preset_grid(lattice.kind)
+    return lattice, times, [walk(lattice, "auto", times, classical) for classical in (False, True)]
+
+
+def _relabelled(lattice, perm):
+    """The same lattice with site i renamed perm[i], its edges re-sorted."""
+    coords = np.empty_like(lattice.coords)
+    coords[perm] = lattice.coords
+    edges = np.sort(perm[lattice.edges], axis=1)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    return Lattice(lattice.kind, lattice.generation, coords, edges)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from([("sg", 4), ("sc", 3), ("dsc", 3)]), data=st.data())
+def test_the_walk_does_not_depend_on_the_site_labels(case, data):
+    # the input, the mirror and both sectors follow the coordinates, so a
+    # relabelled lattice walks the same once its columns are put back
+    lattice, times, canonical = _canonical_walks(*case)
+    perm = np.array(data.draw(st.permutations(range(lattice.n_sites)), label="perm"))
+    relabelled = _relabelled(lattice, perm)
+    for classical, (site, spectrum, series) in zip((False, True), canonical):
+        new_site, new_spectrum, new_series = walk(relabelled, "auto", times, classical)
+        assert new_site == perm[site]
+        assert new_spectrum.sectors == spectrum.sectors
+        gap = new_series.probabilities[:, perm] - series.probabilities
+        assert np.abs(gap).max() < 1e-12
 
 
 # --- oracle agreement -----------------------------------------------------

@@ -66,12 +66,16 @@ LATTICE_DIGESTS = {
     ("sg", 3): "d15b66dd786b6cd48b4c366cc033cee2596bb5617f40612e1e1a5f30a3156a3c",
     ("sg", 4): "3755c39b49789a4b0070b6323ef7edc17bd0f107debaa153d2f82c90bf53e98a",
     ("sg", 5): "883f434a960aa3821a8f8cb7db4205dc3533bf0203e41da3b5543652729f056c",
+    ("sg", 6): "7ba8ffec7f9c28e0a4a5aa6cdfc9154699f0643652d394bafc5db050e380a094",
+    ("sg", 7): "d5c8ea9f041c2b9bd1de64ba6ff6f387db235ea3467de3b53072fa644646af1b",
     ("sc", 1): "456a7cea46eb977dd70c0847cf8bfb15811ced6e6394939cf7a03a0e52466c83",
     ("sc", 2): "ca6a2f261e3eea5e6e21523ac26763f387aee3ee6501aa44b1783e9e9a600494",
     ("sc", 3): "7b3adbbb80505b8579d6635c293535e62929e002484bc2588890fe2c1c70ff12",
+    ("sc", 4): "8ce9614a4da956168134ef89f13d700854a7d791040a12ea04abe3d5eb42c94a",
     ("dsc", 1): "f27a3c65082b75d663af3ab51f8cb88d741b8c8751a46cc03e8a20884610d439",
     ("dsc", 2): "0856490b0946879d2a4de4969ee3a30817f392706bce6ccc3c57cc78b1b26f5a",
     ("dsc", 3): "36b98f2dac986c7ac72cc5c21e3024df68f4aa9668d37087aa61964c97c5f5bf",
+    ("dsc", 4): "6e160027f7f48e6af569161a253ea0da1b6ffdf415406397506e7f1ff2bc63a8",
     ("triangle", 1): "b75ee1fca2754eb5cb5caade1c49bd6459cc5344a71b36fbae01929dfaa781fd",
     ("triangle", 4): "b8a240dc4fe63fc9195b423a68dd8b7e6ca42029812f6a500e717c7a582b1efd",
     ("triangle", 16): "26a3c2c3d1da141c21e0748eb37ffe7e5d99922450b0189a5c01006b7a7c20f5",
@@ -372,6 +376,44 @@ def test_landmarks_reject_coordinates_that_disagree_with_the_label():
     exact = landmark_sites(lat, 0)
     assert rounded.first_void_boundary == exact.first_void_boundary
     assert rounded.farthest_set == exact.farthest_set
+
+
+# SHA-256 of repr(Landmarks) for every input site of the smaller instances
+# and for sites 0, N // 2 and N - 1 of the larger ones, frozen from the
+# set-based void map the array one replaced.  sc:3 has 56 inputs whose
+# nearest voids tie on (distance, size), so the position tie-break is pinned.
+LANDMARK_DIGESTS = {
+    ("sg", 3): "c424bb03ba0a66abdf2311d155b7b9864bdfe7b6a527fa0d2e435fd9b025b021",
+    ("sg", 4): "71cd5d2629bc499e3c584c55b1852fee5b6ed3ace2c8bcbe1663ef879d89d3d8",
+    ("sg", 5): "5f211f4b6a2957bea2a1d7a02f34640d5287107d6a07f5fbfbb8c6cb98f7280c",
+    ("sg", 6): "b04670ef389c86f441b3d3142b557046ba39480e2991c4313438e5add9275e19",
+    ("sg", 7): "6bef0d46b14e842fbbaa8d20bd7e8b690a15c9c9700ba9fb7cb43e539c0f122e",
+    ("sc", 2): "d992be68d32ea2e22eb4d9754c0b24bf90b449e77a690c2fe6156965d94a35a7",
+    ("sc", 3): "7dec2a11bcf4dac1f4c05d87289a0265554bd800e9f3fb7678bf28e3170b7bde",
+    ("sc", 4): "f06906a54f38052ab188db0c0ff72696769835f2c9dacbf26dfdd352b682ca23",
+    ("dsc", 1): "b8af9f8918eb78d47d803ee548081974e189e0a662e44fe170937f1a5c932a54",
+    ("dsc", 2): "ab3068d57e9885816dd3675ea72b296a4d8a1611b09a14a2a123e4feb64ae028",
+    ("dsc", 3): "59531f532f44d3e04af40aeb65740e9b082efa9408f20b79812f0f040d240dba",
+    ("dsc", 4): "ce79a6842b5f6c41360098f10dd0f45c4d92fc309efc333c78061d1cbeace658",
+}
+SPOT_CHECKED = {("sg", 6), ("sg", 7), ("sc", 4), ("dsc", 4)}
+
+
+@pytest.mark.parametrize("kind,generation", sorted(LANDMARK_DIGESTS))
+def test_landmark_digest(kind, generation):
+    lat = generate(kind, generation)
+    n = lat.n_sites
+    sites = (0, n // 2, n - 1) if (kind, generation) in SPOT_CHECKED else range(n)
+    digest = hashlib.sha256()
+    for site in sites:
+        digest.update(repr(landmark_sites(lat, site)).encode("utf-8"))
+    assert digest.hexdigest() == LANDMARK_DIGESTS[(kind, generation)]
+
+
+@pytest.mark.parametrize("kind,generation", [("sg", 1), ("sg", 2), ("sc", 1)])
+def test_landmarks_reject_instances_without_a_void(kind, generation):
+    with pytest.raises(StructuralError):
+        landmark_sites(generate(kind, generation), 0)
 
 
 def test_landmarks_reject_bad_site():
