@@ -1,8 +1,5 @@
 """Scaling fits and regime-transition detection.
 
-The length calibration lives in the numpy-free ``calibration`` module and
-is re-exported here.
-
 Detection routines return None for "not found"; exceptions are reserved
 for malformed inputs.  Default thresholds (event mass epsilon = 0.02,
 plateau delta = 0.002, exponent band 0.15) are deliberate knobs: the
@@ -16,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import (  # noqa: F401  (re-exported)
-    EVENT_NAMES,
-    CalibrationConfig,
-    CalibrationResult,
-    calibrate_events,
-)
+from .calibration import EVENT_NAMES
 from .errors import DomainError, ShapeError, StructuralError, check_positive, check_site
 from .evolution import ProbabilitySeries
 from .lattice import Lattice, fractal_meta, landmark_sites

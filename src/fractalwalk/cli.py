@@ -81,6 +81,11 @@ def walk(lattice, selector, times, classical=False, dump=None, **params):
     Hamiltonian, or the Laplacian if ``classical``), write its triplets to
     ``dump`` if given, decompose it by mirror sector and evolve.  Returns
     (input_site, spectrum, series)."""
+    from .evolution import MAX_SERIES_VALUES
+
+    if times.size * lattice.n_sites > MAX_SERIES_VALUES:
+        raise DomainError(f"{times.size} times x {lattice.n_sites} sites is a series "
+                          f"of more than {MAX_SERIES_VALUES} values")
     input_site = _stage.resolve_input(lattice, selector)
     build = _stage.build_classical_generator if classical else _stage.build_hamiltonian
     operator = build(lattice, **params)

@@ -71,14 +71,19 @@ GRID_PRESETS = {
     LatticeKind.SQUARE: (25.0, 501),
 }
 
+#: the most values (times x sites) a probability series may hold, checked
+#: before anything is allocated: render.MAX_FRAME_PIXELS, about 40 times
+#: the largest preset series (sg:7, 501 x 3282)
+MAX_SERIES_VALUES = 2 ** 26
+
 
 def time_grid(tau_max: float, steps: int, tau_min: float = 0.0) -> np.ndarray:
     """Uniform time grid over [tau_min, tau_max] with ``steps`` samples."""
     check_finite(tau_min=tau_min, tau_max=tau_max)
     if not tau_max > tau_min >= 0.0:
         raise DomainError(f"need tau_max > tau_min >= 0, got [{tau_min}, {tau_max}]")
-    if steps < 2:
-        raise DomainError(f"steps must be at least 2, got {steps}")
+    if not 2 <= steps <= MAX_SERIES_VALUES:
+        raise DomainError(f"steps must be in [2, {MAX_SERIES_VALUES}], got {steps}")
     return np.linspace(tau_min, tau_max, steps)
 
 

@@ -9,10 +9,12 @@ One table, ``_GEOMETRY``, describes every kind on integer coordinates: the
 points it keeps and those of its filled counterpart (none for the
 baselines), each a pair of int64 arrays (a, b) built from a membership
 rule, the affine map to xy, and the integer offsets one spacing long.  One
-exact integer-key lookup, ``_lookup``, finds the edges of ``generate`` and,
-in ``void_map``, the filled points a fractal deletes and the adjacency that
-groups them into the voids ``landmark_sites`` ranks.  Float coordinates
-are produced once at the end.
+exact integer-key lookup, ``_lookup``, finds the edges of ``generate``, the
+filled points a fractal deletes and the adjacency that groups them into the
+voids ``landmark_sites`` ranks (``void_map``), and each site's mirror image
+in the frame of the mirror's axis (``mirror_permutation``): a file turned
+or shifted in the plane keeps the mirror; only edges that break the
+reflection lose it.  Float coordinates are produced once at the end.
 
 The edge rule is purely metric: every pair of sites at exactly one
 spacing is coupled, whatever the pair bounds.  For the gasket this
@@ -303,28 +305,26 @@ def mirror_permutation(lattice: Lattice) -> np.ndarray:
     the centroid: the vertical axis through the gasket and triangle apex,
     the anti-diagonal through the top-left site of the square family.
 
-    ``sigma[i]`` is the site at the mirror image of site i.  The identity
-    comes back when the reflection maps some site more than DIST_TOL away
-    from every site, or maps the edge set onto a different one.
+    ``sigma[i]`` is the site at the mirror image of site i.  It is found
+    in the axis frame, where the reflection is (s, t) -> (s, -t), so it
+    survives a rotation or translation of the file.  The identity comes
+    back when the reflection maps some site more than DIST_TOL away from
+    every site, or maps the edge set onto a different one, as an edge
+    added or removed off the axis does.
     """
     n = lattice.n_sites
     identity = np.arange(n)
-    coords = lattice.coords
-    origin = coords[canonical_input(lattice)]
-    axis = coords.mean(axis=0) - origin
-    length = float(np.hypot(*axis))
+    d = lattice.coords - lattice.coords[canonical_input(lattice)]
+    ux, uy = d.mean(axis=0)
+    length = math.hypot(ux, uy)
     if length <= DIST_TOL:
         return identity
-    axis /= length
-    d = coords - origin
-    image = origin + 2.0 * (d @ axis)[:, None] * axis - d
-    # label every x and every y value of sites and images by cluster (a new
-    # cluster past a quarter-spacing gap), so an image and its site share a
-    # (column, row) key; an image with no site under its key, or one more
-    # than DIST_TOL away, refuses the mirror
-    x, y = (_cluster_labels(np.concatenate((coords[:, k], image[:, k]))) for k in (0, 1))
-    sigma = _lookup(x[:n], y[:n], x[n:], y[n:])
-    gap = np.hypot(*(image - coords[sigma]).T)
+    s, t = (d @ [[ux, -uy], [uy, ux]]).T / length  # along and across the axis
+    # a site and its image share s; labelling t with -t by cluster (a new
+    # label past a quarter-spacing gap) gives them one integer key
+    along, across = _cluster_labels(s), _cluster_labels(np.concatenate((t, -t)))
+    sigma = _lookup(along, across[:n], along, across[n:])
+    gap = np.hypot(s[sigma] - s, t[sigma] + t)
     if sigma.min() < 0 or gap.max() > DIST_TOL or not np.array_equal(sigma[sigma], identity):
         return identity
 

@@ -11,13 +11,12 @@ format, so a small emitter handles the fixed document shapes used here.
 The emitter appends the document's ASCII bytes to one buffer, which is
 written as it is.  All writers are byte-deterministic.
 
-The parts that need no numpy live in ``textio`` and are re-exported here:
-the atomic writes, the strict JSON load, the emitter for Python values,
-``format_float`` and the calibrated report document.  This module adds
-the array formats and hands the emitter its numpy branches
-(``_emit_numpy``).  Of the pipeline stages it imports only ``lattice``,
-and ``evolution`` when a series is read: writing a report or a table
-loads nothing of the stage that built it.
+The parts that need no numpy live in ``textio``: the atomic writes, the
+strict JSON load, the emitter for Python values, ``format_float`` and the
+calibrated report document.  This module adds the array formats and hands
+the emitter its numpy branches (``_emit_numpy``).  Of the pipeline stages
+it imports only ``lattice``, and ``evolution`` when a series is read:
+writing a report or a table loads nothing of the stage that built it.
 """
 
 from __future__ import annotations
@@ -31,17 +30,14 @@ import numpy as np
 from . import textio
 from .errors import BoundsError, DomainError, InputFileError
 from .lattice import DIST_TOL, Lattice, LatticeKind
-from .textio import (  # noqa: F401  (re-exported)
-    FLOAT_FORMAT,
+from .textio import (  # noqa: F401  (read_report_document is re-exported)
     _emit,
     _integer,
     _load_json,
     _number,
     _require,
-    calibration_document,
     format_float,
     read_report_document,
-    report_event_taus,
     write_bytes,
 )
 
@@ -306,10 +302,12 @@ def read_lattice(path: str) -> Lattice:
         spacing = _number(doc.get("spacing", 1.0))
         ids = [_integer(s["id"]) for s in sites]
         coords = np.array([[_number(s["x"]), _number(s["y"])] for s in sites])
-        edge_arr = np.array([[_integer(v) for v in pair] for pair in edges],
+        edge_arr = np.array([[_integer(i), _integer(j)] for i, j in edges],
                             dtype=np.int64).reshape(-1, 2)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFileError(f"{path}: malformed lattice field: {exc}") from exc
+    if not ids:
+        raise InputFileError(f"{path}: a lattice needs at least one site")
     if ids != list(range(len(ids))):
         raise InputFileError(f"{path}: site ids must be 0..N-1 in order")
     n = len(ids)

@@ -5,11 +5,9 @@ import pytest
 
 from fractalwalk.analysis import (
     OSCILLATION_PROMINENCE,
-    CalibrationConfig,
     RegimeReport,
     SlopeCurve,
     build_regime_report,
-    calibrate_events,
     detect_event,
     detect_fractal_onset,
     detect_plateaus,
@@ -18,6 +16,7 @@ from fractalwalk.analysis import (
     loglog_slope,
     _prominent_peaks,
 )
+from fractalwalk.calibration import CalibrationConfig, calibrate_events
 from fractalwalk.errors import BoundsError, DomainError, ShapeError, StructuralError
 from fractalwalk.evolution import (
     ProbabilitySeries,

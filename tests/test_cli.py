@@ -286,6 +286,49 @@ def test_an_oversized_frame_is_exit_5(workspace, tmp_path, capsys, flag, value):
     assert list(tmp_path.iterdir()) == []
 
 
+def _no_operator(*args, **kwargs):
+    raise AssertionError("an operator was built for an oversized series")
+
+
+@pytest.mark.parametrize("kind,generation,steps,named", [
+    ("dsc", 1, "2000000000", "steps"),  # 14.9 GiB of grid alone
+    ("sc", 3, "100000", "sites"),       # 1e5 times x 688 sites = 6.9e7 values
+], ids=["steps-2e9", "sc3-steps-1e5"])
+def test_an_oversized_series_is_exit_5(tmp_path, capsys, monkeypatch,
+                                       kind, generation, steps, named):
+    lattice = str(tmp_path / "lat.json")
+    assert run(["lattice", "--kind", kind, "--generation", str(generation),
+                "--out", lattice]) == 0
+    monkeypatch.setattr(cli, "build_hamiltonian", _no_operator)
+    monkeypatch.setattr(cli, "build_classical_generator", _no_operator)
+    for command in ("evolve", "classical"):
+        capsys.readouterr()
+        assert run([command, "--lattice", lattice, "--steps", steps,
+                    "--out", str(tmp_path / "series.json")]) == 5, command
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named in err and str(2 ** 26) in err, err
+    assert sorted(os.listdir(tmp_path)) == ["lat.json"]
+
+
+@pytest.mark.parametrize("edit", [
+    # every id of the sg:1 edges in one row, which a reshape would accept
+    lambda doc: doc.update(edges=[sum(doc["edges"], [])]),
+    lambda doc: doc.update(sites=[], edges=[]),
+], ids=["edges-in-one-row", "no-sites"])
+def test_a_malformed_lattice_file_is_exit_3(tmp_path, capsys, edit):
+    path = tmp_path / "lat.json"
+    assert run(["lattice", "--kind", "sg", "--generation", "1", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["evolve", "--lattice", str(path), "--out", str(tmp_path / "s.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert sorted(os.listdir(tmp_path)) == ["lat.json"]
+
+
 def _dense_matrix_read(self):
     raise AssertionError("the matrix dump read Operator.matrix")
 

@@ -12,6 +12,7 @@ from fractalwalk.cli import walk
 from fractalwalk.errors import BoundsError, DomainError, NumericalError
 from fractalwalk.evolution import (
     GRID_PRESETS,
+    MAX_SERIES_VALUES,
     evolve_classical,
     evolve_quantum,
     preset_grid,
@@ -45,7 +46,7 @@ def test_time_grid_with_positive_start():
 
 
 @pytest.mark.parametrize("args", [(0.0, 10), (5.0, 1), (2.0, 10, 3.0), (-1.0, 10),
-                                  (np.inf, 10)])
+                                  (np.inf, 10), (5.0, MAX_SERIES_VALUES + 1)])
 def test_time_grid_rejects_bad_parameters(args):
     with pytest.raises(DomainError):
         time_grid(*args)

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fractalwalk.cli import walk
 from fractalwalk.errors import BoundsError, StructuralError
+from fractalwalk.evolution import preset_grid
 from fractalwalk.lattice import (
     DIST_TOL,
     LatticeKind,
@@ -264,6 +266,50 @@ def test_mirror_permutation_is_an_edge_preserving_involution(kind, generation):
     assert np.abs(d[sigma] - image).max() < 1e-9
 
 
+# SHA-256 of the int64 bytes of mirror_permutation(generate(kind, g)),
+# frozen from the page-frame search that the axis-frame one replaced
+MIRROR_DIGESTS = {
+    ("sg", 1): "85255732686c9aeec69f80abe8a2d5ac1d4f6c52293b6d316b2fea47c25aa2db",
+    ("sg", 2): "2a5040b45664079b45e863cbf3d8788057a0839e62515d8a96dc6a429028e507",
+    ("sg", 3): "41da5e12a19b702b7b7980a0d629362a85e170266419cf9e3ba06c72e4d4d7b9",
+    ("sg", 4): "7ddf92f151c41a373ca06e5bfb9853b86d36ad1810e245f04d85accb39611afc",
+    ("sg", 5): "e66916e13b5ce364affdc800b712f5ea474f1cdd4cb9c477ac4a2599ad512e40",
+    ("sg", 6): "26702e9a2342b527ec1f3c58e731a3c35a44fd2987ceb3505b0f0e540ccc78d9",
+    ("sg", 7): "a932d55a17fbd9afca895b6f22ead7e0e6a474bd0ba6df321f8f8021f2b0109e",
+    ("sc", 1): "32e0c3056a803bf9d6259df05c74c206101d40cf520ee7da24cc95fca38a7919",
+    ("sc", 2): "5b30cd077829f08a6ad3fb054949eb45956f0df31d27a2cda70bd886753e9e1a",
+    ("sc", 3): "a541e55d836781fa806c468f9bc2843582dcc9c05b3ca45082e53ec4ad50416a",
+    ("sc", 4): "6d5a73af1e9b9d8132b57d904b5970024c6b91c44d07d5ed30c76938ce3c961c",
+    ("dsc", 1): "b6bcdbe36db5fd225002d21b1cb2cc053f572f20ac0110e2d23b0ce105a88500",
+    ("dsc", 2): "e38b6664c603fdca3f0eb8e62c3162db3a33c0582b92f409c7c8a22f69e5f7a6",
+    ("dsc", 3): "868e9377cfb64a29baae04b373e72f008f04c44875c2a49ea88887b77ada2e27",
+    ("dsc", 4): "5fddda76c819110c52ae043303cdf0dbbb0bd797956368d5869f713780edeac4",
+    ("triangle", 1): "0f004f117335020e1d19c25b8767278bf1edb2fa6ff3fac943d843b6003d0eb5",
+    ("triangle", 2): "85255732686c9aeec69f80abe8a2d5ac1d4f6c52293b6d316b2fea47c25aa2db",
+    ("triangle", 3): "402ff71bd9a749e7a775168d0f92232e6215bacc48a7e3e191c4d21be4437256",
+    ("triangle", 5): "2618e984b9a96715ffeb2fcd71aa4e13a1d376deddb318af2a30b01124c79818",
+    ("triangle", 8): "693a3642d7ca4871df5059119783374a476a601c0e98103fa327d315f3e41c7a",
+    ("triangle", 16): "0d6012a9389858e1fe05fde0c561ec751aa8d6853653df8e4b445b2b023b32f7",
+    ("triangle", 32): "d4196047fea2c3b4c650a3ee9c159aefb4aeb6d56fed4784acb58c6b139cdbd6",
+    ("triangle", 64): "d5b7bb40bde424b6cd44f62bef41b1a1c0789be97265418a1f20553fd3a00ede",
+    ("square", 1): "270880408f621afcdac5746cf5533e2b8401ea562fd868ffc805571b7b64765f",
+    ("square", 2): "37fcb2c479ef6533fbc3617b323ef3f4cf52858d92012691c149fcb353509b1f",
+    ("square", 3): "32e0c3056a803bf9d6259df05c74c206101d40cf520ee7da24cc95fca38a7919",
+    ("square", 5): "39c750b06eaeee22ba697ed06b89b30a23989393acd1b592a298c1685a393d71",
+    ("square", 8): "59284cab5aaad46b8069bc2d180a02b577fd442d2ff0eb18335977c81c8ca291",
+    ("square", 16): "f821a01288862e83437d75f93299679c254e5410f54fbb424fc157eb283d37fd",
+    ("square", 32): "0830dec909dabb55a5bdb2b68cb41920e17f25cd99ef6112a616e25152be9068",
+    ("square", 64): "3715db4728ef396acac7c2523f725e7d2f21efcb6a4211926f4726b4a69609ac",
+}
+
+
+@pytest.mark.parametrize("kind,generation", sorted(MIRROR_DIGESTS))
+def test_mirror_digest(kind, generation):
+    sigma = mirror_permutation(generate(kind, generation))
+    digest = hashlib.sha256(sigma.astype("<i8").tobytes()).hexdigest()
+    assert digest == MIRROR_DIGESTS[(kind, generation)]
+
+
 def _drop_a_mirrored_edge(lat, sigma):
     k = next(k for k, (i, j) in enumerate(lat.edges.tolist())
              if {sigma[i], sigma[j]} != {i, j})
@@ -300,6 +346,41 @@ def test_moving_one_off_axis_site_breaks_the_mirror(case, data):
     # carpet and of an odd square lies on their vertical axis
     assume(canonical_input(moved) == canonical_input(lat))
     assert np.array_equal(mirror_permutation(moved), np.arange(lat.n_sites))
+
+
+# --- rigid motions ---------------------------------------------------------
+
+RIGID_CASES = [("sg", 3), ("sg", 4), ("sc", 2), ("sc", 3), ("dsc", 2), ("dsc", 3),
+               ("triangle", 16), ("square", 8)]
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_from(kind, generation, site, classical):
+    """The unmoved walk from one site on the preset grid: (spectrum, series)."""
+    lat = generate(kind, generation)
+    return walk(lat, site, preset_grid(lat.kind), classical)[1:]
+
+
+@pytest.mark.parametrize("degrees", [17.3, 30.0, 45.0, 90.0])
+@pytest.mark.parametrize("kind,generation", RIGID_CASES)
+def test_a_rigid_motion_keeps_the_mirror_and_the_walk(kind, generation, degrees):
+    # the mirror is sought in the frame of its axis, so a turned and shifted
+    # file keeps it; its canonical input may be another corner, and the walk
+    # from there equals the unmoved walk from the same site id
+    lat = generate(kind, generation)
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    coords = lat.coords @ np.array([[c, s], [-s, c]]) + [-41.3, 17.9]
+    moved = dataclasses.replace(lat, coords=coords)
+    sigma = mirror_permutation(moved)
+    sites = np.arange(lat.n_sites)
+    assert not np.array_equal(sigma, sites)
+    assert np.array_equal(sigma[sigma], sites)
+    assert _edge_set(sigma[lat.edges]) == _edge_set(lat.edges)
+    for classical in (False, True):
+        site, spectrum, series = walk(moved, "auto", preset_grid(lat.kind), classical)
+        still_spectrum, still_series = _walk_from(kind, generation, site, classical)
+        assert spectrum.sectors == still_spectrum.sectors
+        assert np.abs(series.probabilities - still_series.probabilities).max() < 1e-12
 
 
 def test_resolve_input_accepts_names_ids_and_digit_strings():

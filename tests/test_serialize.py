@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fractalwalk.analysis import CalibrationConfig, calibrate_events
+from fractalwalk.calibration import CalibrationConfig, calibrate_events
 from fractalwalk.errors import InputFileError
 from fractalwalk.evolution import ProbabilitySeries, SeriesKind
 from fractalwalk import serialize
@@ -22,7 +22,6 @@ from fractalwalk.lattice import GENERATION_RANGE, generate
 from fractalwalk.observables import ObservableTable
 from fractalwalk.serialize import (
     build_manifest,
-    calibration_document,
     format_float,
     json_dumps,
     matrix_triplet_text,
@@ -39,6 +38,7 @@ from fractalwalk.serialize import (
     write_series_binary,
     write_text,
 )
+from fractalwalk.textio import calibration_document
 
 
 # --- float and JSON emission ----------------------------------------------
