@@ -28,7 +28,7 @@ from .kinds import LatticeKind
 _STAGES = (
     "generate", "resolve_input", "mirror_permutation",
     "build_hamiltonian", "build_classical_generator",
-    "time_grid", "spectral_decompose", "evolve_quantum", "evolve_classical",
+    "preset_grid", "time_grid", "spectral_decompose", "evolve_quantum", "evolve_classical",
     "build_observable_table", "build_regime_report", "render_frame", "pgm_bytes",
 )
 
@@ -81,11 +81,7 @@ def walk(lattice, selector, times, classical=False, dump=None, **params):
     Hamiltonian, or the Laplacian if ``classical``), write its triplets to
     ``dump`` if given, decompose it by mirror sector and evolve.  Returns
     (input_site, spectrum, series)."""
-    from .evolution import MAX_SERIES_VALUES
-
-    if times.size * lattice.n_sites > MAX_SERIES_VALUES:
-        raise DomainError(f"{times.size} times x {lattice.n_sites} sites is a series "
-                          f"of more than {MAX_SERIES_VALUES} values")
+    _check_series_size(times, lattice)
     input_site = _stage.resolve_input(lattice, selector)
     build = _stage.build_classical_generator if classical else _stage.build_hamiltonian
     operator = build(lattice, **params)
@@ -98,15 +94,13 @@ def walk(lattice, selector, times, classical=False, dump=None, **params):
     return input_site, spectrum, evolve(spectrum, input_site, times)
 
 
-def _grid_for(args, kind: LatticeKind):
-    from .evolution import GRID_PRESETS
+def _check_series_size(times, lattice) -> None:
+    """DomainError if a walk over ``times`` on ``lattice`` exceeds MAX_SERIES_VALUES."""
+    from .evolution import MAX_SERIES_VALUES
 
-    tau_max, steps = GRID_PRESETS[kind]
-    if args.tau_max is not None:
-        tau_max = args.tau_max
-    if args.steps is not None:
-        steps = args.steps
-    return _stage.time_grid(tau_max, steps, args.tau_min)
+    if times.size * lattice.n_sites > MAX_SERIES_VALUES:
+        raise DomainError(f"{times.size} times x {lattice.n_sites} sites is a series "
+                          f"of more than {MAX_SERIES_VALUES} values")
 
 
 def _given(args, *names) -> dict:
@@ -139,8 +133,8 @@ def cmd_evolve(args) -> int:
               else {"beta": args.beta, "coupling": args.coupling})
     dump = _outpath(args.dump_matrix) if args.dump_matrix else None
     # the series alone: the spectrum is freed before any artifact is written
-    series = walk(lattice, args.input, _grid_for(args, lattice.kind),
-                  args.classical, dump, **params)[2]
+    times = _stage.preset_grid(lattice.kind, args.tau_max, args.steps, args.tau_min)
+    series = walk(lattice, args.input, times, args.classical, dump, **params)[2]
     out = _outpath(args.out)
     serialize.write_series(series, out)
     if args.binary_out:
@@ -217,12 +211,15 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _parse_instances(text: str) -> list[tuple[LatticeKind, int]]:
-    """The instances of a sweep, each checked for a void before the first walk runs."""
+def cmd_sweep(args) -> int:
+    from . import serialize
     from .lattice import FRACTAL_KINDS, void_map
 
-    instances = []
-    for chunk in text.split(","):
+    # the plan: each instance's lattice, input site and time grid, in order
+    # and keyed by its artifact stem (sg4); every check that can refuse an
+    # instance runs here, before the first walk
+    plan = {}
+    for chunk in args.instances.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -240,27 +237,23 @@ def _parse_instances(text: str) -> list[tuple[LatticeKind, int]]:
                 f"got {kind.value!r}"
             )
         void_map(kind, generation)
-        if (kind, generation) in instances:
+        stem = f"{kind.value}{generation}"
+        if stem in plan:
             raise DomainError(f"instance {kind.value}:{generation} is listed twice")
-        instances.append((kind, generation))
-    if not instances:
+        lattice = _stage.generate(kind, generation)
+        input_site = _stage.resolve_input(lattice, args.input)
+        times = _stage.preset_grid(kind, args.tau_max, args.steps)
+        _check_series_size(times, lattice)
+        plan[stem] = lattice, input_site, times
+    if not plan:
         raise DomainError("no instances given")
-    return instances
-
-
-def cmd_sweep(args) -> int:
-    from . import serialize
-
-    instances = _parse_instances(args.instances)
     out_dir = _outpath(args.out_dir)
     artifacts = []
-    for kind, generation in instances:
-        lattice = _stage.generate(kind, generation)
-        series = walk(lattice, args.input, _grid_for(args, kind))[2]  # spectrum freed
+    for stem, (lattice, input_site, times) in plan.items():
+        series = walk(lattice, input_site, times)[2]  # spectrum freed
         table = _stage.build_observable_table(series, lattice)
         report = _stage.build_regime_report(lattice, series, table=table,
                                             **_given(args, "epsilon"))
-        stem = f"{kind.value}{generation}"
         paths = {
             "lattice": os.path.join(out_dir, f"{stem}.lattice.json"),
             "series": os.path.join(out_dir, f"{stem}.series.json"),
@@ -382,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--out-dir", required=True)
     # sweep grids always start at tau = 0; there is no --tau-min flag
-    p.set_defaults(func=cmd_sweep, tau_min=0.0)
+    p.set_defaults(func=cmd_sweep)
 
     return parser
 

@@ -87,9 +87,12 @@ def time_grid(tau_max: float, steps: int, tau_min: float = 0.0) -> np.ndarray:
     return np.linspace(tau_min, tau_max, steps)
 
 
-def preset_grid(kind: LatticeKind | str) -> np.ndarray:
-    tau_max, steps = GRID_PRESETS[LatticeKind.parse(kind)]
-    return time_grid(tau_max, steps)
+def preset_grid(kind: LatticeKind | str, tau_max: float | None = None,
+                steps: int | None = None, tau_min: float = 0.0) -> np.ndarray:
+    """``kind``'s preset grid, with ``tau_max`` and ``steps`` in its place where given."""
+    preset_max, preset_steps = GRID_PRESETS[LatticeKind.parse(kind)]
+    return time_grid(preset_max if tau_max is None else tau_max,
+                     preset_steps if steps is None else steps, tau_min)
 
 
 class SeriesKind(str, Enum):

@@ -169,11 +169,11 @@ def _carpet_cells(generation: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _carpet_points(generation: int) -> tuple[np.ndarray, np.ndarray]:
-    # the four corners of every kept cell, deduplicated by integer key
+    # the four corners of every kept cell: each integer key that occurs, ascending
     i, j = _carpet_cells(generation)
     width = 3 ** generation + 1
     corners = ((i * width + j)[:, None] + [0, 1, width, width + 1]).ravel()
-    return np.divmod(np.unique(corners), width)
+    return np.divmod(np.flatnonzero(np.bincount(corners)), width)
 
 
 def _lookup(a: np.ndarray, b: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:

@@ -304,7 +304,7 @@ def read_lattice(path: str) -> Lattice:
         coords = np.array([[_number(s["x"]), _number(s["y"])] for s in sites])
         edge_arr = np.array([[_integer(i), _integer(j)] for i, j in edges],
                             dtype=np.int64).reshape(-1, 2)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFileError(f"{path}: malformed lattice field: {exc}") from exc
     if not ids:
         raise InputFileError(f"{path}: a lattice needs at least one site")
@@ -341,6 +341,24 @@ def write_series(series: ProbabilitySeries, path: str) -> None:
     _write_json(series_document(series), path)
 
 
+def _number_array(values) -> np.ndarray:
+    """A JSON list of numbers, or of lists of numbers, as a float64 array.
+    Every value must be an int or a float, as ``_number`` requires, checked
+    with no Python-level call per value: ``np.asarray`` parses a numeric
+    string and takes a bool as exactly 0 or 1, so ``sum`` refuses the string
+    and the types are read only in the rows that hold a 0 or a 1.  Raises
+    ValueError, TypeError or OverflowError."""
+    array = np.asarray(values, dtype=np.float64)
+    rows = values if array.ndim == 2 else [values]
+    for row in rows:
+        sum(row, 0.0)
+    suspects = ((array == 0.0) | (array == 1.0)).reshape(len(rows), -1).any(axis=1)
+    for i in np.flatnonzero(suspects):
+        if not {int, float}.issuperset(map(type, rows[i])):
+            raise ValueError("true or false where a number belongs")
+    return array
+
+
 def read_series(path: str) -> ProbabilitySeries:
     from .evolution import ProbabilitySeries, SeriesKind, _check_times
 
@@ -357,9 +375,8 @@ def read_series(path: str) -> ProbabilitySeries:
     probs = _require(doc, "probabilities", path)
     try:
         input_site = _integer(input_site)
-        times = np.asarray(times, dtype=np.float64)
-        probs = np.asarray(probs, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        times, probs = _number_array(times), _number_array(probs)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputFileError(f"{path}: malformed series field: {exc}") from exc
     for name, values in (("times", times), ("probabilities", probs)):
         if not np.isfinite(values).all():  # a number such as 1e400 parses to inf

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 from .calibration import EVENT_NAMES, CalibrationResult
 from .errors import InputFileError
@@ -81,7 +80,10 @@ def _emit(obj, out: bytearray, other=None) -> None:
 def write_bytes(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    # a fresh name, created with mode 0o666 less the umask, as open() creates
+    # a file; the rename keeps the mode
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

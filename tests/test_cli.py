@@ -65,18 +65,18 @@ def test_evolve_artifacts(workspace):
     assert series.times.size == 121
     assert series.n_sites == 8
     assert os.path.getsize(workspace["binary"]) == 16 + 8 * 121 * 8
-    lines = open(workspace["matrix"]).read().splitlines()
+    lines = pathlib.Path(workspace["matrix"]).read_text().splitlines()
     assert len(lines) == 16  # both triangles of the 8 couplings
 
 
 def test_observables_artifact(workspace):
-    lines = open(workspace["csv"]).read().splitlines()
+    lines = pathlib.Path(workspace["csv"]).read_text().splitlines()
     assert lines[0] == "tau,variance,return_prob,polya"
     assert len(lines) == 122
 
 
 def test_report_artifact(workspace):
-    doc = json.load(open(workspace["report"]))
+    doc = json.loads(pathlib.Path(workspace["report"]).read_text())
     assert doc["kind"] == "dsc"
     assert doc["farthest_tau"] is not None
 
@@ -86,7 +86,7 @@ def test_calibrate_command(workspace):
                 "--anchor-event", "farthest", "--anchor-mm", "9.5",
                 "--out", workspace["calibrated"]])
     assert code == 0
-    doc = json.load(open(workspace["calibrated"]))
+    doc = json.loads(pathlib.Path(workspace["calibrated"]).read_text())
     cal = doc["calibration"]
     assert cal["events_mm"]["farthest"] == pytest.approx(9.5)
     assert cal["scale_mm_per_tau"] == pytest.approx(9.5 / doc["farthest_tau"])
@@ -100,7 +100,7 @@ def test_render_command(workspace):
                 "--pixels-per-spacing", "6"])
     assert code == 0
     for index in (0, 5):
-        data = open(os.path.join(workspace["frames"], f"demo_t{index}.pgm"), "rb").read()
+        data = pathlib.Path(workspace["frames"], f"demo_t{index}.pgm").read_bytes()
         image = read_pgm(data)
         assert image.dtype == np.uint16 and image.max() == 65535
 
@@ -181,7 +181,7 @@ def sg4_files(tmp_path_factory):
 
 def test_relabelled_lattice_is_exit_6(sg4_files, tmp_path):
     lattice, series = sg4_files
-    doc = json.load(open(lattice))
+    doc = json.loads(pathlib.Path(lattice).read_text())
     doc["generation"] = 3
     relabelled = tmp_path / "relabelled.json"
     relabelled.write_text(json.dumps(doc))
@@ -192,7 +192,7 @@ def test_relabelled_lattice_is_exit_6(sg4_files, tmp_path):
 
 def test_non_finite_series_value_is_exit_3(sg4_files, tmp_path):
     lattice, series = sg4_files
-    doc = json.load(open(series))
+    doc = json.loads(pathlib.Path(series).read_text())
     doc["probabilities"][0][0] = float("nan")
     bad = tmp_path / "nan-series.json"
     bad.write_text(json.dumps(doc))  # the stdlib writes the NaN token
@@ -213,7 +213,7 @@ def _series_commands(lattice, series, tmp_path, time_index=5):
 @pytest.mark.parametrize("field", ["probabilities", "times"])
 def test_overflowing_series_number_is_exit_3(sg4_files, tmp_path, field):
     lattice, series = sg4_files
-    doc = json.load(open(series))
+    doc = json.loads(pathlib.Path(series).read_text())
     # the last time, so that the grid still ascends
     owner = doc["probabilities"][5] if field == "probabilities" else doc["times"]
     owner[5 if field == "probabilities" else -1] = "OVERFLOW"
@@ -225,7 +225,7 @@ def test_overflowing_series_number_is_exit_3(sg4_files, tmp_path, field):
 
 def test_negative_probability_is_exit_5(sg4_files, tmp_path):
     lattice, series = sg4_files
-    doc = json.load(open(series))
+    doc = json.loads(pathlib.Path(series).read_text())
     doc["probabilities"][5][7] = -7.0
     bad = tmp_path / "negative.json"
     bad.write_text(json.dumps(doc))
@@ -246,7 +246,7 @@ def sc3_files(tmp_path_factory):
 
 def test_unnormalised_series_row_is_exit_5(sc3_files, tmp_path):
     lattice, series = sc3_files
-    doc = json.load(open(series))
+    doc = json.loads(pathlib.Path(series).read_text())
     # the launch row holds 1 at the input and 0 elsewhere; now it sums to 8
     doc["probabilities"][0][doc["input_site"] + 1] = 7.0
     bad = tmp_path / "unnormalised.json"
@@ -348,7 +348,7 @@ def test_the_matrix_dumps_never_build_the_dense_matrix(sc3_files, tmp_path, monk
 
 
 def _edited_copy(path, tmp_path, edit):
-    doc = json.load(open(path))
+    doc = json.loads(pathlib.Path(path).read_text())
     edit(doc)
     copy = tmp_path / os.path.basename(path)
     copy.write_text(json.dumps(doc))
@@ -386,10 +386,11 @@ def _add_edge(pair):
     _set("spacing", 2.0),
     _add_edge([0, 122]),  # apex to a far corner of the 123 sites
     _set_site("x", 0.5),
+    _add_edge([0, 10 ** 30]),  # beyond int64
 ], ids=["generation", "fractional_generation", "spacing", "kind", "boolean_spacing",
         "boolean_x", "string_x", "overflowing_y", "repeated_edge", "reversed_edge",
         "self_loop", "zero_spacing", "negative_spacing", "double_spacing", "long_edge",
-        "moved_site"])
+        "moved_site", "overflowing_edge"])
 def test_malformed_lattice_field_is_exit_3(sg4_files, tmp_path, edit):
     lattice = _edited_copy(sg4_files[0], tmp_path, edit)
     code = run(["evolve", "--lattice", lattice, "--out", str(tmp_path / "s.json")])
@@ -414,6 +415,35 @@ def test_malformed_series_field_is_exit_3(sg4_files, tmp_path, edit):
     code = run(["analyze", "--series", _edited_copy(series, tmp_path, edit),
                 "--lattice", lattice, "--out", str(tmp_path / "r.json")])
     assert code == 3
+
+
+def _launch_row_of_bools(doc):
+    # true at the input and false elsewhere would read as the launch row
+    row = doc["probabilities"][7]
+    doc["probabilities"][7] = [site == doc["input_site"] for site in range(len(row))]
+
+
+def _string_time(doc):
+    doc["times"][-1] = str(doc["times"][-1])
+
+
+def _string_probability(doc):  # in a row that holds no 0 and no 1
+    doc["probabilities"][5][3] = str(doc["probabilities"][5][3])
+
+
+def _overflowing_integer_time(doc):
+    doc["times"][-1] = 10 ** 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("edit", [_launch_row_of_bools, _string_time, _string_probability,
+                                  _overflowing_integer_time],
+                         ids=["bools", "string_time", "string_probability", "overflowing_int"])
+def test_series_value_that_is_not_a_finite_number_is_exit_3(sc3_files, tmp_path, edit):
+    # every number in a series file is a JSON number, as in a lattice file
+    lattice, series = sc3_files
+    bad = _edited_copy(series, tmp_path, edit)
+    for argv in _series_commands(lattice, bad, tmp_path):
+        assert run(argv) == 3, argv[0]
 
 
 def test_stretched_series_grid_is_exit_6(sg4_files, tmp_path):
@@ -485,14 +515,18 @@ def test_sweep_checks_every_generation_before_the_first_walk(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("instances", ["sg:3,sg:1", "sc:1"])
-def test_sweep_refuses_a_void_free_instance_before_the_first_walk(
-        instances, tmp_path, capsys, monkeypatch):
-    # sg:1 and sc:1 delete no site of their filled counterpart
-    def no_walk(*args, **kwargs):
+@pytest.fixture()
+def no_walk(monkeypatch):
+    def refuse(*args, **kwargs):
         raise AssertionError("a walk ran before the instances were checked")
 
-    monkeypatch.setattr(cli, "walk", no_walk)
+    monkeypatch.setattr(cli, "walk", refuse)
+
+
+@pytest.mark.parametrize("instances", ["sg:3,sg:1", "sc:1"])
+def test_sweep_refuses_a_void_free_instance_before_the_first_walk(
+        instances, tmp_path, capsys, no_walk):
+    # sg:1 and sc:1 delete no site of their filled counterpart
     out = tmp_path / "runs"
     out.mkdir()
     capsys.readouterr()
@@ -500,6 +534,23 @@ def test_sweep_refuses_a_void_free_instance_before_the_first_walk(
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "no effective void" in err, err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags,message", [
+    # sg:4 has 123 sites, sg:3 has 42
+    (["--instances", "sg:4,sg:3", "--input", "100"], "site id 100 out of range 0..41"),
+    # 100000 x 42 values on sg:3, but 100000 x 688 on sc:3
+    (["--instances", "sg:3,sc:3", "--steps", "100000"],
+     "100000 times x 688 sites is a series of more than 67108864 values"),
+], ids=["input_site", "series_size"])
+def test_sweep_refuses_a_later_instance_before_the_first_walk(
+        flags, message, tmp_path, capsys, no_walk):
+    out = tmp_path / "runs"
+    out.mkdir()
+    capsys.readouterr()
+    assert run(["sweep", *flags, "--out-dir", str(out)]) == 5
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(out.iterdir()) == []
 
 
@@ -592,8 +643,8 @@ def test_sweep_is_deterministic(tmp_path):
     assert names == sorted(os.listdir(dirs[1]))
     assert "manifest.json" in names
     for name in names:
-        a = open(os.path.join(dirs[0], name), "rb").read()
-        b = open(os.path.join(dirs[1], name), "rb").read()
+        a = pathlib.Path(dirs[0], name).read_bytes()
+        b = pathlib.Path(dirs[1], name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
 
 

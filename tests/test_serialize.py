@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import stat
 import tempfile
 import tracemalloc
 
@@ -498,6 +499,16 @@ def test_write_text_replaces_and_leaves_no_temp(tmp_path):
     assert path.read_text() == "two"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_written_files_take_their_mode_from_the_umask(tmp_path):
+    path = tmp_path / "out.txt"
+    umask = os.umask(0o022)
+    try:
+        write_text(str(path), "one")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 def test_write_lattice_peaks_at_a_few_times_its_file(tmp_path):

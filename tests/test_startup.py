@@ -98,6 +98,27 @@ def test_each_subcommand_loads_only_its_stages(loaded_by_step, command, absent):
     assert not {f"fractalwalk.{name}" for name in absent} & loaded_by_step[command]
 
 
+def test_carpet_steps_load_no_numpy_module_beyond_import_numpy(tmp_path):
+    # np.unique of a plain array imports numpy.ma under NumPy 2.4; NumPy 1.x
+    # imports it with numpy itself, so the bar is what ``import numpy`` loads
+    proc = python("-c", "import json, sys, numpy; print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    bare = set(json.loads(proc.stdout))
+
+    def numpy_beyond_bare(*argv):
+        proc = python("-c", RUN_CLI, *argv, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+        return {m for m in loaded - bare if m.split(".")[0] == "numpy"}
+
+    lattice, series = str(tmp_path / "lattice.json"), str(tmp_path / "series.json")
+    assert numpy_beyond_bare("lattice", "--kind", "sc", "--generation", "2",
+                             "--out", lattice) == set()
+    assert cli.main(["evolve", "--lattice", lattice, "--out", series]) == 0
+    assert numpy_beyond_bare("analyze", "--series", series, "--lattice", lattice,
+                             "--out", str(tmp_path / "report.json")) == set()
+
+
 def test_every_export_is_its_module_attribute():
     for name in fractalwalk.__all__:
         module = importlib.import_module(f"fractalwalk.{fractalwalk._EXPORTS[name]}")
