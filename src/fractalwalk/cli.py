@@ -10,16 +10,25 @@ loads nothing of the package but ``errors`` and ``kinds``; ``calibrate``,
 (``generate``, ``spectral_decompose``, ``render_frame``, ...) resolve as
 attributes of this module on first use: ``__getattr__`` looks each name
 of ``_STAGES`` up in the package's lazy namespace, which loads its
-submodule.  Every call looks the stages up here, so a wrapper set on
-``cli.<stage>`` is what runs.  Flags whose default belongs to a stage
-default to None here, so that the stage's own default applies.
+submodule.  Every call looks the stages up in this module's globals, so a
+wrapper set on ``cli.<stage>`` is what runs, and the lookup holds when
+``runpy`` or cProfile runs this file as ``__main__``.  Flags whose default
+belongs to a stage default to None here, so that the stage's own default
+applies.  An output that cannot be written exits 3, as an input that
+cannot be read does.
+
+``main(argv)`` returns the exit status and leaves the interpreter as it
+found it; ``run()``, the process entry point, ends the process once
+``main`` returns, without the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
+from typing import NoReturn
 
 from .errors import DomainError, FractalwalkError, NotFoundError
 from .kinds import LatticeKind
@@ -41,15 +50,25 @@ def __getattr__(name):
     return value
 
 
-# this module as ``python -m`` runs it (``__main__``) or as it is imported;
-# stage calls go through it
-_stage = sys.modules[__name__]
+class _Stages:
+    """``_stage.<name>``: the stage as this module's globals hold it (a
+    wrapper set on ``cli.<name>`` included), else resolved by ``__getattr__``.
+    The globals are the ones this code runs in, also when ``python -m`` or
+    ``runpy`` runs it under another name than the module's own."""
+
+    def __getattr__(self, name):
+        namespace = globals()
+        return namespace[name] if name in namespace else __getattr__(name)
+
+
+# every stage call goes through it
+_stage = _Stages()
 
 _EPILOG = """\
 exit codes:
   0  success
   2  usage error (unknown flag or missing argument)
-  3  input file missing or malformed
+  3  input file missing or malformed, or an output that cannot be written
   4  dimension mismatch between inputs
   5  parameter outside its allowed domain
   6  input lacks required structure (e.g. analyzing a void-free lattice)
@@ -389,5 +408,27 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
+def run() -> NoReturn:
+    """The process entry point (``python -m fractalwalk.cli`` and the
+    ``fractalwalk`` console script).  Once ``main`` returns, its outputs are
+    written: the process runs the atexit handlers, flushes stdout and stderr
+    and ends with ``os._exit``, which skips the interpreter's teardown of
+    every module and numpy object (20 to 35 ms wall, 35 to 55 ms CPU).  A
+    SystemExit or an uncaught exception from ``main`` (``--help``, a usage
+    error) takes the normal exit, and so does a process with a trace or
+    profile function set, so that cProfile, coverage or pdb report."""
+    status = main()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except OSError:  # a closed pipe, say: the normal exit reports it
+            sys.exit(status)
+        os._exit(status)
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

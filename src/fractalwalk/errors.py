@@ -21,7 +21,8 @@ class FractalwalkError(Exception):
 
 
 class InputFileError(FractalwalkError):
-    """A file is missing, unreadable, or does not match the expected schema."""
+    """A file is missing, unreadable, or does not match the expected schema,
+    or an output file cannot be written."""
 
     exit_code = 3
 

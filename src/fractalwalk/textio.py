@@ -8,7 +8,8 @@ one emitter, ``_emit``, which reaches them only when an array or a numpy
 scalar is present.  Floats are written with 12 significant digits
 (``format_float``); parsing goes through ``json.load``, which rejects the
 ``NaN`` and ``Infinity`` tokens.  All file writes are atomic (write to a
-temp file, then rename).
+temp file, then rename), and an output that cannot be written is an
+InputFileError, as an input that cannot be read is.
 """
 
 from __future__ import annotations
@@ -78,20 +79,26 @@ def _emit(obj, out: bytearray, other=None) -> None:
 
 
 def write_bytes(path: str, data: bytes) -> None:
+    """``data`` as the file ``path``, written to a temp file beside it and
+    renamed into place; InputFileError if it cannot be written, with the
+    temp file removed."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     # a fresh name, created with mode 0o666 less the umask, as open() creates
     # a file; the rename keeps the mode
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InputFileError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(doc: dict, path: str) -> None:

@@ -406,15 +406,32 @@ def _shift_back(doc):
     doc["times"] = [t - 1.0 for t in doc["times"]]
 
 
+def _nest_times(doc):
+    doc["times"] = [[t] for t in doc["times"]]
+
+
 @pytest.mark.parametrize("edit", [_set("input_site", "x"), _set("input_site", 0.7),
-                                  _reverse, _shift_back],
-                         ids=["input_site", "fractional_input_site", "descending_times",
-                              "negative_times"])
+                                  _set("input_site", 123), _reverse, _shift_back,
+                                  _set("times", []), _nest_times],
+                         ids=["input_site", "fractional_input_site", "input_site_out_of_range",
+                              "descending_times", "negative_times", "no_times", "nested_times"])
 def test_malformed_series_field_is_exit_3(sg4_files, tmp_path, edit):
     lattice, series = sg4_files
     code = run(["analyze", "--series", _edited_copy(series, tmp_path, edit),
                 "--lattice", lattice, "--out", str(tmp_path / "r.json")])
     assert code == 3
+
+
+@pytest.mark.parametrize("file", ["lattice", "series"])
+def test_a_file_that_is_not_a_json_object_is_exit_3(sg4_files, tmp_path, capsys, file):
+    lattice, series = sg4_files
+    top_level_array = tmp_path / "array.json"
+    top_level_array.write_text("[1, 2]")
+    pair = {"lattice": lattice, "series": series, file: str(top_level_array)}
+    capsys.readouterr()
+    assert run(["analyze", "--series", pair["series"], "--lattice", pair["lattice"],
+                "--out", str(tmp_path / "r.json")]) == 3
+    assert "expected a JSON object at top level" in capsys.readouterr().err
 
 
 def _launch_row_of_bools(doc):
@@ -615,7 +632,41 @@ def test_a_large_beta_fails_the_eigensolver_check(sg3_files, tmp_path):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_an_eigensolver_failure_is_exit_7(sg3_files, tmp_path, capsys, monkeypatch):
+    def failing(block):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    lattice, _, _ = sg3_files
+    capsys.readouterr()
+    assert run(["evolve", "--lattice", lattice, "--out", str(tmp_path / "s.json")]) == 7
+    assert "eigendecomposition failed" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
 # --- output routing and determinism ---------------------------------------
+
+@pytest.mark.parametrize("command", ["lattice-below-a-file", "lattice-onto-a-directory",
+                                     "sweep", "render"])
+def test_an_unwritable_output_is_exit_3(workspace, tmp_path, capsys, command):
+    # paths that no process can write, whatever its user (a test may run as root)
+    directory = tmp_path / "existing"
+    directory.mkdir()
+    pair = ["--series", workspace["series"], "--lattice", workspace["lattice"]]
+    argv = {
+        "lattice-below-a-file": ["lattice", "--kind", "sg", "--generation", "2",
+                                 "--out", os.devnull + "/x.json"],
+        "lattice-onto-a-directory": ["lattice", "--kind", "sg", "--generation", "2",
+                                     "--out", str(directory)],
+        "sweep": ["sweep", "--instances", "sg:3", "--out-dir", os.devnull],
+        "render": ["render", *pair, "--run", "f", "--time-index", "1",
+                   "--out-dir", os.devnull],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing"]
 
 def test_output_dir_prefixes_relative_paths(tmp_path, monkeypatch):
     monkeypatch.setenv("OUTPUT_DIR", str(tmp_path / "routed"))

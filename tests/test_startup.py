@@ -1,5 +1,6 @@
-"""What each entry point loads: the lazy package namespace and the CLI's
-per-subcommand imports, each checked in a fresh interpreter."""
+"""What each entry point loads and how its process exits: the lazy package
+namespace, the CLI's per-subcommand imports and ``cli.run``'s exit, each
+checked in a fresh interpreter."""
 
 import importlib
 import json
@@ -18,11 +19,14 @@ SRC = str(pathlib.Path(fractalwalk.__file__).resolve().parents[1])
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def python(*args, cwd=None):
+def python(*args, cwd=None, stdout=subprocess.PIPE):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, cwd=cwd)
+    # stdout buffered, as a pipe has it by default, so that what a process
+    # leaves in its buffers at exit is seen
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, cwd=cwd)
 
 
 def test_import_fractalwalk_loads_no_submodule_and_no_numpy():
@@ -40,13 +44,13 @@ def report(tmp_path):
     return str(path)
 
 
-# what ``python -m fractalwalk.cli ARGS`` runs, then the modules it loaded on stderr
+# what ``python -m fractalwalk.cli ARGS`` runs, then the modules it loaded on
+# stderr, printed by an atexit handler: ``cli.run`` ends the process without
+# unwinding, after it runs the handlers
 RUN_CLI = (
-    "import json, runpy, sys\n"
-    "try:\n"
-    "    runpy.run_module('fractalwalk.cli', run_name='__main__', alter_sys=True)\n"
-    "finally:\n"
-    "    print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+    "import atexit, json, runpy, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
+    "runpy.run_module('fractalwalk.cli', run_name='__main__', alter_sys=True)\n"
 )
 
 
@@ -155,3 +159,99 @@ def test_readme_quick_start_runs(tmp_path):
     proc = python("-c", block.group(1), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "first_void" in proc.stdout
+
+
+# ``cli.run`` with ``SETUP`` before it, an atexit handler registered first and
+# a ``finally`` that only an unwinding exit reaches
+RUN = (
+    "import atexit, sys\n"
+    "from fractalwalk import cli\n"
+    "{setup}\n"
+    "atexit.register(print, 'atexit handler ran')\n"
+    "try:\n"
+    "    cli.run()\n"
+    "finally:\n"
+    "    print('unwound', flush=True)\n"
+)
+
+
+@pytest.fixture(scope="module")
+def sg3(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sg3") / "lattice.json"
+    assert cli.main(["lattice", "--kind", "sg", "--generation", "3", "--out", str(path)]) == 0
+    return str(path)
+
+
+EXIT_CASES = {
+    "success": (["lattice", "--kind", "sg", "--generation", "2", "--out", "{out}"], 0),
+    "usage-error": (["lattice", "--kind", "bogus", "--generation", "2", "--out", "{out}"], 2),
+    "missing-input": (["evolve", "--lattice", "absent.json", "--out", "{out}"], 3),
+    "unwritable-output": (["lattice", "--kind", "sg", "--generation", "2", "--out", "."], 3),
+    "eigensolver-check": (["evolve", "--lattice", "{sg3}", "--beta", "1e10", "--out", "{out}"], 7),
+}
+
+
+@pytest.mark.parametrize("entry", ["python -m", "cli.run"])
+@pytest.mark.parametrize("case", list(EXIT_CASES))
+def test_exit_status_of_each_entry_point(tmp_path, sg3, entry, case):
+    argv, status = EXIT_CASES[case]
+    argv = [arg.format(out=tmp_path / "out.json", sg3=sg3) for arg in argv]
+    prefix = (["-m", "fractalwalk.cli"] if entry == "python -m"
+              else ["-c", RUN.format(setup="")])
+    proc = python(*prefix, *argv, cwd=tmp_path)
+    assert proc.returncode == status, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    if status == 0:
+        assert (tmp_path / "out.json").is_file()
+    if status in (3, 7):
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    if entry == "cli.run":
+        # a usage error leaves through SystemExit, as it always did
+        lines = proc.stdout.splitlines()
+        assert lines[-1] == "atexit handler ran"
+        assert ("unwound" in lines) is (status == 2)
+
+
+LATTICE = ["lattice", "--kind", "sg", "--generation", "2", "--out", "out.json"]
+
+
+@pytest.mark.parametrize("setup,argv,status,unwinds", [
+    ("", LATTICE, 0, False),
+    ("sys.settrace(lambda *args: None)", LATTICE, 0, True),
+    ("sys.setprofile(lambda *args: None)", LATTICE, 0, True),
+    ("", ["--help"], 0, True),
+    ("def failing(*args):\n    raise RuntimeError('a stage failed')\ncli.generate = failing",
+     LATTICE, 1, True),
+], ids=["fast-exit", "traced", "profiled", "help", "uncaught-exception"])
+def test_run_skips_teardown_only_after_main_returns_untraced(tmp_path, setup, argv,
+                                                             status, unwinds):
+    proc = python("-c", RUN.format(setup=setup), *argv, cwd=tmp_path)
+    assert proc.returncode == status, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "atexit handler ran"
+    assert ("unwound" in lines) is unwinds
+    assert ("Traceback" in proc.stderr) is (status == 1)
+    assert (tmp_path / "out.json").is_file() is (argv is LATTICE and status == 0)
+
+
+def test_a_closed_stdout_exits_as_the_interpreter_reports_it(tmp_path):
+    # the flush before the fast exit fails, so the normal exit reports the
+    # lost output, with its status 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = python("-m", "fractalwalk.cli", *LATTICE, cwd=tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120, proc.stderr[-2000:]
+    assert "BrokenPipeError" in proc.stderr and "Traceback" not in proc.stderr
+    assert (tmp_path / "out.json").is_file()
+
+
+def test_the_cli_runs_under_cprofile(tmp_path):
+    # cProfile runs the module under the name __main__ without putting it in
+    # sys.modules, and prints its table only if the process unwinds
+    proc = python("-m", "cProfile", "-m", "fractalwalk.cli", *LATTICE, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "function calls" in proc.stdout
+    assert (tmp_path / "out.json").is_file()
