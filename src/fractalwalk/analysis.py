@@ -110,6 +110,14 @@ class RegimeReport:
 # slope estimation and power-law fits
 
 
+def check_slope_window(window: int, samples: int) -> None:
+    """DomainError unless ``window`` is odd, at least 5 and at most ``samples``."""
+    if window < 5 or window % 2 == 0:
+        raise DomainError(f"window must be an odd integer >= 5, got {window}")
+    if samples < window:
+        raise DomainError(f"need at least {window} samples, got {samples}")
+
+
 def loglog_slope(times, values, window: int = DEFAULT_SLOPE_WINDOW) -> SlopeCurve:
     """Local power-law exponents by sliding least squares in log-log space.
 
@@ -121,10 +129,7 @@ def loglog_slope(times, values, window: int = DEFAULT_SLOPE_WINDOW) -> SlopeCurv
     values = np.asarray(values, dtype=np.float64)
     if times.shape != values.shape or times.ndim != 1:
         raise ShapeError(f"times {times.shape} and values {values.shape} must match, 1-d")
-    if window < 5 or window % 2 == 0:
-        raise DomainError(f"window must be an odd integer >= 5, got {window}")
-    if times.size < window:
-        raise DomainError(f"need at least {window} samples, got {times.size}")
+    check_slope_window(window, times.size)
 
     half = window // 2
     centers = []
@@ -181,13 +186,18 @@ def fit_powerlaw(times, values, tau_lo: float, tau_hi: float) -> ScalingFit | No
 # event detection
 
 
+def check_epsilon(epsilon: float) -> None:
+    """DomainError unless 0 < epsilon < 1 (nan fails)."""
+    if not 0.0 < epsilon < 1.0:
+        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+
+
 def detect_event(series: ProbabilitySeries, landmark_set, epsilon: float = DEFAULT_EPSILON):
     """Earliest grid tau with total probability >= epsilon on a site set.
 
     Returns None when the threshold is never reached on the grid.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     ids = np.asarray(sorted(landmark_set), dtype=np.int64)
     if ids.size == 0:
         raise DomainError("landmark set is empty")

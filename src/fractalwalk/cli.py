@@ -8,8 +8,8 @@ Each subcommand imports only the stages it runs.  Importing this module
 loads nothing of the package but ``errors`` and ``kinds``; ``calibrate``,
 ``--help`` and usage errors run without numpy.  The pipeline stages
 (``generate``, ``spectral_decompose``, ``render_frame``, ...) resolve as
-attributes of this module on first use: ``__getattr__`` looks each name
-of ``_STAGES`` up in the package's lazy namespace, which loads its
+attributes of this module on first use: ``__getattr__`` looks any name of
+the package's ``__all__`` up in its lazy namespace, which loads its
 submodule.  Every call looks the stages up in this module's globals, so a
 wrapper set on ``cli.<stage>`` is what runs, and the lookup holds when
 ``runpy`` or cProfile runs this file as ``__main__``.  Flags whose default
@@ -33,17 +33,9 @@ from typing import NoReturn
 from .errors import DomainError, FractalwalkError, NotFoundError
 from .kinds import LatticeKind
 
-#: the pipeline stages, resolved through the package's lazy namespace
-_STAGES = (
-    "generate", "resolve_input", "mirror_permutation",
-    "build_hamiltonian", "build_classical_generator",
-    "preset_grid", "time_grid", "spectral_decompose", "evolve_quantum", "evolve_classical",
-    "build_observable_table", "build_regime_report", "render_frame", "pgm_bytes",
-)
-
 
 def __getattr__(name):
-    if name not in _STAGES:
+    if name not in sys.modules[__package__].__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(sys.modules[__package__], name)
     globals()[name] = value  # later lookups skip this function
@@ -232,11 +224,14 @@ def cmd_calibrate(args) -> int:
 
 def cmd_sweep(args) -> int:
     from . import serialize
+    from .analysis import DEFAULT_SLOPE_WINDOW, check_epsilon, check_slope_window
     from .lattice import FRACTAL_KINDS, void_map
 
     # the plan: each instance's lattice, input site and time grid, in order
     # and keyed by its artifact stem (sg4); every check that can refuse an
     # instance runs here, before the first walk
+    if args.epsilon is not None:
+        check_epsilon(args.epsilon)
     plan = {}
     for chunk in args.instances.split(","):
         chunk = chunk.strip()
@@ -263,6 +258,7 @@ def cmd_sweep(args) -> int:
         input_site = _stage.resolve_input(lattice, args.input)
         times = _stage.preset_grid(kind, args.tau_max, args.steps)
         _check_series_size(times, lattice)
+        check_slope_window(DEFAULT_SLOPE_WINDOW, times.size)
         plan[stem] = lattice, input_site, times
     if not plan:
         raise DomainError("no instances given")

@@ -56,20 +56,10 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, NumericalError, ShapeError, check_finite, check_site
-from .lattice import LatticeKind
+from .lattice import _GEOMETRY, LatticeKind
 
 if TYPE_CHECKING:  # an annotation only: reading a series needs no operator
     from .hamiltonian import Operator
-
-#: per-kind (tau_max, steps) presets; the carpet grid ends before its
-#: farthest-site event, which lies beyond any realised horizon
-GRID_PRESETS = {
-    LatticeKind.SG: (25.0, 501),
-    LatticeKind.SC: (12.0, 241),
-    LatticeKind.DSC: (25.0, 501),
-    LatticeKind.TRIANGLE: (25.0, 501),
-    LatticeKind.SQUARE: (25.0, 501),
-}
 
 #: the most values (times x sites) a probability series may hold, checked
 #: before anything is allocated: render.MAX_FRAME_PIXELS, about 40 times
@@ -89,8 +79,9 @@ def time_grid(tau_max: float, steps: int, tau_min: float = 0.0) -> np.ndarray:
 
 def preset_grid(kind: LatticeKind | str, tau_max: float | None = None,
                 steps: int | None = None, tau_min: float = 0.0) -> np.ndarray:
-    """``kind``'s preset grid, with ``tau_max`` and ``steps`` in its place where given."""
-    preset_max, preset_steps = GRID_PRESETS[LatticeKind.parse(kind)]
+    """``kind``'s preset grid (its row of ``lattice._GEOMETRY``), with
+    ``tau_max`` and ``steps`` in its place where given."""
+    preset_max, preset_steps = _GEOMETRY[LatticeKind.parse(kind)].grid
     return time_grid(preset_max if tau_max is None else tau_max,
                      preset_steps if steps is None else steps, tau_min)
 

@@ -5,10 +5,11 @@ edge set over those points.  Five kinds exist: the Sierpinski gasket, the
 Sierpinski carpet, the dual carpet (one site per kept square), and the
 filled triangle and square baselines of matching geometry.
 
-One table, ``_GEOMETRY``, describes every kind on integer coordinates: the
+One table, ``_GEOMETRY``, holds a row per kind: on integer coordinates the
 points it keeps and those of its filled counterpart (none for the
 baselines), each a pair of int64 arrays (a, b) built from a membership
-rule, the affine map to xy, and the integer offsets one spacing long.  One
+rule, the affine map to xy and the integer offsets one spacing long; then
+its generation range, dimensions and preset time grid.  One
 exact integer-key lookup, ``_lookup``, finds the edges of ``generate``, the
 filled points a fractal deletes and the adjacency that groups them into the
 voids ``landmark_sites`` ranks (``void_map``), and each site's mirror image
@@ -45,15 +46,6 @@ DIST_TOL = 1e-6
 COORD_TOL = 1e-9
 
 
-GENERATION_RANGE = {
-    LatticeKind.SG: (1, 7),
-    LatticeKind.SC: (1, 4),
-    LatticeKind.DSC: (1, 4),
-    LatticeKind.TRIANGLE: (1, 64),
-    LatticeKind.SQUARE: (1, 64),
-}
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Point set plus edge set; site ids are row indices into ``coords``."""
@@ -85,22 +77,6 @@ class FractalMeta:
     spectral_dimension: float
 
 
-# The carpet's spectral dimension has no closed form; 1.805 is the accepted
-# numerical estimate and is carried for reporting only.
-_META = {
-    LatticeKind.SG: FractalMeta(math.log(3) / math.log(2), 2 * math.log(3) / math.log(5)),
-    LatticeKind.SC: FractalMeta(math.log(8) / math.log(3), 1.805),
-    LatticeKind.DSC: FractalMeta(math.log(8) / math.log(3), 1.805),
-    LatticeKind.TRIANGLE: FractalMeta(2.0, 2.0),
-    LatticeKind.SQUARE: FractalMeta(2.0, 2.0),
-}
-
-
-def fractal_meta(kind: LatticeKind) -> FractalMeta:
-    """Fractal and spectral dimensions of a lattice kind (the lattices are planar)."""
-    return _META[LatticeKind.parse(kind)]
-
-
 @dataclass(frozen=True)
 class Landmarks:
     """Geometric landmarks of a fractal lattice relative to one input site.
@@ -117,14 +93,6 @@ class Landmarks:
     farthest_set: tuple[int, ...]
     farthest_distance: float
     first_void_positions: tuple[tuple[float, float], ...]
-
-
-def _check_generation(kind: LatticeKind, generation: int) -> None:
-    lo, hi = GENERATION_RANGE[kind]
-    if not isinstance(generation, (int, np.integer)) or not lo <= generation <= hi:
-        raise BoundsError(
-            f"{kind.value} generation must be an integer in [{lo}, {hi}], got {generation!r}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +162,17 @@ def _lookup(a: np.ndarray, b: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class _Geometry:
-    """One lattice kind; an integer point (a, b) sits at (a, b) * scale + offset."""
+    """One lattice kind; an integer point (a, b) sits at (a, b) * scale + offset.
+    ``grid`` is the (tau_max, steps) of ``evolution.preset_grid``."""
 
     points: Callable[[int], tuple[np.ndarray, np.ndarray]]
     filled: Callable[[int], tuple[np.ndarray, np.ndarray]] | None
     scale: tuple[float, float]
     offset: float
     steps: tuple[tuple[int, int], ...]
+    generations: tuple[int, int]
+    meta: FractalMeta
+    grid: tuple[float, int]
 
     def sites(self, generation: int) -> tuple[np.ndarray, np.ndarray]:
         # ids run top row first, left to right inside a row: the apex or
@@ -226,40 +198,67 @@ _GRID_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _TRI_SCALE = (0.5, SQRT3_2)
 _GRID_SCALE = (1.0, 1.0)
 
+# The carpet's spectral dimension has no closed form; 1.805 is the accepted
+# numerical estimate and is carried for reporting only.
+_CARPET_DIMS = FractalMeta(math.log(8) / math.log(3), 1.805)
+_PLANE_DIMS = FractalMeta(2.0, 2.0)
+
 _GEOMETRY = {
     # N = 3 (3^g + 1) / 2 inside a triangle of side 2^g, framed exactly by
     # the filled triangle with rows = 2^g
     LatticeKind.SG: _Geometry(
-        _gasket_points, lambda g: _triangle_points(2 ** g), _TRI_SCALE, 0.0, _TRI_STEPS
+        _gasket_points, lambda g: _triangle_points(2 ** g), _TRI_SCALE, 0.0, _TRI_STEPS,
+        (1, 7), FractalMeta(math.log(3) / math.log(2), 2 * math.log(3) / math.log(5)),
+        (25.0, 501),
     ),
     # corners of the 8^g kept unit squares of a square with side 3^g; the
-    # 1 x 1 holes hold no vertex, so they leave the graph unchanged
+    # 1 x 1 holes hold no vertex, so they leave the graph unchanged.  The
+    # grid ends before the farthest-site event, which lies beyond any
+    # realised horizon
     LatticeKind.SC: _Geometry(
-        _carpet_points, lambda g: _grid(3 ** g + 1), _GRID_SCALE, 0.0, _GRID_STEPS
+        _carpet_points, lambda g: _grid(3 ** g + 1), _GRID_SCALE, 0.0, _GRID_STEPS,
+        (1, 4), _CARPET_DIMS, (12.0, 241),
     ),
     # one site per kept square, N = 8^g; side-sharing squares are the
     # unit-distance pairs of the centres
     LatticeKind.DSC: _Geometry(
-        _carpet_cells, lambda g: _grid(3 ** g), _GRID_SCALE, 0.5, _GRID_STEPS
+        _carpet_cells, lambda g: _grid(3 ** g), _GRID_SCALE, 0.5, _GRID_STEPS,
+        (1, 4), _CARPET_DIMS, (25.0, 501),
     ),
     # row k below the apex holds k + 1 sites; side = rows spacings
-    LatticeKind.TRIANGLE: _Geometry(_triangle_points, None, _TRI_SCALE, 0.0, _TRI_STEPS),
+    LatticeKind.TRIANGLE: _Geometry(
+        _triangle_points, None, _TRI_SCALE, 0.0, _TRI_STEPS, (1, 64), _PLANE_DIMS, (25.0, 501)
+    ),
     # (side + 1)^2 vertices
     LatticeKind.SQUARE: _Geometry(
-        lambda side: _grid(side + 1), None, _GRID_SCALE, 0.0, _GRID_STEPS
+        lambda side: _grid(side + 1), None, _GRID_SCALE, 0.0, _GRID_STEPS,
+        (1, 64), _PLANE_DIMS, (25.0, 501),
     ),
 }
 
 FRACTAL_KINDS = tuple(kind for kind, geo in _GEOMETRY.items() if geo.filled is not None)
 
 
+def fractal_meta(kind: LatticeKind | str) -> FractalMeta:
+    """Fractal and spectral dimensions of a lattice kind (the lattices are planar)."""
+    return _GEOMETRY[LatticeKind.parse(kind)].meta
+
+
+def _check_generation(kind: LatticeKind, generation: int) -> None:
+    lo, hi = _GEOMETRY[kind].generations
+    if not isinstance(generation, (int, np.integer)) or not lo <= generation <= hi:
+        raise BoundsError(
+            f"{kind.value} generation must be an integer in [{lo}, {hi}], got {generation!r}"
+        )
+
+
 def generate(kind: LatticeKind | str, generation: int) -> Lattice:
     """Lattice of the given kind and generation.
 
-    ``generation`` is the subdivision depth for the fractals (sg 1-7, sc and
-    dsc 1-4), the number of row intervals for the triangle and the side for
-    the square (1-64 each).  Site counts: gasket 3 (3^g + 1) / 2, dual
-    carpet 8^g, triangle (rows + 1)(rows + 2) / 2, square (side + 1)^2.
+    ``generation`` is the subdivision depth for the fractals, the number of
+    row intervals for the triangle and the side for the square, in the
+    kind's range.  Site counts: gasket 3 (3^g + 1) / 2, dual carpet 8^g,
+    triangle (rows + 1)(rows + 2) / 2, square (side + 1)^2.
     Edges are every pair of sites exactly one spacing apart, each row
     (i, j) with i < j, rows sorted.
     """

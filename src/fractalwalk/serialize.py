@@ -29,7 +29,7 @@ import numpy as np
 
 from . import textio
 from .errors import BoundsError, DomainError, InputFileError
-from .lattice import DIST_TOL, Lattice, LatticeKind
+from .lattice import DIST_TOL, Lattice, LatticeKind, _check_generation
 from .textio import (  # noqa: F401  (read_report_document is re-exported)
     _emit,
     _integer,
@@ -299,12 +299,13 @@ def read_lattice(path: str) -> Lattice:
     generation = _require(doc, "generation", path)
     try:
         generation = _integer(generation)
+        _check_generation(kind, generation)
         spacing = _number(doc.get("spacing", 1.0))
         ids = [_integer(s["id"]) for s in sites]
         coords = np.array([[_number(s["x"]), _number(s["y"])] for s in sites])
         edge_arr = np.array([[_integer(i), _integer(j)] for i, j in edges],
                             dtype=np.int64).reshape(-1, 2)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (BoundsError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFileError(f"{path}: malformed lattice field: {exc}") from exc
     if not ids:
         raise InputFileError(f"{path}: a lattice needs at least one site")

@@ -25,8 +25,8 @@ from fractalwalk.analysis import (
     fit_powerlaw,
 )
 from fractalwalk.evolution import (
-    GRID_PRESETS,
     evolve_quantum,
+    preset_grid,
     spectral_decompose,
     time_grid,
 )
@@ -102,7 +102,7 @@ def test_criterion_02():
         h = build_hamiltonian(lattice)
         spectrum = spectral_decompose(h)
         input_site = canonical_input(lattice)
-        taus = np.sort(rng.uniform(0.0, GRID_PRESETS[lattice.kind][0], 10))
+        taus = np.sort(rng.uniform(0.0, preset_grid(lattice.kind)[-1], 10))
         series = evolve_quantum(spectrum, input_site, taus)
         worst_row = max(
             worst_row, float(np.abs(series.probabilities.sum(axis=1) - 1.0).max())

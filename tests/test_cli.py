@@ -397,6 +397,17 @@ def test_malformed_lattice_field_is_exit_3(sg4_files, tmp_path, edit):
     assert code == 3
 
 
+def test_a_generation_outside_its_kinds_range_is_exit_3(sg4_files, tmp_path, capsys):
+    # sg runs 1-7: the file's generation is checked against its kind's row
+    lattice = _edited_copy(sg4_files[0], tmp_path, _set("generation", 99))
+    for argv in [["evolve", "--lattice", lattice, "--out", str(tmp_path / "s.json")],
+                 *_series_commands(lattice, sg4_files[1], tmp_path)]:
+        capsys.readouterr()
+        assert run(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {lattice}: ") and "[1, 7], got 99" in err, err
+
+
 def _reverse(doc):
     doc["times"].reverse()
     doc["probabilities"].reverse()
@@ -560,7 +571,13 @@ def test_sweep_refuses_a_void_free_instance_before_the_first_walk(
     # 100000 x 42 values on sg:3, but 100000 x 688 on sc:3
     (["--instances", "sg:3,sc:3", "--steps", "100000"],
      "100000 times x 688 sites is a series of more than 67108864 values"),
-], ids=["input_site", "series_size"])
+    # the analysis' own rules: epsilon in (0, 1), a slope window of 11 samples
+    (["--instances", "sg:5,dsc:3", "--epsilon", "1.5"], "epsilon must lie in (0, 1), got 1.5"),
+    (["--instances", "sg:5,dsc:3", "--epsilon", "0"], "epsilon must lie in (0, 1), got 0.0"),
+    (["--instances", "sg:5,dsc:3", "--epsilon", "nan"], "epsilon must lie in (0, 1), got nan"),
+    (["--instances", "sg:5,dsc:3", "--steps", "10"], "need at least 11 samples, got 10"),
+], ids=["input_site", "series_size", "epsilon_above_one", "zero_epsilon", "nan_epsilon",
+        "steps_below_the_slope_window"])
 def test_sweep_refuses_a_later_instance_before_the_first_walk(
         flags, message, tmp_path, capsys, no_walk):
     out = tmp_path / "runs"

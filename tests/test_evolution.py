@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fractalwalk.cli import walk
 from fractalwalk.errors import BoundsError, DomainError, NumericalError
 from fractalwalk.evolution import (
-    GRID_PRESETS,
     MAX_SERIES_VALUES,
     evolve_classical,
     evolve_quantum,
@@ -22,6 +21,7 @@ from fractalwalk.evolution import (
 )
 from fractalwalk.hamiltonian import Operator, build_classical_generator, build_hamiltonian
 from fractalwalk.lattice import (
+    _GEOMETRY,
     Lattice,
     LatticeKind,
     canonical_input,
@@ -53,10 +53,13 @@ def test_time_grid_rejects_bad_parameters(args):
 
 
 def test_preset_grids():
+    # the kind's row gives (tau_max, steps); a value given takes its place
     for kind in LatticeKind:
-        grid = preset_grid(kind)
-        tau_max, steps = GRID_PRESETS[kind]
-        assert grid.size == steps and grid[-1] == tau_max
+        tau_max, steps = _GEOMETRY[kind].grid
+        assert np.array_equal(preset_grid(kind), time_grid(tau_max, steps))
+        assert np.array_equal(preset_grid(kind, 3.0), time_grid(3.0, steps))
+        assert np.array_equal(preset_grid(kind, steps=11, tau_min=1.0),
+                              time_grid(tau_max, 11, 1.0))
 
 
 # --- spectral decomposition -----------------------------------------------

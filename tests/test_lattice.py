@@ -15,6 +15,7 @@ from fractalwalk.errors import BoundsError, StructuralError
 from fractalwalk.evolution import preset_grid
 from fractalwalk.lattice import (
     DIST_TOL,
+    FractalMeta,
     LatticeKind,
     canonical_input,
     connectivity_histogram,
@@ -531,6 +532,28 @@ def test_fractal_meta_dimensions():
     assert fractal_meta("sg").fractal_dimension == pytest.approx(math.log(3) / math.log(2))
     assert fractal_meta("sc").fractal_dimension == pytest.approx(math.log(8) / math.log(3))
     assert fractal_meta("triangle").fractal_dimension == 2.0
+
+
+# each kind's row of the kind table: generation range, d_f, d_s, preset grid
+KIND_ROWS = {
+    "sg": ((1, 7), 1.5849625007211563, 1.3652123889719707, (25.0, 501)),
+    "sc": ((1, 4), 1.892789260714372, 1.805, (12.0, 241)),
+    "dsc": ((1, 4), 1.892789260714372, 1.805, (25.0, 501)),
+    "triangle": ((1, 64), 2.0, 2.0, (25.0, 501)),
+    "square": ((1, 64), 2.0, 2.0, (25.0, 501)),
+}
+
+
+@pytest.mark.parametrize("kind", KIND_ROWS)
+def test_each_kind_row(kind):
+    (lo, hi), d_f, d_s, (tau_max, steps) = KIND_ROWS[kind]
+    assert generate(kind, lo).generation == lo and generate(kind, hi).generation == hi
+    for generation in (lo - 1, hi + 1):
+        with pytest.raises(BoundsError):
+            generate(kind, generation)
+    assert fractal_meta(kind) == FractalMeta(d_f, d_s)
+    grid = preset_grid(kind)
+    assert (grid[-1], grid.size) == (tau_max, steps)
 
 
 def test_lattice_arrays_are_frozen():

@@ -6,11 +6,23 @@ exponent and its window.  The window's upper end is the farthest-site
 event when the grid reaches it, and the grid end otherwise.  These are
 measured values, not targets: criterion 5 of the acceptance suite states
 the targets for its own three instances.
+
+The graph gasket below is the other edge rule for sg: only the sides of
+the smallest kept triangles, where the generator couples every pair one
+spacing apart.  Its fits are pinned the same way, beside the ladder.
 """
 
+import itertools
+import math
+
+import numpy as np
 import pytest
 
 from conftest import quantum_run
+from fractalwalk.analysis import build_regime_report
+from fractalwalk.cli import walk
+from fractalwalk.evolution import preset_grid
+from fractalwalk.lattice import Lattice, LatticeKind, connectivity_histogram, generate
 
 # (kind, generation): exponent, tau_lo, tau_hi, farthest-site event reached
 LADDER = {
@@ -34,3 +46,46 @@ def test_fractal_fit_along_the_ladder(kind, generation):
     upper = run.report.farthest_tau if farthest else float(run.series.times[-1])
     assert (run.report.farthest_tau is not None) == farthest
     assert fit.tau_hi == pytest.approx(upper, abs=1e-9)
+
+
+def graph_gasket(generation):
+    """sg:g on the sites of ``generate`` with the edges of its 3^g kept unit
+    up-triangles alone: those whose base (a, b, c), a + b + c = 2^g - 1,
+    has pairwise disjoint bits.  A site at (x, y) has the barycentric
+    integers a = y / (sqrt(3) / 2) and b = (2x - a) / 2."""
+    unit = generate("sg", generation)
+    height = np.rint(unit.coords[:, 1] / (math.sqrt(3) / 2)).astype(np.int64)
+    across = (np.rint(2 * unit.coords[:, 0]).astype(np.int64) - height) // 2
+    site = {key: i for i, key in enumerate(zip(height.tolist(), across.tolist()))}
+    edges = set()
+    top = 2 ** generation - 1
+    for a, b in itertools.product(range(top + 1), repeat=2):
+        c = top - a - b
+        if c >= 0 and not (a & b or a & c or b & c):
+            corners = sorted((site[a + 1, b], site[a, b + 1], site[a, b]))
+            edges.update(itertools.combinations(corners, 2))
+    return Lattice(LatticeKind.SG, generation, unit.coords,
+                   np.array(sorted(edges), dtype=np.int64))
+
+
+# generation: exponent, tau_lo, tau_hi of the graph gasket's fractal fit
+GRAPH_LADDER = {
+    4: (0.594345939263379, 1.2, 25.0),
+    5: (0.6900517148932167, 1.2, 25.0),
+    6: (0.6900916761433168, 1.2, 25.0),
+}
+
+
+@pytest.mark.parametrize("generation", GRAPH_LADDER, ids=[f"sg{g}" for g in GRAPH_LADDER])
+def test_graph_gasket_fit(generation):
+    exponent, tau_lo, tau_hi = GRAPH_LADDER[generation]
+    lattice = graph_gasket(generation)
+    assert lattice.n_edges == 3 ** (generation + 1)
+    assert set(connectivity_histogram(lattice)) == {2, 4}
+    # every kept side is one of the generator's unit-distance pairs
+    unit = {tuple(edge) for edge in generate("sg", generation).edges.tolist()}
+    assert {tuple(edge) for edge in lattice.edges.tolist()} <= unit
+    series = walk(lattice, "auto", preset_grid(lattice.kind))[2]
+    fit = build_regime_report(lattice, series).fractal_fit
+    assert fit.exponent == pytest.approx(exponent, abs=1e-9)
+    assert (fit.tau_lo, fit.tau_hi) == pytest.approx((tau_lo, tau_hi), abs=1e-9)

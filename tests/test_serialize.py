@@ -19,7 +19,7 @@ from fractalwalk.errors import InputFileError
 from fractalwalk.evolution import ProbabilitySeries, SeriesKind
 from fractalwalk import serialize
 from fractalwalk.hamiltonian import Operator, build_hamiltonian
-from fractalwalk.lattice import GENERATION_RANGE, generate
+from fractalwalk.lattice import _GEOMETRY, generate
 from fractalwalk.observables import ObservableTable
 from fractalwalk.serialize import (
     build_manifest,
@@ -233,8 +233,8 @@ def test_lattice_round_trip(tmp_path, sg2_run):
     assert np.array_equal(loaded.edges, sg2_run.lattice.edges)
 
 
-_LATTICE_PAIRS = [(kind, g) for kind, (lo, hi) in GENERATION_RANGE.items()
-                  for g in range(lo, hi + 1)]
+_LATTICE_PAIRS = [(kind, g) for kind, row in _GEOMETRY.items()
+                  for g in range(row.generations[0], row.generations[1] + 1)]
 
 
 @settings(max_examples=20, deadline=None)

@@ -133,10 +133,11 @@ def test_every_export_is_its_module_attribute():
 
 
 def test_every_stage_resolves_on_cli():
-    for name in cli._STAGES:
+    for name in fractalwalk.__all__:
         assert getattr(cli, name) is getattr(fractalwalk, name), name
-    with pytest.raises(AttributeError):
-        cli.no_such_stage
+    for name in ("no_such_stage", "__path__"):
+        with pytest.raises(AttributeError):
+            getattr(cli, name)
 
 
 def test_a_wrapper_set_on_cli_is_what_runs(tmp_path, monkeypatch):
