@@ -24,8 +24,7 @@ _EXPORTS = {
                     "calibration"),
     **dict.fromkeys([
         "ProbabilitySeries", "SeriesKind", "Spectrum", "evolve_classical",
-        "evolve_quantum", "preset_grid", "return_amplitude", "spectral_decompose",
-        "time_grid",
+        "evolve_quantum", "preset_grid", "spectral_decompose", "time_grid",
     ], "evolution"),
     **dict.fromkeys(["Operator", "build_classical_generator", "build_hamiltonian"],
                     "hamiltonian"),

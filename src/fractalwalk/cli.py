@@ -96,7 +96,7 @@ def walk(lattice, selector, times, classical=False, dump=None, **params):
     input_site = _stage.resolve_input(lattice, selector)
     build = _stage.build_classical_generator if classical else _stage.build_hamiltonian
     operator = build(lattice, **params)
-    if dump:
+    if dump is not None:
         from . import serialize
 
         serialize.write_matrix_triplets(operator, dump)
@@ -142,14 +142,12 @@ def cmd_evolve(args) -> int:
     lattice = serialize.read_lattice(args.lattice)
     params = ({"rate": args.rate} if args.classical
               else {"beta": args.beta, "coupling": args.coupling})
-    dump = _outpath(args.dump_matrix) if args.dump_matrix else None
+    dump = None if args.dump_matrix is None else _outpath(args.dump_matrix)
     # the series alone: the spectrum is freed before any artifact is written
     times = _stage.preset_grid(lattice.kind, args.tau_max, args.steps, args.tau_min)
     series = walk(lattice, args.input, times, args.classical, dump, **params)[2]
     out = _outpath(args.out)
     serialize.write_series(series, out)
-    if args.binary_out:
-        serialize.write_series_binary(series, _outpath(args.binary_out))
     print(f"{series.kind.value} series: input {series.input_site}, "
           f"{series.times.size} times -> {out}")
     return 0
@@ -324,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupling", type=float, default=1.0)
     add_grid_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--binary-out", default=None,
-                   help="also write the probability matrix as a binary dump")
     p.add_argument("--dump-hamiltonian", dest="dump_matrix", default=None,
                    help="write the Hamiltonian as triplet text (row col value)")
     p.set_defaults(func=cmd_evolve, classical=False)
@@ -338,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--dump-generator", dest="dump_matrix", default=None,
                    help="write the Laplacian as triplet text (row col value)")
-    p.set_defaults(func=cmd_evolve, classical=True, binary_out=None)
+    p.set_defaults(func=cmd_evolve, classical=True)
 
     p = sub.add_parser("observables", help="variance, return probability, Polya CSV")
     p.add_argument("--series", required=True)

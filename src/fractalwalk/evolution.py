@@ -389,11 +389,3 @@ def _finalize(probs: np.ndarray) -> np.ndarray:
     except DomainError as exc:
         raise NumericalError(str(exc)) from None
     return np.clip(probs, 0.0, 1.0)
-
-
-def return_amplitude(spectrum: Spectrum, input_site: int, tau: float) -> complex:
-    """Return amplitude <input| exp(-iHt) |input> at any real tau."""
-    input_site = check_site(input_site, spectrum.n)
-    eigvals, rows, orbit = spectrum._orbit_rows(input_site)
-    w = rows[orbit[input_site]]
-    return complex(np.sum(w * w * np.exp(-1j * eigvals * tau)))

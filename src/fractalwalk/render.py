@@ -118,13 +118,3 @@ def pgm_bytes(image: np.ndarray) -> bytes:
     height, width = image.shape
     header = f"P5\n{width} {height}\n{PGM_MAXVAL}\n".encode("ascii")
     return header + image.astype(">u2").tobytes()
-
-
-def read_pgm(data: bytes) -> np.ndarray:
-    """Decode the subset of P5 written by ``pgm_bytes`` (testing aid)."""
-    parts = data.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P5" or parts[2] != str(PGM_MAXVAL).encode():
-        raise DomainError("not a 16-bit P5 stream produced by this package")
-    width, height = (int(x) for x in parts[1].split())
-    image = np.frombuffer(parts[3], dtype=">u2", count=width * height)
-    return image.reshape(height, width).astype(np.uint16)

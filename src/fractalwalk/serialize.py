@@ -1,4 +1,4 @@
-"""Deterministic file formats: JSON, CSV, PGM frames, binary dumps, manifests.
+"""Deterministic file formats: JSON, CSV, PGM frames, manifests.
 
 Floats are serialized with 12 significant digits everywhere.  Every float
 array (JSON arrays, CSV rows, matrix triplets) goes through one vectorised
@@ -394,31 +394,6 @@ def read_series(path: str) -> ProbabilitySeries:
     if not 0 <= input_site < probs.shape[1]:
         raise InputFileError(f"{path}: input_site {input_site} out of range")
     return ProbabilitySeries(kind, input_site, times, probs)
-
-
-def write_series_binary(series: ProbabilitySeries, path: str) -> None:
-    """Compact dump: two little-endian uint64 dims, then row-major float64."""
-    t, n = series.probabilities.shape
-    header = np.array([t, n], dtype="<u8").tobytes()
-    body = np.ascontiguousarray(series.probabilities, dtype="<f8").tobytes()
-    write_bytes(path, header + body)
-
-
-def read_series_binary(path: str) -> np.ndarray:
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError as exc:
-        raise InputFileError(f"cannot read {path}: {exc}") from exc
-    if len(raw) < 16:
-        raise InputFileError(f"{path}: truncated binary series")
-    t, n = (int(v) for v in np.frombuffer(raw[:16], dtype="<u8"))
-    expected = 16 + 8 * t * n
-    if len(raw) != expected:
-        raise InputFileError(
-            f"{path}: expected {expected} bytes for {t}x{n} series, got {len(raw)}"
-        )
-    return np.frombuffer(raw[16:], dtype="<f8").reshape(t, n).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,10 @@ def _emit(obj, out: bytearray, other=None) -> None:
 def write_bytes(path: str, data: bytes) -> None:
     """``data`` as the file ``path``, written to a temp file beside it and
     renamed into place; InputFileError if it cannot be written, with the
-    temp file removed."""
+    temp file removed.  A path that names no file ('', '.', '..', or one
+    that ends in a separator) is refused before anything is created."""
+    if os.path.basename(path) in ("", os.curdir, os.pardir):
+        raise InputFileError(f"cannot write {path!r}: the path names no file")
     directory = os.path.dirname(os.path.abspath(path))
     # a fresh name, created with mode 0o666 less the umask, as open() creates
     # a file; the rename keeps the mode

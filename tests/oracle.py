@@ -1,6 +1,7 @@
-"""Propagators the tests check the spectral route against.
+"""Propagators the tests check the spectral route against, and the PGM
+decoder they read frames back with.
 
-Neither calls an eigensolver, so they share no step with
+Neither propagator calls an eigensolver, so they share no step with
 ``evolution.spectral_decompose``.  ``evolve_oracle`` integrates the
 Schrodinger equation with a truncated Taylor series of exp(-iH dt) on the
 dense matrix (N <= 200 or so).  ``chebyshev_probabilities`` expands
@@ -12,6 +13,7 @@ triplets, so it reaches the largest lattices the tests run.
 import numpy as np
 
 from fractalwalk.errors import DomainError, NumericalError, check_site
+from fractalwalk.render import PGM_MAXVAL
 
 ORACLE_TOL = 1e-10
 _ORACLE_ORDER = 16
@@ -139,3 +141,13 @@ def _bessel_series(x: np.ndarray, modified: bool) -> np.ndarray:
     series[:, x == 0] = 0.0  # J_k(0) = exp(0) I_k(0) = [k = 0]
     series[0, x == 0] = 1.0
     return series
+
+
+def read_pgm(data: bytes) -> np.ndarray:
+    """Decode the subset of P5 that ``render.pgm_bytes`` writes."""
+    parts = data.split(b"\n", 3)
+    if len(parts) != 4 or parts[0] != b"P5" or parts[2] != str(PGM_MAXVAL).encode():
+        raise DomainError("not a 16-bit P5 stream produced by this package")
+    width, height = (int(x) for x in parts[1].split())
+    image = np.frombuffer(parts[3], dtype=">u2", count=width * height)
+    return image.reshape(height, width).astype(np.uint16)

@@ -14,8 +14,8 @@ from fractalwalk import cli
 from fractalwalk.evolution import evolve_quantum, spectral_decompose
 from fractalwalk.hamiltonian import Operator, build_hamiltonian
 from fractalwalk.lattice import mirror_permutation
-from fractalwalk.render import read_pgm
 from fractalwalk.serialize import read_lattice, read_series
+from oracle import read_pgm
 
 
 @pytest.fixture(autouse=True)
@@ -34,7 +34,6 @@ def workspace(tmp_path_factory):
     paths = {
         "lattice": str(root / "lat.json"),
         "series": str(root / "series.json"),
-        "binary": str(root / "series.bin"),
         "matrix": str(root / "h.txt"),
         "csv": str(root / "obs.csv"),
         "report": str(root / "report.json"),
@@ -46,7 +45,6 @@ def workspace(tmp_path_factory):
     assert cli.main(["evolve", "--lattice", paths["lattice"],
                      "--tau-max", "12", "--steps", "121",
                      "--out", paths["series"],
-                     "--binary-out", paths["binary"],
                      "--dump-hamiltonian", paths["matrix"]]) == 0
     assert cli.main(["observables", "--series", paths["series"],
                      "--lattice", paths["lattice"], "--out", paths["csv"]]) == 0
@@ -64,7 +62,6 @@ def test_evolve_artifacts(workspace):
     series = read_series(workspace["series"])
     assert series.times.size == 121
     assert series.n_sites == 8
-    assert os.path.getsize(workspace["binary"]) == 16 + 8 * 121 * 8
     lines = pathlib.Path(workspace["matrix"]).read_text().splitlines()
     assert len(lines) == 16  # both triangles of the 8 couplings
 
@@ -127,6 +124,9 @@ def test_usage_error_is_exit_2():
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         run([])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:  # the JSON series is the one series format
+        run(["evolve", "--lattice", "L", "--out", "S", "--binary-out", "B"])
     assert info.value.code == 2
 
 
@@ -664,12 +664,16 @@ def test_an_eigensolver_failure_is_exit_7(sg3_files, tmp_path, capsys, monkeypat
 # --- output routing and determinism ---------------------------------------
 
 @pytest.mark.parametrize("command", ["lattice-below-a-file", "lattice-onto-a-directory",
-                                     "sweep", "render"])
-def test_an_unwritable_output_is_exit_3(workspace, tmp_path, capsys, command):
-    # paths that no process can write, whatever its user (a test may run as root)
+                                     "sweep", "render", "lattice-empty", "evolve-dump-empty",
+                                     "classical-dump-empty"])
+def test_an_unwritable_output_is_exit_3(workspace, tmp_path, capsys, monkeypatch, command):
+    # paths that no process can write, whatever its user (a test may run as root);
+    # run from a subdirectory, whose parent would take the temp file of ''
     directory = tmp_path / "existing"
     directory.mkdir()
+    monkeypatch.chdir(directory)
     pair = ["--series", workspace["series"], "--lattice", workspace["lattice"]]
+    walk_flags = ["--lattice", workspace["lattice"], "--steps", "21", "--out", "s.json"]
     argv = {
         "lattice-below-a-file": ["lattice", "--kind", "sg", "--generation", "2",
                                  "--out", os.devnull + "/x.json"],
@@ -678,12 +682,16 @@ def test_an_unwritable_output_is_exit_3(workspace, tmp_path, capsys, command):
         "sweep": ["sweep", "--instances", "sg:3", "--out-dir", os.devnull],
         "render": ["render", *pair, "--run", "f", "--time-index", "1",
                    "--out-dir", os.devnull],
+        "lattice-empty": ["lattice", "--kind", "sg", "--generation", "2", "--out", ""],
+        "evolve-dump-empty": ["evolve", *walk_flags, "--dump-hamiltonian", ""],
+        "classical-dump-empty": ["classical", *walk_flags, "--dump-generator", ""],
     }[command]
     capsys.readouterr()
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing"]
+
 
 def test_output_dir_prefixes_relative_paths(tmp_path, monkeypatch):
     monkeypatch.setenv("OUTPUT_DIR", str(tmp_path / "routed"))

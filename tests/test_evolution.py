@@ -15,7 +15,6 @@ from fractalwalk.evolution import (
     evolve_classical,
     evolve_quantum,
     preset_grid,
-    return_amplitude,
     spectral_decompose,
     time_grid,
 )
@@ -212,7 +211,6 @@ def test_an_on_axis_walk_solves_only_the_symmetric_block(monkeypatch, classical)
     times = preset_grid(lattice.kind)
     site, spectrum, _ = walk(lattice, "auto", times, classical)
     assert site == canonical_input(lattice)
-    return_amplitude(spectrum, site, 1.7)
     assert sizes == [spectrum.sectors[0]]
     off_axis = int(np.flatnonzero(mirror_permutation(lattice) != np.arange(lattice.n_sites))[0])
     (evolve_classical if classical else evolve_quantum)(spectrum, off_axis, times)
@@ -482,13 +480,17 @@ def test_oracle_rejects_negative_time():
         evolve_oracle(h, 0, -1.0)
 
 
-def test_return_amplitude_matches_series(sg2_run):
+@pytest.mark.parametrize("on_axis", [True, False], ids=["canonical", "off-axis"])
+def test_return_amplitude_matches_series(sg2_run, on_axis):
+    # the series' return column against the eigh-free propagator; an input
+    # off the mirror axis takes the antisymmetric solve
+    lattice = sg2_run.lattice
+    site = (sg2_run.input_site if on_axis else
+            int(np.flatnonzero(mirror_permutation(lattice) != np.arange(lattice.n_sites))[0]))
+    series = walk(lattice, site, sg2_run.series.times)[2]
     idx = 40
-    tau = sg2_run.series.times[idx]
-    amp = return_amplitude(sg2_run.spectrum, sg2_run.input_site, tau)
-    assert abs(amp) ** 2 == pytest.approx(
-        sg2_run.series.probabilities[idx, sg2_run.input_site], abs=1e-12
-    )
+    amp = evolve_oracle(build_hamiltonian(lattice), site, series.times[idx])[site]
+    assert abs(amp) ** 2 == pytest.approx(series.probabilities[idx, site], abs=1e-12)
 
 
 # --- input validation -----------------------------------------------------

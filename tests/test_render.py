@@ -12,10 +12,10 @@ from fractalwalk.render import (
     RenderSpec,
     frame_geometry,
     pgm_bytes,
-    read_pgm,
     render_frame,
     render_intensity,
 )
+from oracle import read_pgm
 
 
 @pytest.mark.parametrize(

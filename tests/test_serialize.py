@@ -30,13 +30,11 @@ from fractalwalk.serialize import (
     read_lattice,
     read_report_document,
     read_series,
-    read_series_binary,
     report_document,
     write_lattice,
     write_manifest,
     write_report,
     write_series,
-    write_series_binary,
     write_text,
 )
 from fractalwalk.textio import calibration_document
@@ -312,25 +310,6 @@ def test_series_json_round_trip(tmp_path, sg2_run):
     assert np.abs(loaded.times - sg2_run.series.times).max() < 1e-11
 
 
-def test_series_binary_round_trip_is_bitwise(tmp_path, sg2_run):
-    path = str(tmp_path / "series.bin")
-    write_series_binary(sg2_run.series, path)
-    loaded = read_series_binary(path)
-    assert np.array_equal(loaded, sg2_run.series.probabilities)
-
-
-def test_series_binary_rejects_truncation(tmp_path, sg2_run):
-    path = tmp_path / "series.bin"
-    write_series_binary(sg2_run.series, str(path))
-    data = path.read_bytes()
-    (tmp_path / "short.bin").write_bytes(data[:-8])
-    with pytest.raises(InputFileError):
-        read_series_binary(str(tmp_path / "short.bin"))
-    (tmp_path / "stub.bin").write_bytes(data[:10])
-    with pytest.raises(InputFileError):
-        read_series_binary(str(tmp_path / "stub.bin"))
-
-
 def test_read_series_rejects_bad_kind(tmp_path):
     doc = {"kind": "other", "input_site": 0, "times": [0.0], "probabilities": [[1.0]]}
     path = tmp_path / "series.json"
@@ -499,6 +478,20 @@ def test_write_text_replaces_and_leaves_no_temp(tmp_path):
     assert path.read_text() == "two"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("name", ["", ".", "sub/..", "sub/"],
+                         ids=["empty", "dot", "dotdot", "trailing-separator"])
+def test_a_path_that_names_no_file_creates_nothing(tmp_path, monkeypatch, name):
+    # the temp file of '' or '.' would go into the parent of the working directory
+    def refuse(*args, **kwargs):
+        raise AssertionError("write_bytes touched the file system")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "open", refuse)
+    monkeypatch.setattr(os, "makedirs", refuse)
+    with pytest.raises(InputFileError, match="names no file"):
+        write_text(name, "one")
 
 
 def test_written_files_take_their_mode_from_the_umask(tmp_path):
