@@ -57,13 +57,14 @@ class SlopeCurve:
     """Sliding-window log-log slope estimates.
 
     ``tau`` holds window centres, ``exponent`` the fitted local exponents.
-    ``skipped`` lists centre indices of windows dropped because they
-    contained a nonpositive time or value.
+    ``skipped_windows`` lists centre indices of windows dropped because
+    they contained a nonpositive time or value.  The field order is the
+    order of the report's ``slope_curve`` keys.
     """
 
     tau: np.ndarray
     exponent: np.ndarray
-    skipped: tuple[int, ...] = ()
+    skipped_windows: tuple[int, ...] = ()
 
     def __post_init__(self):
         self.tau.setflags(write=False)
@@ -72,6 +73,8 @@ class SlopeCurve:
 
 @dataclass(frozen=True)
 class ScalingFit:
+    """A power-law fit; the field order is the order of its report keys."""
+
     tau_lo: float
     tau_hi: float
     exponent: float
@@ -80,25 +83,26 @@ class ScalingFit:
     n_samples: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RegimeReport:
-    """Event times, scaling fits, and plateau/saturation findings of one run."""
+    """Event times, scaling fits, and plateau/saturation findings of one run.
+    The field order is the report document's key order."""
 
     kind: str
     input_site: int
+    epsilon: float = DEFAULT_EPSILON
+    slope_window: int = DEFAULT_SLOPE_WINDOW
+    probe_length_a: float
+    farthest_distance: float
     first_void_tau: float | None
     l_f_tau: float | None
     farthest_tau: float | None
     saturation_tau: float | None
+    oscillation_detected: bool
     normal_fit: ScalingFit | None
     fractal_fit: ScalingFit | None
     plateaus: tuple[tuple[float, float], ...]
-    oscillation_detected: bool
     slope_curve: SlopeCurve
-    probe_length_a: float
-    farthest_distance: float
-    epsilon: float = DEFAULT_EPSILON
-    slope_window: int = DEFAULT_SLOPE_WINDOW
 
     def event_taus(self) -> dict[str, float]:
         """Present events by name, for calibration and reporting."""
@@ -148,9 +152,8 @@ def loglog_slope(times, values, window: int = DEFAULT_SLOPE_WINDOW) -> SlopeCurv
         slope = float(np.dot(lt_c, lv) / np.dot(lt_c, lt_c))
         centers.append(times[center])
         slopes.append(slope)
-    return SlopeCurve(
-        tau=np.asarray(centers), exponent=np.asarray(slopes), skipped=tuple(skipped)
-    )
+    return SlopeCurve(tau=np.asarray(centers), exponent=np.asarray(slopes),
+                      skipped_windows=tuple(skipped))
 
 
 def fit_powerlaw(times, values, tau_lo: float, tau_hi: float) -> ScalingFit | None:

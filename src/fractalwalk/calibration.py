@@ -34,10 +34,12 @@ class CalibrationConfig:
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """The ``calibration`` block of a report; the field order is its key order."""
+
     anchor_event: str
     anchor_mm: float
     anchor_tau: float
-    scale_s: float                         # mm per unit tau
+    scale_mm_per_tau: float
     events_mm: dict[str, float] = field(default_factory=dict)
 
 
@@ -45,11 +47,12 @@ def calibrate_events(events: dict[str, float], config: CalibrationConfig):
     """Map dimensionless event times to physical mm via one anchored event.
 
     ``events`` maps event names to taus, as ``RegimeReport.event_taus``
-    returns them.  scale_s = anchor_mm / anchor_event_tau; every other
-    event is converted to a mm prediction.  Returns None when the anchor
-    event was not detected (not-found propagation).  DomainError naming the
-    anchor when its tau is not positive, or when the scale or a predicted
-    length is not finite (a tiny tau or a huge ``anchor_mm`` overflows).
+    returns them.  scale_mm_per_tau = anchor_mm / anchor_event_tau; every
+    other event is converted to a mm prediction.  Returns None when the
+    anchor event was not detected (not-found propagation).  DomainError
+    naming the anchor when its tau is not positive, or when the scale or a
+    predicted length is not finite (a tiny tau or a huge ``anchor_mm``
+    overflows).
     """
     anchor_tau = events.get(config.anchor_event)
     if anchor_tau is None:
@@ -65,6 +68,6 @@ def calibrate_events(events: dict[str, float], config: CalibrationConfig):
         anchor_event=config.anchor_event,
         anchor_mm=float(config.anchor_mm),
         anchor_tau=float(anchor_tau),
-        scale_s=float(scale),
+        scale_mm_per_tau=float(scale),
         events_mm=events_mm,
     )

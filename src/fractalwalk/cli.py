@@ -117,7 +117,8 @@ def _check_series_size(times, lattice) -> None:
 def _given(args, *names) -> dict:
     """The flags among ``names`` that were given, by name; the others are
     left to the defaults of the stage they are passed to."""
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    given = {name: getattr(args, name, None) for name in names}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +141,11 @@ def cmd_evolve(args) -> int:
     from . import serialize
 
     lattice = serialize.read_lattice(args.lattice)
-    params = ({"rate": args.rate} if args.classical
-              else {"beta": args.beta, "coupling": args.coupling})
     dump = None if args.dump_matrix is None else _outpath(args.dump_matrix)
     # the series alone: the spectrum is freed before any artifact is written
-    times = _stage.preset_grid(lattice.kind, args.tau_max, args.steps, args.tau_min)
-    series = walk(lattice, args.input, times, args.classical, dump, **params)[2]
+    times = _stage.preset_grid(lattice.kind, **_given(args, "tau_max", "steps", "tau_min"))
+    series = walk(lattice, args.input, times, args.classical, dump,
+                  **_given(args, "rate", "beta", "coupling"))[2]
     out = _outpath(args.out)
     serialize.write_series(series, out)
     print(f"{series.kind.value} series: input {series.input_site}, "
@@ -184,12 +184,7 @@ def cmd_render(args) -> int:
     from .render import RenderSpec
 
     lattice, series = _load_pair(args)
-    spec = RenderSpec(
-        pixels_per_spacing=args.pixels_per_spacing,
-        spot_sigma=args.spot_sigma,
-        margin=args.margin,
-        gamma=args.gamma,
-    )
+    spec = RenderSpec(**_given(args, "pixels_per_spacing", "spot_sigma", "margin", "gamma"))
     out_dir = _outpath(args.out_dir)
     for index in args.time_index:
         image = _stage.render_frame(series, lattice, index, spec)
@@ -212,11 +207,11 @@ def cmd_calibrate(args) -> int:
         raise NotFoundError(
             f"anchor event {config.anchor_event!r} not present in {args.report}"
         )
-    doc["calibration"] = textio.calibration_document(result)
+    doc["calibration"] = result
     out = _outpath(args.out)
     textio.write_json(doc, out)
     predicted = ", ".join(f"{k}={v:.3f}mm" for k, v in result.events_mm.items())
-    print(f"calibration: scale {result.scale_s:.4f} mm/tau; {predicted} -> {out}")
+    print(f"calibration: scale {result.scale_mm_per_tau:.4f} mm/tau; {predicted} -> {out}")
     return 0
 
 
@@ -300,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lattice", help="generate a lattice and write it as JSON")
-    p.add_argument("--kind", required=True,
+    p.add_argument("--kind", required=True, type=str.lower,
                    choices=[k.value for k in LatticeKind])
     p.add_argument("--generation", required=True, type=int,
                    help="generation (fractals) or rows/side (baselines)")
@@ -308,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lattice)
 
     def add_grid_flags(p):
-        p.add_argument("--tau-min", type=float, default=0.0)
+        p.add_argument("--tau-min", type=float, default=None)
         p.add_argument("--tau-max", type=float, default=None,
                        help="default: per-kind preset")
         p.add_argument("--steps", type=int, default=None,
@@ -318,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", required=True)
     p.add_argument("--input", default="auto",
                    help="site id, or apex/top-left/auto (default auto)")
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--coupling", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--coupling", type=float, default=None)
     add_grid_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-hamiltonian", dest="dump_matrix", default=None,
@@ -329,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classical", help="classical (heat-kernel) evolution")
     p.add_argument("--lattice", required=True)
     p.add_argument("--input", default="auto")
-    p.add_argument("--rate", type=float, default=1.0)
+    p.add_argument("--rate", type=float, default=None)
     add_grid_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-generator", dest="dump_matrix", default=None,
@@ -364,10 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-index", required=True, type=int, action="append",
                    help="time index to render; repeatable")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--pixels-per-spacing", type=int, default=24)
-    p.add_argument("--spot-sigma", type=float, default=0.35)
-    p.add_argument("--margin", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--pixels-per-spacing", type=int, default=None)
+    p.add_argument("--spot-sigma", type=float, default=None)
+    p.add_argument("--margin", type=float, default=None)
+    p.add_argument("--gamma", type=float, default=None)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("calibrate", help="anchor a report's events to mm")

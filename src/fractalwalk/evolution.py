@@ -184,7 +184,8 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class ProbabilitySeries:
-    """Per-site occupation probabilities over a time grid for one input site."""
+    """Per-site occupation probabilities over a time grid for one input
+    site.  The field order is the series document's key order."""
 
     kind: SeriesKind
     input_site: int

@@ -7,16 +7,19 @@ formatter, ``_format_rows``, which writes exactly the bytes of
 scalars and for the values the formatter cannot place exactly: 13th-digit
 ties, carries into the next decade, zeros, subnormals and exponents beyond
 its power-of-ten table.  The stdlib json encoder cannot be told a float
-format, so a small emitter handles the fixed document shapes used here.
-The emitter appends the document's ASCII bytes to one buffer, which is
-written as it is.  All writers are byte-deterministic.
+format, so one emitter, ``textio._emit``, writes every JSON document.  It
+writes a dataclass as the object of its fields, in field order: the series
+and report documents are ``ProbabilitySeries`` and ``RegimeReport`` as
+they are, and their key order is their field order.  The emitter appends
+the document's ASCII bytes to one buffer, which is written as it is.  All
+writers are byte-deterministic.
 
 The parts that need no numpy live in ``textio``: the atomic writes, the
-strict JSON load, the emitter for Python values, ``format_float`` and the
-calibrated report document.  This module adds the array formats and hands
-the emitter its numpy branches (``_emit_numpy``).  Of the pipeline stages
-it imports only ``lattice``, and ``evolution`` when a series is read:
-writing a report or a table loads nothing of the stage that built it.
+strict JSON load, the emitter for Python values and ``format_float``.
+This module adds the array formats and hands the emitter its numpy
+branches (``_emit_numpy``).  Of the pipeline stages it imports only
+``lattice``, and ``evolution`` when a series is read: writing a report or
+a table loads nothing of the stage that built it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .textio import (  # noqa: F401  (read_report_document is re-exported)
 )
 
 if TYPE_CHECKING:  # annotations only: a writer loads no stage it does not write
-    from .analysis import RegimeReport, ScalingFit, SlopeCurve
+    from .analysis import RegimeReport
     from .evolution import ProbabilitySeries
     from .hamiltonian import Operator
     from .observables import ObservableTable
@@ -280,7 +283,7 @@ def lattice_document(lattice: Lattice) -> dict:
     }
 
 
-def _write_json(doc: dict, path: str) -> None:
+def _write_json(doc, path: str) -> None:
     write_bytes(path, _json_bytes(doc, b"\n"))
 
 
@@ -326,20 +329,15 @@ def read_lattice(path: str) -> Lattice:
 
 
 # ---------------------------------------------------------------------------
-# series documents
-
-
-def series_document(series: ProbabilitySeries) -> dict:
-    return {
-        "kind": series.kind.value,
-        "input_site": int(series.input_site),
-        "times": series.times,
-        "probabilities": series.probabilities,
-    }
+# series and regime report documents: each is its dataclass
 
 
 def write_series(series: ProbabilitySeries, path: str) -> None:
-    _write_json(series_document(series), path)
+    _write_json(series, path)
+
+
+def write_report(report: RegimeReport, path: str) -> None:
+    _write_json(report, path)
 
 
 def _number_array(values) -> np.ndarray:
@@ -433,55 +431,6 @@ def matrix_triplet_text(operator: Operator) -> str:
 
 def write_matrix_triplets(operator: Operator, path: str) -> None:
     write_text(path, matrix_triplet_text(operator))
-
-
-# ---------------------------------------------------------------------------
-# regime report documents
-
-
-def _fit_document(fit: ScalingFit | None):
-    if fit is None:
-        return None
-    return {
-        "tau_lo": fit.tau_lo,
-        "tau_hi": fit.tau_hi,
-        "exponent": fit.exponent,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "n_samples": fit.n_samples,
-    }
-
-
-def _slope_document(curve: SlopeCurve) -> dict:
-    return {
-        "tau": curve.tau,
-        "exponent": curve.exponent,
-        "skipped_windows": list(curve.skipped),
-    }
-
-
-def report_document(report: RegimeReport) -> dict:
-    return {
-        "kind": report.kind,
-        "input_site": report.input_site,
-        "epsilon": report.epsilon,
-        "slope_window": report.slope_window,
-        "probe_length_a": report.probe_length_a,
-        "farthest_distance": report.farthest_distance,
-        "first_void_tau": report.first_void_tau,
-        "l_f_tau": report.l_f_tau,
-        "farthest_tau": report.farthest_tau,
-        "saturation_tau": report.saturation_tau,
-        "oscillation_detected": report.oscillation_detected,
-        "normal_fit": _fit_document(report.normal_fit),
-        "fractal_fit": _fit_document(report.fractal_fit),
-        "plateaus": [[a, b] for a, b in report.plateaus],
-        "slope_curve": _slope_document(report.slope_curve),
-    }
-
-
-def write_report(report: RegimeReport, path: str) -> None:
-    _write_json(report_document(report), path)
 
 
 # ---------------------------------------------------------------------------

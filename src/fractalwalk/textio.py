@@ -1,13 +1,16 @@
-"""Text I/O that needs no numpy: atomic writes, the strict JSON load, the
-JSON emitter for Python values, and the calibrated report document.
+"""Text I/O that needs no numpy: atomic writes, the strict JSON load and
+the JSON emitter for Python values.
 
-``calibrate`` reads a report, adds its ``calibration`` block and writes it
-back through this module alone (``write_json``).  ``serialize`` re-exports
-the rest and adds the array formats; it hands its numpy branches to the
-one emitter, ``_emit``, which reaches them only when an array or a numpy
-scalar is present.  Floats are written with 12 significant digits
-(``format_float``); parsing goes through ``json.load``, which rejects the
-``NaN`` and ``Infinity`` tokens.  All file writes are atomic (write to a
+The emitter, ``_emit``, writes a dataclass as the object of its fields, in
+field order, so a document is its dataclass: the field order is the
+document's key order.  ``calibrate`` reads a report, sets its
+``calibration`` block to a ``CalibrationResult`` and writes it back
+through this module alone (``write_json``).  ``serialize`` re-exports the
+rest and adds the array formats; it hands its numpy branches to ``_emit``,
+which reaches them only when an array or a numpy scalar is present.
+Floats are written with 12 significant digits (``format_float``);
+parsing goes through ``json.load``, which rejects the ``NaN`` and
+``Infinity`` tokens.  All file writes are atomic (write to a
 temp file, then rename), and an output that cannot be written is an
 InputFileError, as an input that cannot be read is.
 """
@@ -18,8 +21,9 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields, is_dataclass
 
-from .calibration import EVENT_NAMES, CalibrationResult
+from .calibration import EVENT_NAMES
 from .errors import InputFileError
 
 FLOAT_FORMAT = ".12g"
@@ -46,9 +50,10 @@ def _json_bytes(obj, end: bytes = b"", other=None) -> bytearray:
 
 def _emit(obj, out: bytearray, other=None) -> None:
     """Append the JSON text of ``obj`` to ``out``, keys in insertion order.
-    Values other than None, bools, strings, ints, floats, dicts, lists and
-    tuples go to ``other(obj, out)`` when it is given, and are refused
-    otherwise; nested values pass ``other`` on."""
+    A dataclass instance is the object of its fields, in field order.
+    Values other than None, bools, strings, ints, floats, dicts, lists,
+    tuples and dataclass instances go to ``other(obj, out)`` when it is
+    given, and are refused otherwise; nested values pass ``other`` on."""
     if obj is None or isinstance(obj, (bool, str)):
         out += json.dumps(obj).encode("ascii")
     elif isinstance(obj, int):
@@ -68,6 +73,8 @@ def _emit(obj, out: bytearray, other=None) -> None:
             out += b"," if n else b""
             _emit(value, out, other)
         out += b"]"
+    elif is_dataclass(obj):
+        _emit({f.name: getattr(obj, f.name) for f in fields(obj)}, out, other)
     elif other is not None:
         other(obj, out)
     else:
@@ -180,13 +187,3 @@ def report_event_taus(doc: dict, path: str) -> dict[str, float]:
             raise InputFileError(f"{path}: {name}_tau must be non-negative, got {tau}")
     return events
 
-
-def calibration_document(calibration: CalibrationResult) -> dict:
-    """The ``calibration`` block of a report document."""
-    return {
-        "anchor_event": calibration.anchor_event,
-        "anchor_mm": calibration.anchor_mm,
-        "anchor_tau": calibration.anchor_tau,
-        "scale_mm_per_tau": calibration.scale_s,
-        "events_mm": calibration.events_mm,
-    }

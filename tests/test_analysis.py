@@ -43,7 +43,7 @@ def series_of(times, probabilities, input_site=0):
 def test_loglog_slope_exact_on_power_law():
     t = np.geomspace(0.1, 10.0, 51)
     curve = loglog_slope(t, 2.7 * t**1.8, window=11)
-    assert curve.skipped == ()
+    assert curve.skipped_windows == ()
     assert curve.tau.size == 41
     assert np.abs(curve.exponent - 1.8).max() < 1e-9
     assert np.array_equal(curve.tau, t[5:-5])
@@ -62,7 +62,7 @@ def test_loglog_slope_skips_windows_touching_zero():
     t = np.linspace(0.0, 5.0, 21)
     curve = loglog_slope(t, t**2, window=11)
     # only the first window contains t = 0; its centre index is flagged
-    assert curve.skipped == (5,)
+    assert curve.skipped_windows == (5,)
     assert curve.tau.size == 10
     assert np.abs(curve.exponent - 2.0).max() < 1e-9
 
@@ -334,11 +334,11 @@ def make_report(**events):
 def test_calibration_scale_and_events():
     report = make_report(first_void=0.5, farthest=2.0, saturation=4.0)
     result = calibrate_events(report.event_taus(), CalibrationConfig("farthest", 9.0))
-    assert result.scale_s == pytest.approx(4.5)
+    assert result.scale_mm_per_tau == pytest.approx(4.5)
     assert result.events_mm == pytest.approx(
         {"first_void": 2.25, "farthest": 9.0, "saturation": 18.0}
     )
-    assert result.scale_s * 3.0 == pytest.approx(13.5)
+    assert result.scale_mm_per_tau * 3.0 == pytest.approx(13.5)
 
 
 def test_calibration_none_when_anchor_missing():

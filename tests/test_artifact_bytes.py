@@ -11,8 +11,7 @@ import hashlib
 
 import pytest
 
-from fractalwalk import cli, serialize
-from fractalwalk.render import RenderSpec, pgm_bytes, render_frame
+from fractalwalk import cli
 
 SWEEP_DIGESTS = {
     "dsc3.lattice.json": "dda7ee75ad6daf6b7a86c7845ac19e0fc48311a5792078007469c8da58814497",
@@ -59,8 +58,6 @@ FRAME_DIGESTS = {
     "gamma2_t240.pgm": "79e8674d78376e8237ecd45ccf31d5529c34e8c4dfabe74087399a678f3b422f",
     "calibrated.json": "85bfa1d21d281ec44f723d268882bb299106bb38ca00e2a97e668fe95b30f36d",
 }
-FRAMES = [("sc3", index, 0.5) for index in (0, 40, 80, 120, 160, 200, 240)]
-FRAMES += [("gamma0.3", 120, 0.3), ("gamma2", 240, 2.0)]
 
 
 @pytest.fixture(autouse=True)
@@ -112,10 +109,14 @@ def test_sc3_frames_and_calibrated_report_keep_their_bytes(tmp_path):
     assert cli.main(["calibrate", "--report", path("report.json"),
                      "--anchor-event", "first_void", "--anchor-mm", "2.675",
                      "--out", path("calibrated.json")]) == 0
-    # the frames as cmd_render writes them, from one read of the series
-    lattice = serialize.read_lattice(path("lattice.json"))
-    series = serialize.read_series(path("series.json"))
-    for run, index, gamma in FRAMES:
-        image = render_frame(series, lattice, index, RenderSpec(gamma=gamma))
-        serialize.write_bytes(path(f"{run}_t{index}.pgm"), pgm_bytes(image))
+    # the frames on the parser's defaults, then two off its gamma: a parser
+    # default that drifted from RenderSpec's would move a digest
+    render = ["render", "--series", path("series.json"), "--lattice", path("lattice.json"),
+              "--out-dir", str(tmp_path)]
+    indices = [arg for index in (0, 40, 80, 120, 160, 200, 240)
+               for arg in ("--time-index", str(index))]
+    assert cli.main([*render, "--run", "sc3", *indices]) == 0
+    assert cli.main([*render, "--run", "gamma0.3", "--time-index", "120",
+                     "--gamma", "0.3"]) == 0
+    assert cli.main([*render, "--run", "gamma2", "--time-index", "240", "--gamma", "2"]) == 0
     assert _digests(tmp_path, FRAME_DIGESTS) == FRAME_DIGESTS

@@ -58,6 +58,13 @@ def test_lattice_artifact(workspace):
     assert lat.n_sites == 8 and lat.n_edges == 8
 
 
+def test_lattice_kind_takes_any_case(tmp_path):
+    # as sweep --instances, LatticeKind.parse and read_lattice do
+    out = tmp_path / "sg.json"
+    assert run(["lattice", "--kind", "SG", "--generation", "2", "--out", str(out)]) == 0
+    assert out.read_text().startswith('{"kind":"sg",')
+
+
 def test_evolve_artifacts(workspace):
     series = read_series(workspace["series"])
     assert series.times.size == 121
@@ -620,6 +627,7 @@ def sg3_files(tmp_path_factory):
     ("analyze", "--band", "0"),
     ("analyze", "--delta", "0"),
     ("calibrate", "--anchor-mm", "0"),
+    ("analyze", "--min-span", "1"),  # which must be at least 2
 ])
 def test_non_finite_parameter_is_exit_5(sg3_files, tmp_path, capsys, command, flag, value):
     lattice, series, report = sg3_files
@@ -638,6 +646,30 @@ def test_non_finite_parameter_is_exit_5(sg3_files, tmp_path, capsys, command, fl
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be "), err
+
+
+def test_evolve_starts_its_grid_at_tau_min(sg3_files, tmp_path):
+    lattice, _, _ = sg3_files
+    series, table = str(tmp_path / "s.json"), tmp_path / "o.csv"
+    assert run(["evolve", "--lattice", lattice, "--tau-min", "0.5", "--out", series]) == 0
+    assert read_series(series).times[:2].tolist() == [0.5, 0.549]
+    assert run(["observables", "--series", series, "--lattice", lattice,
+                "--out", str(table)]) == 0
+    assert table.read_text().splitlines()[1] == (
+        "0.5,0.587509714646,0.607423266685,0.607423266685")
+
+
+def test_analyze_takes_slope_window_and_min_span(sg3_files, tmp_path, capsys):
+    lattice, series, _ = sg3_files
+    pair = ["--series", series, "--lattice", lattice]
+    out, even = tmp_path / "r.json", tmp_path / "even.json"
+    assert run(["analyze", *pair, "--slope-window", "15", "--min-span", "3",
+                "--out", str(out)]) == 0
+    assert '"slope_window":15,' in out.read_text()
+    capsys.readouterr()
+    assert run(["analyze", *pair, "--slope-window", "14", "--out", str(even)]) == 5
+    assert capsys.readouterr().err == "error: window must be an odd integer >= 5, got 14\n"
+    assert not even.exists()
 
 
 def test_a_large_beta_fails_the_eigensolver_check(sg3_files, tmp_path):

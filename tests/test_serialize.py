@@ -14,7 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fractalwalk.calibration import CalibrationConfig, calibrate_events
+from fractalwalk import textio
+from fractalwalk.analysis import RegimeReport, ScalingFit, SlopeCurve
+from fractalwalk.calibration import CalibrationConfig, CalibrationResult, calibrate_events
 from fractalwalk.errors import InputFileError
 from fractalwalk.evolution import ProbabilitySeries, SeriesKind
 from fractalwalk import serialize
@@ -30,14 +32,12 @@ from fractalwalk.serialize import (
     read_lattice,
     read_report_document,
     read_series,
-    report_document,
     write_lattice,
     write_manifest,
     write_report,
     write_series,
     write_text,
 )
-from fractalwalk.textio import calibration_document
 
 
 # --- float and JSON emission ----------------------------------------------
@@ -216,6 +216,25 @@ def test_matrix_triplet_text_rejects_nan_inside_the_matrix(pair):
 def test_json_dumps_rejects_unknown_types():
     with pytest.raises(InputFileError):
         json_dumps({"x": object()})
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    b: float
+    a: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    z: int
+    inner: _Inner
+    v: np.ndarray
+
+
+def test_json_dumps_writes_a_dataclass_as_its_fields_in_order():
+    doc = _Outer(z=1, inner=_Inner(b=0.25, a=(1, None)), v=np.array([1.5, 2.0]))
+    assert json_dumps(doc) == '{"z":1,"inner":{"b":0.25,"a":[1,null]},"v":[1.5,2]}'
+    assert json_dumps([_Inner(b=1.0, a=())]) == '[{"b":1,"a":[]}]'
 
 
 # --- lattice round trip ---------------------------------------------------
@@ -421,8 +440,8 @@ def test_report_document_round_trip(tmp_path, dsc1_run):
     calibration = calibrate_events(
         dsc1_run.report.event_taus(), CalibrationConfig("farthest", 10.0)
     )
-    doc = report_document(dsc1_run.report)
-    doc["calibration"] = calibration_document(calibration)
+    doc = json.loads(json_dumps(dsc1_run.report))
+    doc["calibration"] = calibration
     write_text(path, json_dumps(doc) + "\n")
     doc = read_report_document(path)
     assert doc["kind"] == "dsc"
@@ -446,6 +465,29 @@ def test_report_document_without_calibration(tmp_path, dsc1_run):
     path = str(tmp_path / "report.json")
     write_report(dsc1_run.report, path)
     assert "calibration" not in read_report_document(path)
+
+
+def _names(cls):
+    return [field.name for field in dataclasses.fields(cls)]
+
+
+def test_documents_are_their_dataclass_fields_in_order(tmp_path, sg2_run, dsc1_run):
+    series_path, report_path = str(tmp_path / "series.json"), str(tmp_path / "report.json")
+    write_series(sg2_run.series, series_path)
+    assert list(read_report_document(series_path)) == _names(ProbabilitySeries)
+    assert dsc1_run.report.fractal_fit is not None
+    write_report(dsc1_run.report, report_path)
+    doc = read_report_document(report_path)
+    assert list(doc) == _names(RegimeReport)
+    assert list(doc["fractal_fit"]) == _names(ScalingFit)
+    assert list(doc["slope_curve"]) == _names(SlopeCurve)
+    # the calibration block, as calibrate writes it: through textio alone
+    doc["calibration"] = calibrate_events(dsc1_run.report.event_taus(),
+                                          CalibrationConfig("farthest", 10.0))
+    textio.write_json(doc, report_path)
+    doc = read_report_document(report_path)
+    assert list(doc) == [*_names(RegimeReport), "calibration"]
+    assert list(doc["calibration"]) == _names(CalibrationResult)
 
 
 # --- manifests and atomic writes ------------------------------------------
