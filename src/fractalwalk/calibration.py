@@ -13,10 +13,6 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, check_positive
 
-#: detected events in report order; a report stores each as ``<name>_tau``
-EVENT_NAMES = ("first_void", "l_f", "farthest", "saturation")
-
-
 @dataclass(frozen=True)
 class CalibrationConfig:
     """Anchor one detected event to a physical propagation length in mm."""

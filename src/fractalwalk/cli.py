@@ -5,16 +5,16 @@ OUTPUT_DIR, which prefixes every relative output path.  Outputs are
 deterministic: identical inputs and flags give byte-identical files.
 
 Each subcommand imports only the stages it runs.  Importing this module
-loads nothing of the package but ``errors`` and ``kinds``; ``calibrate``,
-``--help`` and usage errors run without numpy.  The pipeline stages
-(``generate``, ``spectral_decompose``, ``render_frame``, ...) resolve as
-attributes of this module on first use: ``__getattr__`` looks any name of
-the package's ``__all__`` up in its lazy namespace, which loads its
-submodule.  Every call looks the stages up in this module's globals, so a
-wrapper set on ``cli.<stage>`` is what runs, and the lookup holds when
-``runpy`` or cProfile runs this file as ``__main__``.  Flags whose default
-belongs to a stage default to None here, so that the stage's own default
-applies.  An output that cannot be written exits 3, as an input that
+loads nothing of the package but ``errors`` and ``kinds``; ``lattice``,
+``calibrate``, ``--help`` and usage errors run without numpy.  The
+pipeline stages (``generate``, ``spectral_decompose``, ``render_frame``,
+...) resolve as attributes of this module on first use: ``__getattr__``
+looks any name of the package's ``__all__`` up in its lazy namespace,
+which loads its submodule.  Every call looks the stages up in this
+module's globals, so a wrapper set on ``cli.<stage>`` is what runs, and
+the lookup holds when ``runpy`` or cProfile runs this file as
+``__main__``.  Flags whose default belongs to a stage default to None
+here, so that the stage's own default applies.  An output that cannot be written exits 3, as an input that
 cannot be read does.
 
 ``main(argv)`` returns the exit status and leaves the interpreter as it
@@ -126,13 +126,14 @@ def _given(args, *names) -> dict:
 
 
 def cmd_lattice(args) -> int:
-    from . import serialize
+    """Runs on ``geometry`` and ``textio`` alone, without numpy."""
+    from . import geometry, textio
 
-    lattice = _stage.generate(args.kind, args.generation)
+    xy, edges = geometry.sites_and_edges(args.kind, args.generation)
     out = _outpath(args.out)
-    serialize.write_lattice(lattice, out)
-    print(f"{lattice.kind.value} generation {lattice.generation}: "
-          f"{lattice.n_sites} sites, {lattice.n_edges} edges -> {out}")
+    textio.write_bytes(out, textio.lattice_bytes(args.kind, args.generation, xy, edges))
+    print(f"{args.kind} generation {args.generation}: "
+          f"{len(xy) // 2} sites, {len(edges) // 2} edges -> {out}")
     return 0
 
 
@@ -218,7 +219,8 @@ def cmd_calibrate(args) -> int:
 def cmd_sweep(args) -> int:
     from . import serialize
     from .analysis import DEFAULT_SLOPE_WINDOW, check_epsilon, check_slope_window
-    from .lattice import FRACTAL_KINDS, void_map
+    from .geometry import FRACTAL_KINDS
+    from .lattice import void_map
 
     # the plan: each instance's lattice, input site and time grid, in order
     # and keyed by its artifact stem (sg4); every check that can refuse an

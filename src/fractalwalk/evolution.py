@@ -56,7 +56,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, NumericalError, ShapeError, check_finite, check_site
-from .lattice import _GEOMETRY, LatticeKind
+from .geometry import _GEOMETRY
+from .kinds import LatticeKind
 
 if TYPE_CHECKING:  # an annotation only: reading a series needs no operator
     from .hamiltonian import Operator
@@ -79,7 +80,7 @@ def time_grid(tau_max: float, steps: int, tau_min: float = 0.0) -> np.ndarray:
 
 def preset_grid(kind: LatticeKind | str, tau_max: float | None = None,
                 steps: int | None = None, tau_min: float = 0.0) -> np.ndarray:
-    """``kind``'s preset grid (its row of ``lattice._GEOMETRY``), with
+    """``kind``'s preset grid (its row of ``geometry._GEOMETRY``), with
     ``tau_max`` and ``steps`` in its place where given."""
     preset_max, preset_steps = _GEOMETRY[LatticeKind.parse(kind)].grid
     return time_grid(preset_max if tau_max is None else tau_max,

@@ -5,39 +5,32 @@ edge set over those points.  Five kinds exist: the Sierpinski gasket, the
 Sierpinski carpet, the dual carpet (one site per kept square), and the
 filled triangle and square baselines of matching geometry.
 
-One table, ``_GEOMETRY``, holds a row per kind: on integer coordinates the
-points it keeps and those of its filled counterpart (none for the
-baselines), each a pair of int64 arrays (a, b) built from a membership
-rule, the affine map to xy and the integer offsets one spacing long; then
-its generation range, dimensions and preset time grid.  One
-exact integer-key lookup, ``_lookup``, finds the edges of ``generate``, the
-filled points a fractal deletes and the adjacency that groups them into the
-voids ``landmark_sites`` ranks (``void_map``), and each site's mirror image
-in the frame of the mirror's axis (``mirror_permutation``): a file turned
-or shifted in the plane keeps the mirror; only edges that break the
-reflection lose it.  Float coordinates are produced once at the end.
-
-The edge rule is purely metric: every pair of sites at exactly one
-spacing is coupled, whatever the pair bounds.  For the gasket this
-includes pairs that face each other across a removed triangle (midpoints
-of the sides of any void of scale 2 or larger sit one spacing apart), so
-from generation 2 onward some sites carry five or six neighbours instead
-of the four that the smallest-triangle sides alone would give.  At
-generation 1 the two rules coincide.
+The numpy-free ``geometry`` module holds each kind's row and generates a
+lattice's sites and edges as lists; ``generate`` wraps them in arrays.
+Here one exact integer-key lookup, ``_lookup``, finds the filled points a
+fractal deletes and the adjacency that groups them into the voids
+``landmark_sites`` ranks (``void_map``), and each site's mirror image in
+the frame of the mirror's axis (``mirror_permutation``): a file turned or
+shifted in the plane keeps the mirror; only edges that break the
+reflection lose it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import BoundsError, StructuralError, check_site
+from .geometry import (  # noqa: F401  (FractalMeta and fractal_meta are re-exported)
+    _GEOMETRY,
+    FractalMeta,
+    _check_generation,
+    fractal_meta,
+    sites_and_edges,
+)
 from .kinds import LatticeKind
-
-SQRT3_2 = math.sqrt(3.0) / 2.0
 
 #: half-width of the accepted edge-length interval around one spacing
 DIST_TOL = 1e-6
@@ -72,12 +65,6 @@ class Lattice:
 
 
 @dataclass(frozen=True)
-class FractalMeta:
-    fractal_dimension: float
-    spectral_dimension: float
-
-
-@dataclass(frozen=True)
 class Landmarks:
     """Geometric landmarks of a fractal lattice relative to one input site.
 
@@ -95,55 +82,6 @@ class Landmarks:
     first_void_positions: tuple[tuple[float, float], ...]
 
 
-# ---------------------------------------------------------------------------
-# point sets on integer coordinates, each an (a, b) pair of int64 arrays
-
-
-def _grid(side: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every (i, j) with 0 <= i, j < side, i major: the square of side - 1."""
-    return np.divmod(np.arange(side * side, dtype=np.int64), side)
-
-
-def _triangle_points(rows: int) -> tuple[np.ndarray, np.ndarray]:
-    # barycentric integers u + v <= rows sit at (p, q) = (u + 2 v, u)
-    u, v = _grid(rows + 1)
-    inside = u + v <= rows
-    return u[inside] + 2 * v[inside], u[inside]
-
-
-def _gasket_points(generation: int) -> tuple[np.ndarray, np.ndarray]:
-    """Corners of the 3^g smallest triangles of the gasket of side 2^g.
-
-    A point (p, q) of the filled triangle with rows = 2^g has barycentric
-    integer coordinates a = q, b = (p - q) / 2, c = (2^(g+1) - p - q) / 2,
-    which sum to 2^g, and is a gasket vertex exactly when a & b & c == 0
-    (Pascal's triangle mod 2).  This set equals that of the recursive
-    construction (three half-size copies at the corners) for every
-    generation 1-7.
-    """
-    side = 2 ** generation
-    p, q = _triangle_points(side)
-    b = (p - q) // 2
-    keep = q & b & (side - q - b) == 0
-    return p[keep], q[keep]
-
-
-def _carpet_cells(generation: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit squares kept by the carpet: no base-3 digit pair equals (1, 1)."""
-    i, j = _grid(3 ** generation)
-    place = 3 ** np.arange(generation, dtype=np.int64)
-    keep = ~((i[:, None] // place % 3 == 1) & (j[:, None] // place % 3 == 1)).any(axis=1)
-    return i[keep], j[keep]
-
-
-def _carpet_points(generation: int) -> tuple[np.ndarray, np.ndarray]:
-    # the four corners of every kept cell: each integer key that occurs, ascending
-    i, j = _carpet_cells(generation)
-    width = 3 ** generation + 1
-    corners = ((i * width + j)[:, None] + [0, 1, width, width + 1]).ravel()
-    return np.divmod(np.flatnonzero(np.bincount(corners)), width)
-
-
 def _lookup(a: np.ndarray, b: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     """Row of each query point (qa, qb), of any shape, among the points (a, b);
     -1 where absent.  Both are keyed exactly by a * width + b - min(b)."""
@@ -156,100 +94,10 @@ def _lookup(a: np.ndarray, b: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> np.
     return np.where(key[row] == query, row, -1)
 
 
-# ---------------------------------------------------------------------------
-# the geometry table
-
-
-@dataclass(frozen=True)
-class _Geometry:
-    """One lattice kind; an integer point (a, b) sits at (a, b) * scale + offset.
-    ``grid`` is the (tau_max, steps) of ``evolution.preset_grid``."""
-
-    points: Callable[[int], tuple[np.ndarray, np.ndarray]]
-    filled: Callable[[int], tuple[np.ndarray, np.ndarray]] | None
-    scale: tuple[float, float]
-    offset: float
-    steps: tuple[tuple[int, int], ...]
-    generations: tuple[int, int]
-    meta: FractalMeta
-    grid: tuple[float, int]
-
-    def sites(self, generation: int) -> tuple[np.ndarray, np.ndarray]:
-        # ids run top row first, left to right inside a row: the apex or
-        # the top-left corner is site 0 for every kind
-        a, b = self.points(generation)
-        order = np.lexsort((a, -b))
-        return a[order], b[order]
-
-    def xy(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.column_stack((a, b)) * self.scale + self.offset
-
-    def neighbours(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row of the point one step away, (n, steps), -1 off the point set."""
-        da, db = np.array(self.steps, dtype=np.int64).T
-        return _lookup(a, b, a[:, None] + da, b[:, None] + db)
-
-
-# triangle family: (p, q) -> (p/2, q sqrt(3)/2); the six offsets solve
-# dp^2 + 3 dq^2 = 4.  Square family: (i, j) -> (i, j), and a dual-carpet
-# cell (i, j) -> its centre (i + 1/2, j + 1/2).
-_TRI_STEPS = ((2, 0), (-2, 0), (1, 1), (-1, 1), (1, -1), (-1, -1))
-_GRID_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-_TRI_SCALE = (0.5, SQRT3_2)
-_GRID_SCALE = (1.0, 1.0)
-
-# The carpet's spectral dimension has no closed form; 1.805 is the accepted
-# numerical estimate and is carried for reporting only.
-_CARPET_DIMS = FractalMeta(math.log(8) / math.log(3), 1.805)
-_PLANE_DIMS = FractalMeta(2.0, 2.0)
-
-_GEOMETRY = {
-    # N = 3 (3^g + 1) / 2 inside a triangle of side 2^g, framed exactly by
-    # the filled triangle with rows = 2^g
-    LatticeKind.SG: _Geometry(
-        _gasket_points, lambda g: _triangle_points(2 ** g), _TRI_SCALE, 0.0, _TRI_STEPS,
-        (1, 7), FractalMeta(math.log(3) / math.log(2), 2 * math.log(3) / math.log(5)),
-        (25.0, 501),
-    ),
-    # corners of the 8^g kept unit squares of a square with side 3^g; the
-    # 1 x 1 holes hold no vertex, so they leave the graph unchanged.  The
-    # grid ends before the farthest-site event, which lies beyond any
-    # realised horizon
-    LatticeKind.SC: _Geometry(
-        _carpet_points, lambda g: _grid(3 ** g + 1), _GRID_SCALE, 0.0, _GRID_STEPS,
-        (1, 4), _CARPET_DIMS, (12.0, 241),
-    ),
-    # one site per kept square, N = 8^g; side-sharing squares are the
-    # unit-distance pairs of the centres
-    LatticeKind.DSC: _Geometry(
-        _carpet_cells, lambda g: _grid(3 ** g), _GRID_SCALE, 0.5, _GRID_STEPS,
-        (1, 4), _CARPET_DIMS, (25.0, 501),
-    ),
-    # row k below the apex holds k + 1 sites; side = rows spacings
-    LatticeKind.TRIANGLE: _Geometry(
-        _triangle_points, None, _TRI_SCALE, 0.0, _TRI_STEPS, (1, 64), _PLANE_DIMS, (25.0, 501)
-    ),
-    # (side + 1)^2 vertices
-    LatticeKind.SQUARE: _Geometry(
-        lambda side: _grid(side + 1), None, _GRID_SCALE, 0.0, _GRID_STEPS,
-        (1, 64), _PLANE_DIMS, (25.0, 501),
-    ),
-}
-
-FRACTAL_KINDS = tuple(kind for kind, geo in _GEOMETRY.items() if geo.filled is not None)
-
-
-def fractal_meta(kind: LatticeKind | str) -> FractalMeta:
-    """Fractal and spectral dimensions of a lattice kind (the lattices are planar)."""
-    return _GEOMETRY[LatticeKind.parse(kind)].meta
-
-
-def _check_generation(kind: LatticeKind, generation: int) -> None:
-    lo, hi = _GEOMETRY[kind].generations
-    if not isinstance(generation, (int, np.integer)) or not lo <= generation <= hi:
-        raise BoundsError(
-            f"{kind.value} generation must be an integer in [{lo}, {hi}], got {generation!r}"
-        )
+def _arrays(points) -> tuple[np.ndarray, np.ndarray]:
+    """A list of integer points (a, b) as a pair of int64 arrays."""
+    a, b = np.array(points, dtype=np.int64).T
+    return a, b
 
 
 def generate(kind: LatticeKind | str, generation: int) -> Lattice:
@@ -263,12 +111,9 @@ def generate(kind: LatticeKind | str, generation: int) -> Lattice:
     (i, j) with i < j, rows sorted.
     """
     kind = LatticeKind.parse(kind)
-    _check_generation(kind, generation)
-    geometry = _GEOMETRY[kind]
-    a, b = geometry.sites(generation)
-    i, j = np.arange(a.size, dtype=np.int64)[:, None], geometry.neighbours(a, b)
-    pairs = np.sort((i * a.size + j)[j > i])
-    return Lattice(kind, generation, geometry.xy(a, b), np.column_stack(np.divmod(pairs, a.size)))
+    xy, edges = sites_and_edges(kind, generation)
+    return Lattice(kind, generation, np.array(xy).reshape(-1, 2),
+                   np.array(edges, dtype=np.int64).reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +214,9 @@ def void_map(kind: LatticeKind | str, generation: int) -> tuple[np.ndarray, np.n
             f"lattice kind {kind.value!r} has no voids; landmarks require "
             "a fractal kind (sg, sc, dsc)"
         )
-    _check_generation(kind, generation)
-    a, b = geometry.filled(generation)
-    deleted = _lookup(*geometry.points(generation), a, b) < 0
+    g = _check_generation(kind, generation)
+    a, b = _arrays(geometry.filled(g))
+    deleted = _lookup(*_arrays(geometry.points(g)), a, b) < 0
     if not deleted.any():
         raise StructuralError(
             f"{kind.value} generation {generation} deletes no site of its filled "
@@ -382,12 +227,13 @@ def void_map(kind: LatticeKind | str, generation: int) -> tuple[np.ndarray, np.n
     a, b = a[order], b[order]
     # min-label propagation with pointer jumping; a missing neighbour
     # stands in for itself
-    label, step = np.arange(a.size), geometry.neighbours(a, b)
+    da, db = np.array(geometry.steps, dtype=np.int64).T
+    label, step = np.arange(a.size), _lookup(a, b, a[:, None] + da, b[:, None] + db)
     step = np.where(step < 0, label[:, None], step)
     while True:
         hooked = np.minimum(label, label[step].min(axis=1))
         if np.array_equal(hooked, label):
-            return geometry.xy(a, b), label
+            return np.column_stack((a, b)) * geometry.scale + geometry.offset, label
         label = hooked[hooked]
 
 
@@ -408,7 +254,7 @@ def landmark_sites(lattice: Lattice, input_site: int) -> Landmarks:
     g = lattice.generation
     deleted_xy, label = void_map(lattice.kind, g)
     geometry = _GEOMETRY[lattice.kind]
-    xy = geometry.xy(*geometry.sites(g))
+    xy = np.array(geometry.xy(geometry.sites(g))).reshape(-1, 2)
     if xy.shape != lattice.coords.shape or np.abs(xy - lattice.coords).max() > DIST_TOL:
         raise StructuralError(
             f"lattice coordinates differ from those of {lattice.kind.value} "

@@ -7,7 +7,8 @@ formatter, ``_format_rows``, which writes exactly the bytes of
 scalars and for the values the formatter cannot place exactly: 13th-digit
 ties, carries into the next decade, zeros, subnormals and exponents beyond
 its power-of-ten table.  The stdlib json encoder cannot be told a float
-format, so one emitter, ``textio._emit``, writes every JSON document.  It
+format, so one emitter, ``textio._emit``, writes every JSON document but
+the lattice file, which ``textio.lattice_bytes`` writes from lists.  It
 writes a dataclass as the object of its fields, in field order: the series
 and report documents are ``ProbabilitySeries`` and ``RegimeReport`` as
 they are, and their key order is their field order.  The emitter appends
@@ -15,16 +16,16 @@ the document's ASCII bytes to one buffer, which is written as it is.  All
 writers are byte-deterministic.
 
 The parts that need no numpy live in ``textio``: the atomic writes, the
-strict JSON load, the emitter for Python values and ``format_float``.
-This module adds the array formats and hands the emitter its numpy
-branches (``_emit_numpy``).  Of the pipeline stages it imports only
-``lattice``, and ``evolution`` when a series is read: writing a report or
-a table loads nothing of the stage that built it.
+strict JSON load, the emitter for Python values, the lattice writer and
+``format_float``.  This module adds the array formats and hands the
+emitter its numpy branches (``_emit_numpy``).  Of the pipeline stages it
+imports only ``geometry`` and ``lattice``, and ``evolution`` when a series
+is read: writing a report or a table loads nothing of the stage that
+built it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import TYPE_CHECKING
 
@@ -32,7 +33,8 @@ import numpy as np
 
 from . import textio
 from .errors import BoundsError, DomainError, InputFileError
-from .lattice import DIST_TOL, Lattice, LatticeKind, _check_generation
+from .geometry import _check_generation
+from .lattice import DIST_TOL, Lattice, LatticeKind
 from .textio import (  # noqa: F401  (read_report_document is re-exported)
     _emit,
     _integer,
@@ -174,12 +176,11 @@ def _format_chunk(x: np.ndarray, tails: np.ndarray, tail: np.ndarray) -> bytes:
     return records.tobytes().translate(None, b"\0")
 
 
-def _format_rows(values: np.ndarray, field_sep, row_sep: str):
+def _format_rows(values: np.ndarray, field_sep: str, row_sep: str):
     """``format_float`` of every entry of a 2-d array as ASCII bytes, in
     pieces to concatenate: each field but a row's last is followed by
-    ``field_sep`` (one separator, or a sequence of one per gap between
-    fields), each row but the last by ``row_sep``; every separator is at
-    most three characters.  InputFileError naming the first non-finite
+    ``field_sep``, each row but the last by ``row_sep``; each separator is
+    at most three characters.  InputFileError naming the first non-finite
     entry, raised before the first piece."""
     if values.size == 0:
         yield (row_sep * (len(values) - 1)).encode("ascii")
@@ -188,20 +189,17 @@ def _format_rows(values: np.ndarray, field_sep, row_sep: str):
     finite = np.isfinite(flat)
     if not finite.all():
         raise InputFileError(f"cannot serialize non-finite float {flat[~finite][0]}")
-    gaps = [field_sep] if isinstance(field_sep, str) else list(field_sep)
     # word 3 of a record: the exponent suffix, then the separator; by row of
-    # ``tails``, the gaps, the row end, and none after the last value
-    tails = _SUFFIX | (_words([*gaps, row_sep, ""])[:, None] << _SUFFIX_BITS)
+    # ``tails``, the field gap, the row end, and none after the last value
+    tails = _SUFFIX | (_words([field_sep, row_sep, ""])[:, None] << _SUFFIX_BITS)
     n_cols = values.shape[1]
     size = min(_CHUNK, max(_MIN_CHUNK, flat.size // 16))
     for start in range(0, flat.size, size):
         x = flat[start:start + size]
         tail = np.zeros(x.size, dtype=np.intp)
-        for gap in range(1, len(gaps)):
-            tail[(gap - start) % n_cols::n_cols] = gap
-        tail[(n_cols - 1 - start) % n_cols::n_cols] = len(gaps)
+        tail[(n_cols - 1 - start) % n_cols::n_cols] = 1
         if start + size >= flat.size:
-            tail[-1] = len(gaps) + 1
+            tail[-1] = 2
         yield _format_chunk(x, tails, tail)
 
 
@@ -218,9 +216,7 @@ def _json_bytes(obj, end: bytes = b"") -> bytearray:
 def _emit_numpy(obj, out: bytearray) -> None:
     """The numpy branches of ``_emit``: float arrays through the vectorised
     formatter, other arrays value by value, numpy scalars as Python numbers."""
-    if isinstance(obj, np.ndarray) and obj.dtype.names is not None:
-        _emit_records(obj, out)
-    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 1:
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 1:
         _emit_rows(obj[None], ",", "", b"[", b"]", out)
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2 and len(obj):
         _emit_rows(obj, ",", "],[", b"[[", b"]]", out)
@@ -242,53 +238,26 @@ def _emit_rows(values, field_sep, row_sep, opening: bytes, closing: bytes,
     out += closing
 
 
-def _emit_records(records: np.ndarray, out: bytearray) -> None:
-    """A 1-d structured array of numbers as a list of objects keyed by its
-    field names; every value is written as a float (so an integer below
-    1e12 prints as itself)."""
-    if not len(records):
-        out += b"[]"
-        return
-    names = records.dtype.names
-    keys = [json.dumps(name).encode("ascii") + b":" for name in names]
-    # the separators hold the keys and are longer than _format_rows writes,
-    # so it writes the marks \x01, \x02, ... in their place, one per field
-    marks = [chr(k) for k in range(1, len(names) + 1)]
-    seps = [b"," + key for key in keys[1:]] + [b"},{" + keys[0]]
-    rows = np.column_stack([records[name] for name in names])
-    text = b"".join(_format_rows(rows, marks[:-1], marks[-1]))
-    for mark, sep in zip(marks, seps):
-        text = text.replace(mark.encode("ascii"), sep)
-    out += b"[{" + keys[0]
-    out += text
-    out += b"}]"
+def _write_json(doc, path: str) -> None:
+    write_bytes(path, _json_bytes(doc, b"\n"))
 
 
 # ---------------------------------------------------------------------------
 # lattice documents
 
 
-def lattice_document(lattice: Lattice) -> dict:
-    # site ids and edge ends are below 1e12, so their 12-digit float form is
-    # the integer itself, and every number of the document is formatted in bulk
-    sites = np.empty(lattice.n_sites, dtype=[("id", "f8"), ("x", "f8"), ("y", "f8")])
-    sites["id"] = np.arange(lattice.n_sites)
-    sites["x"], sites["y"] = lattice.coords.T
-    return {
-        "kind": lattice.kind.value,
-        "generation": int(lattice.generation),
-        "spacing": 1,  # the distance unit; read_lattice refuses any other
-        "sites": sites,
-        "edges": lattice.edges.astype(np.float64),
-    }
-
-
-def _write_json(doc, path: str) -> None:
-    write_bytes(path, _json_bytes(doc, b"\n"))
+def _entries(array: np.ndarray, size: int = 1024):
+    """The entries of a 2-d array in row order as Python numbers, converted
+    ``size`` rows at a time, so that a writer walking them never holds them
+    all as Python objects."""
+    for start in range(0, len(array), size):
+        yield from array[start:start + size].ravel().tolist()
 
 
 def write_lattice(lattice: Lattice, path: str) -> None:
-    _write_json(lattice_document(lattice), path)
+    write_bytes(path, textio.lattice_bytes(lattice.kind.value, lattice.generation,
+                                           _entries(lattice.coords),
+                                           _entries(lattice.edges)))
 
 
 def read_lattice(path: str) -> Lattice:

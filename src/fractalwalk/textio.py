@@ -1,16 +1,19 @@
-"""Text I/O that needs no numpy: atomic writes, the strict JSON load and
-the JSON emitter for Python values.
+"""Text I/O that needs no numpy: atomic writes, the strict JSON load, the
+JSON emitter for Python values and the lattice writer.
 
 The emitter, ``_emit``, writes a dataclass as the object of its fields, in
 field order, so a document is its dataclass: the field order is the
 document's key order.  ``calibrate`` reads a report, sets its
 ``calibration`` block to a ``CalibrationResult`` and writes it back
-through this module alone (``write_json``).  ``serialize`` re-exports the
-rest and adds the array formats; it hands its numpy branches to ``_emit``,
-which reaches them only when an array or a numpy scalar is present.
-Floats are written with 12 significant digits (``format_float``);
-parsing goes through ``json.load``, which rejects the ``NaN`` and
-``Infinity`` tokens.  All file writes are atomic (write to a
+through this module alone (``write_json``).  A lattice file has its own
+writer, ``lattice_bytes``, which takes the sites and edges as flat
+sequences of Python numbers, so the ``lattice`` command writes one
+without numpy.  ``serialize``
+re-exports the rest and adds the array formats; it hands its numpy
+branches to ``_emit``, which reaches them only when an array or a numpy
+scalar is present.  Floats are written with 12 significant digits
+(``format_float``); parsing goes through ``json.load``, which rejects the
+``NaN`` and ``Infinity`` tokens.  All file writes are atomic (write to a
 temp file, then rename), and an output that cannot be written is an
 InputFileError, as an input that cannot be read is.
 """
@@ -23,10 +26,12 @@ import os
 import sys
 from dataclasses import fields, is_dataclass
 
-from .calibration import EVENT_NAMES
 from .errors import InputFileError
 
 FLOAT_FORMAT = ".12g"
+
+#: detected events in report order; a report stores each as ``<name>_tau``
+EVENT_NAMES = ("first_void", "l_f", "farthest", "saturation")
 
 
 def format_float(x: float) -> str:
@@ -114,6 +119,35 @@ def write_bytes(path: str, data: bytes) -> None:
 def write_json(doc: dict, path: str) -> None:
     """A document of Python values as one line of JSON."""
     write_bytes(path, _json_bytes(doc, b"\n"))
+
+
+# ---------------------------------------------------------------------------
+# lattice documents
+
+
+def lattice_bytes(kind: str, generation: int, xy, edges) -> bytearray:
+    """The lattice file: one line of JSON with the kind, the generation, the
+    spacing, each site's id, x and y, and each edge's (i, j), then a newline.
+    ``xy`` gives x0, y0, x1, y1, ... and ``edges`` i0, j0, i1, j1, ..., as
+    ``geometry.sites_and_edges`` returns them; each is iterated once, and
+    each site or edge is appended to one buffer as it comes.  The
+    ``lattice`` command writes the file from the generator's lists,
+    ``serialize.write_lattice`` from a ``Lattice``'s arrays."""
+    # spacing is the distance unit; read_lattice refuses any other
+    out = bytearray(b'{"kind":%s,"generation":%d,"spacing":1,"sites":['
+                    % (json.dumps(kind).encode("ascii"), generation))
+    sep, coords = b"", iter(xy)
+    for n, (x, y) in enumerate(zip(coords, coords)):
+        out += sep + ('{"id":%d,"x":%s,"y":%s}'
+                      % (n, format_float(x), format_float(y))).encode("ascii")
+        sep = b","
+    out += b'],"edges":['
+    sep, ends = b"", iter(edges)
+    for i, j in zip(ends, ends):
+        out += sep + b"[%d,%d]" % (i, j)
+        sep = b","
+    out += b"]}\n"
+    return out
 
 
 # ---------------------------------------------------------------------------

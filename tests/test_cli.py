@@ -1,8 +1,10 @@
 """Command-line interface: pipelines, exit codes, output routing."""
 
+import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -670,6 +672,20 @@ def test_analyze_takes_slope_window_and_min_span(sg3_files, tmp_path, capsys):
     assert run(["analyze", *pair, "--slope-window", "14", "--out", str(even)]) == 5
     assert capsys.readouterr().err == "error: window must be an odd integer >= 5, got 14\n"
     assert not even.exists()
+
+
+def test_analyze_help_states_the_defaults_of_analysis():
+    # the threshold flags default to None, so build_regime_report's defaults
+    # apply, and their help names those defaults as text
+    from fractalwalk import analysis
+
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {action.dest: action.help for action in commands.choices["analyze"]._actions}
+    stated = {dest: float(re.search(r"\(default ([^)]*)\)", helps[dest]).group(1))
+              for dest in ("epsilon", "band", "delta")}
+    assert stated == {"epsilon": analysis.DEFAULT_EPSILON, "band": analysis.DEFAULT_BAND,
+                      "delta": analysis.DEFAULT_DELTA}
 
 
 def test_a_large_beta_fails_the_eigensolver_check(sg3_files, tmp_path):

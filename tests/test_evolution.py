@@ -18,9 +18,9 @@ from fractalwalk.evolution import (
     spectral_decompose,
     time_grid,
 )
+from fractalwalk.geometry import _GEOMETRY
 from fractalwalk.hamiltonian import Operator, build_classical_generator, build_hamiltonian
 from fractalwalk.lattice import (
-    _GEOMETRY,
     Lattice,
     LatticeKind,
     canonical_input,

@@ -25,7 +25,9 @@ from fractalwalk.lattice import (
     mirror_permutation,
     resolve_input,
 )
-from fractalwalk.serialize import json_dumps, lattice_document
+from fractalwalk.geometry import sites_and_edges
+from fractalwalk.serialize import write_lattice
+from fractalwalk.textio import lattice_bytes
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -89,9 +91,14 @@ LATTICE_DIGESTS = {
 
 
 @pytest.mark.parametrize("kind,generation", sorted(LATTICE_DIGESTS))
-def test_lattice_document_digest(kind, generation):
-    text = json_dumps(lattice_document(generate(kind, generation)))
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+def test_lattice_document_digest(kind, generation, tmp_path):
+    # the lattice command's lists, and generate's arrays as serialize
+    # writes them, give the same file
+    text = lattice_bytes(kind, generation, *sites_and_edges(kind, generation))
+    write_lattice(generate(kind, generation), str(tmp_path / "lattice.json"))
+    assert (tmp_path / "lattice.json").read_bytes() == text
+    assert text.endswith(b"}\n")
+    digest = hashlib.sha256(text[:-1]).hexdigest()
     assert digest == LATTICE_DIGESTS[(kind, generation)]
 
 
@@ -515,8 +522,11 @@ def test_generation_bounds(kind, bad):
 
 
 def test_generation_must_be_an_integer():
-    with pytest.raises(BoundsError):
-        generate("sg", 2.5)
+    # a numpy integer counts; a float or a string never does, even of an integer
+    assert generate("sg", np.int64(3)).n_sites == generate("sg", 3).n_sites
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(BoundsError):
+            generate("sg", bad)
 
 
 def test_unknown_kind_is_rejected():

@@ -21,7 +21,8 @@ from fractalwalk.errors import InputFileError
 from fractalwalk.evolution import ProbabilitySeries, SeriesKind
 from fractalwalk import serialize
 from fractalwalk.hamiltonian import Operator, build_hamiltonian
-from fractalwalk.lattice import _GEOMETRY, generate
+from fractalwalk.geometry import _GEOMETRY
+from fractalwalk.lattice import generate
 from fractalwalk.observables import ObservableTable
 from fractalwalk.serialize import (
     build_manifest,

@@ -54,6 +54,9 @@ RUN_CLI = (
 )
 
 
+LATTICE_CASES = {"sg": "3", "sc": "2", "dsc": "2", "triangle": "4", "square": "4"}
+
+
 @pytest.mark.parametrize("argv,status", [
     (["calibrate", "--report", "{report}", "--anchor-event", "first_void",
       "--anchor-mm", "2.675", "--out", "{out}"], 0),
@@ -61,7 +64,10 @@ RUN_CLI = (
     (["calibrate", "--help"], 0),
     (["lattice", "--kind", "bogus", "--generation", "3", "--out", "{out}"], 2),
     (["calibrate", "--report", "{report}"], 2),
-], ids=["calibrate", "help", "calibrate-help", "bad-choice", "missing-flags"])
+    *[(["lattice", "--kind", kind, "--generation", generation, "--out", "{out}"], 0)
+      for kind, generation in LATTICE_CASES.items()],
+], ids=["calibrate", "help", "calibrate-help", "bad-choice", "missing-flags",
+        *[f"lattice-{kind}" for kind in LATTICE_CASES]])
 def test_these_commands_run_without_numpy(tmp_path, report, argv, status):
     argv = [arg.format(report=report, out=tmp_path / "out.json") for arg in argv]
     proc = python("-c", RUN_CLI, *argv, cwd=tmp_path)
@@ -72,6 +78,9 @@ def test_these_commands_run_without_numpy(tmp_path, report, argv, status):
     if "--anchor-mm" in argv:
         doc = json.loads((tmp_path / "out.json").read_text())
         assert doc["calibration"]["events_mm"]["l_f"] == pytest.approx(2.675 * 2.55 / 1.7)
+    if argv[0] == "lattice" and status == 0:
+        doc = json.loads((tmp_path / "out.json").read_text())
+        assert (doc["kind"], doc["generation"]) == (argv[2], int(argv[4]))
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +103,9 @@ def loaded_by_step(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command,absent", [
-    ("lattice", {"hamiltonian", "evolution", "observables", "analysis", "render"}),
-    ("evolve", {"observables", "analysis", "render"}),
+    ("lattice", {"lattice", "serialize", "hamiltonian", "evolution", "observables",
+                 "analysis", "render", "calibration"}),
+    ("evolve", {"observables", "analysis", "render", "calibration"}),
     ("analyze", {"hamiltonian", "render"}),
 ])
 def test_each_subcommand_loads_only_its_stages(loaded_by_step, command, absent):
@@ -141,6 +151,7 @@ def test_every_stage_resolves_on_cli():
 
 
 def test_a_wrapper_set_on_cli_is_what_runs(tmp_path, monkeypatch):
+    # the lattice command writes without generate; a sweep calls it per instance
     calls = []
     generate = cli.generate
 
@@ -149,9 +160,8 @@ def test_a_wrapper_set_on_cli_is_what_runs(tmp_path, monkeypatch):
         return generate(*args)
 
     monkeypatch.setattr(cli, "generate", recording)
-    assert cli.main(["lattice", "--kind", "sg", "--generation", "2",
-                     "--out", str(tmp_path / "lattice.json")]) == 0
-    assert calls == [("sg", 2)]
+    assert cli.main(["sweep", "--instances", "dsc:1", "--out-dir", str(tmp_path)]) == 0
+    assert calls == [("dsc", 1)]
 
 
 def test_readme_quick_start_runs(tmp_path):
@@ -221,8 +231,8 @@ LATTICE = ["lattice", "--kind", "sg", "--generation", "2", "--out", "out.json"]
     ("sys.settrace(lambda *args: None)", LATTICE, 0, True),
     ("sys.setprofile(lambda *args: None)", LATTICE, 0, True),
     ("", ["--help"], 0, True),
-    ("def failing(*args):\n    raise RuntimeError('a stage failed')\ncli.generate = failing",
-     LATTICE, 1, True),
+    ("def failing(*args):\n    raise RuntimeError('a subcommand failed')\n"
+     "cli.cmd_lattice = failing", LATTICE, 1, True),
 ], ids=["fast-exit", "traced", "profiled", "help", "uncaught-exception"])
 def test_run_skips_teardown_only_after_main_returns_untraced(tmp_path, setup, argv,
                                                              status, unwinds):
