@@ -219,8 +219,7 @@ def cmd_calibrate(args) -> int:
 def cmd_sweep(args) -> int:
     from . import serialize
     from .analysis import DEFAULT_SLOPE_WINDOW, check_epsilon, check_slope_window
-    from .geometry import FRACTAL_KINDS
-    from .lattice import void_map
+    from .geometry import FRACTAL_KINDS, void_map
 
     # the plan: each instance's lattice, input site and time grid, in order
     # and keyed by its artifact stem (sg4); every check that can refuse an

@@ -69,12 +69,20 @@ MAX_SERIES_VALUES = 2 ** 26
 
 
 def time_grid(tau_max: float, steps: int, tau_min: float = 0.0) -> np.ndarray:
-    """Uniform time grid over [tau_min, tau_max] with ``steps`` samples."""
+    """Uniform time grid over [tau_min, tau_max] with ``steps`` samples.
+    A series keeps 12 significant digits of each time, so a step above the
+    12th digit of tau_max reads back strictly ascending; a step that is a
+    normal float keeps the grid itself ascending."""
     check_finite(tau_min=tau_min, tau_max=tau_max)
     if not tau_max > tau_min >= 0.0:
         raise DomainError(f"need tau_max > tau_min >= 0, got [{tau_min}, {tau_max}]")
     if not 2 <= steps <= MAX_SERIES_VALUES:
         raise DomainError(f"steps must be in [2, {MAX_SERIES_VALUES}], got {steps}")
+    step = (tau_max - tau_min) / (steps - 1)
+    digit = max(10.0 ** (np.floor(np.log10(tau_max)) - 11), np.finfo(float).tiny)
+    if not step > digit:
+        raise DomainError(f"grid step {step:.6g} must exceed {digit:.3g}, for the 12 "
+                          f"significant digits a series keeps of tau_max {tau_max!r}")
     return np.linspace(tau_min, tau_max, steps)
 
 
@@ -299,8 +307,9 @@ def _solve(block: np.ndarray, scale: float):
     """Eigenpairs of one sector block and their (residual, orthogonality),
     checked against the tolerances before any caller uses them."""
     eigvals, eigvecs = _eigh(block)
-    residual = float(np.abs((eigvecs * eigvals) @ eigvecs.T - block).max(initial=0.0))
-    ortho = float(np.abs(eigvecs.T @ eigvecs - np.eye(eigvals.size)).max(initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test below
+        residual = float(np.abs((eigvecs * eigvals) @ eigvecs.T - block).max(initial=0.0))
+        ortho = float(np.abs(eigvecs.T @ eigvecs - np.eye(eigvals.size)).max(initial=0.0))
     # written so that a NaN residual fails the check
     if not (residual <= RECONSTRUCTION_TOL * scale and ortho <= ORTHOGONALITY_TOL):
         raise NumericalError(
@@ -340,11 +349,12 @@ def check_distribution(probs: np.ndarray) -> None:
     """DomainError unless every row of ``probs`` (or ``probs`` itself, if
     1-d) is a probability distribution up to roundoff: no entry below
     -CLAMP_TOL and a sum within ROW_SUM_TOL of 1."""
-    # each test is written so that a NaN fails it
+    # each test is written so that a NaN, or a sum that overflows, fails it
     low = probs.min(initial=0.0)
     if not low >= -CLAMP_TOL:
         raise DomainError(f"probability {low:.3e} below the -1e-12 roundoff floor")
-    worst = np.abs(probs.sum(axis=-1) - 1.0).max(initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = np.abs(probs.sum(axis=-1) - 1.0).max(initial=0.0)
     if not worst <= ROW_SUM_TOL:
         raise DomainError(f"probabilities sum to 1 only within {worst:.3e}, "
                           f"not within {ROW_SUM_TOL:.0e}")
@@ -373,7 +383,9 @@ def _evolve(kind: SeriesKind, kernel, spectrum: Spectrum, input_site: int,
     weights = rows[orbit[input_site]]
     # a mode the input does not excite adds exactly nothing
     keep = np.flatnonzero(weights)
-    probs = np.take(kernel(eigvals[keep], rows[:, keep], weights[keep], times), orbit, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail _finalize
+        probs = np.take(kernel(eigvals[keep], rows[:, keep], weights[keep], times),
+                        orbit, axis=1)
     if times[0] == 0.0:
         # both propagators are the identity at zero time: the launch row is
         # the initial state itself, not V V^T with its last-bit roundoff

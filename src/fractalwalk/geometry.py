@@ -1,5 +1,5 @@
-"""The lattice geometry, without numpy: one row per kind and the generator
-of a lattice's sites and edges.
+"""The lattice geometry, without numpy: one row per kind, the generator of
+a lattice's sites and edges, and a fractal's void map.
 
 One table, ``_GEOMETRY``, holds a row per kind: on integer coordinates the
 points it keeps and those of its filled counterpart (none for the
@@ -9,7 +9,9 @@ preset time grid.  The gasket and the carpets are built recursively, as
 three or eight copies of the previous generation.  ``sites_and_edges``
 gives a lattice's site xy in id order and its sorted edges as flat lists:
 the ``lattice`` command writes them as they are, so it runs without
-numpy, and ``lattice.generate`` wraps them in arrays.
+numpy, and ``lattice.generate`` wraps them in arrays.  ``void_map`` groups
+the positions a fractal deletes from its filled counterpart into voids.
+Both find a point's neighbours through a dict from point to index.
 
 The edge rule is purely metric: every pair of sites at exactly one
 spacing is coupled, whatever the pair bounds.  For the gasket this
@@ -27,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import BoundsError
+from .errors import BoundsError, StructuralError
 from .kinds import LatticeKind
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -208,3 +210,41 @@ def sites_and_edges(kind: LatticeKind | str, generation: int):
             if m is not None:
                 edges += n, m
     return geometry.xy(sites), edges
+
+
+def void_map(kind: LatticeKind | str, generation: int):
+    """The filled counterpart's positions that a fractal deletes, in
+    ascending integer (a, b) order, as one flat xy list (see
+    ``sites_and_edges``), and the label of the void (connected by one-step
+    adjacency) each lies in: the index of the void's first position.
+    StructuralError for a regular kind or a generation that deletes nothing.
+    """
+    kind = LatticeKind.parse(kind)
+    geometry = _GEOMETRY[kind]
+    if geometry.filled is None:
+        raise StructuralError(
+            f"lattice kind {kind.value!r} has no voids; landmarks require "
+            "a fractal kind (sg, sc, dsc)"
+        )
+    g = _check_generation(kind, generation)
+    deleted = sorted(set(geometry.filled(g)).difference(geometry.points(g)))
+    if not deleted:
+        raise StructuralError(
+            f"{kind.value} generation {generation} deletes no site of its filled "
+            "counterpart; no effective void exists"
+        )
+    index = {point: n for n, point in enumerate(deleted)}
+    label = [-1] * len(deleted)
+    # ascending, a traversal starts at its void's first position
+    for first, point in enumerate(deleted):
+        if label[first] >= 0:
+            continue
+        label[first], stack = first, [point]
+        while stack:
+            a, b = stack.pop()
+            for da, db in geometry.steps:
+                n = index.get((a + da, b + db))
+                if n is not None and label[n] < 0:
+                    label[n] = first
+                    stack.append(deleted[n])
+    return geometry.xy(deleted), label

@@ -5,14 +5,13 @@ edge set over those points.  Five kinds exist: the Sierpinski gasket, the
 Sierpinski carpet, the dual carpet (one site per kept square), and the
 filled triangle and square baselines of matching geometry.
 
-The numpy-free ``geometry`` module holds each kind's row and generates a
-lattice's sites and edges as lists; ``generate`` wraps them in arrays.
-Here one exact integer-key lookup, ``_lookup``, finds the filled points a
-fractal deletes and the adjacency that groups them into the voids
-``landmark_sites`` ranks (``void_map``), and each site's mirror image in
-the frame of the mirror's axis (``mirror_permutation``): a file turned or
-shifted in the plane keeps the mirror; only edges that break the
-reflection lose it.
+The numpy-free ``geometry`` module holds each kind's row, generates a
+lattice's sites and edges and maps a fractal's voids, all as lists and
+through one dict from integer point to index; ``generate`` wraps the
+lattice in arrays, and ``landmark_sites`` ranks the voids.  Each site's
+mirror image is found through a dict as well, keyed in the frame of the
+mirror's axis (``mirror_permutation``): a file turned or shifted in the
+plane keeps the mirror; only edges that break the reflection lose it.
 """
 
 from __future__ import annotations
@@ -22,14 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import BoundsError, StructuralError, check_site
-from .geometry import (  # noqa: F401  (FractalMeta and fractal_meta are re-exported)
-    _GEOMETRY,
-    FractalMeta,
-    _check_generation,
-    fractal_meta,
-    sites_and_edges,
-)
+from .geometry import FractalMeta, fractal_meta  # noqa: F401  (re-exported)
 from .kinds import LatticeKind
 
 #: half-width of the accepted edge-length interval around one spacing
@@ -82,24 +76,6 @@ class Landmarks:
     first_void_positions: tuple[tuple[float, float], ...]
 
 
-def _lookup(a: np.ndarray, b: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Row of each query point (qa, qb), of any shape, among the points (a, b);
-    -1 where absent.  Both are keyed exactly by a * width + b - min(b)."""
-    low = min(b.min(), qb.min())
-    width = max(b.max(), qb.max()) - low + 1
-    key = a * width + (b - low)
-    order = np.argsort(key)
-    query = qa * width + (qb - low)
-    row = order[np.searchsorted(key, query, sorter=order).clip(max=key.size - 1)]
-    return np.where(key[row] == query, row, -1)
-
-
-def _arrays(points) -> tuple[np.ndarray, np.ndarray]:
-    """A list of integer points (a, b) as a pair of int64 arrays."""
-    a, b = np.array(points, dtype=np.int64).T
-    return a, b
-
-
 def generate(kind: LatticeKind | str, generation: int) -> Lattice:
     """Lattice of the given kind and generation.
 
@@ -111,7 +87,7 @@ def generate(kind: LatticeKind | str, generation: int) -> Lattice:
     (i, j) with i < j, rows sorted.
     """
     kind = LatticeKind.parse(kind)
-    xy, edges = sites_and_edges(kind, generation)
+    xy, edges = geometry.sites_and_edges(kind, generation)
     return Lattice(kind, generation, np.array(xy).reshape(-1, 2),
                    np.array(edges, dtype=np.int64).reshape(-1, 2))
 
@@ -165,9 +141,10 @@ def mirror_permutation(lattice: Lattice) -> np.ndarray:
         return identity
     s, t = (d @ [[ux, -uy], [uy, ux]]).T / length  # along and across the axis
     # a site and its image share s; labelling t with -t by cluster (a new
-    # label past a quarter-spacing gap) gives them one integer key
+    # label past a quarter-spacing gap) gives them one key (along, across)
     along, across = _cluster_labels(s), _cluster_labels(np.concatenate((t, -t)))
-    sigma = _lookup(along, across[:n], along, across[n:])
+    image = dict(zip(zip(along.tolist(), across[:n].tolist()), range(n)))
+    sigma = np.array([image.get(key, -1) for key in zip(along.tolist(), across[n:].tolist())])
     gap = np.hypot(s[sigma] - s, t[sigma] + t)
     if sigma.min() < 0 or gap.max() > DIST_TOL or not np.array_equal(sigma[sigma], identity):
         return identity
@@ -201,42 +178,6 @@ def resolve_input(lattice: Lattice, selector: str | int) -> int:
     return check_site(site, lattice.n_sites)
 
 
-def void_map(kind: LatticeKind | str, generation: int) -> tuple[np.ndarray, np.ndarray]:
-    """The filled counterpart's positions that a fractal deletes, as xy rows
-    in ascending integer (a, b) order, and the label of the void (connected
-    by one-step adjacency) each lies in: the row of the void's first one.
-    StructuralError for a regular kind or a generation that deletes nothing.
-    """
-    kind = LatticeKind.parse(kind)
-    geometry = _GEOMETRY[kind]
-    if geometry.filled is None:
-        raise StructuralError(
-            f"lattice kind {kind.value!r} has no voids; landmarks require "
-            "a fractal kind (sg, sc, dsc)"
-        )
-    g = _check_generation(kind, generation)
-    a, b = _arrays(geometry.filled(g))
-    deleted = _lookup(*_arrays(geometry.points(g)), a, b) < 0
-    if not deleted.any():
-        raise StructuralError(
-            f"{kind.value} generation {generation} deletes no site of its filled "
-            "counterpart; no effective void exists"
-        )
-    a, b = a[deleted], b[deleted]
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    # min-label propagation with pointer jumping; a missing neighbour
-    # stands in for itself
-    da, db = np.array(geometry.steps, dtype=np.int64).T
-    label, step = np.arange(a.size), _lookup(a, b, a[:, None] + da, b[:, None] + db)
-    step = np.where(step < 0, label[:, None], step)
-    while True:
-        hooked = np.minimum(label, label[step].min(axis=1))
-        if np.array_equal(hooked, label):
-            return np.column_stack((a, b)) * geometry.scale + geometry.offset, label
-        label = hooked[hooked]
-
-
 def landmark_sites(lattice: Lattice, input_site: int) -> Landmarks:
     """Locate the first effective void and the farthest sites from the input.
 
@@ -252,9 +193,10 @@ def landmark_sites(lattice: Lattice, input_site: int) -> Landmarks:
     """
     check_site(input_site, lattice.n_sites)
     g = lattice.generation
-    deleted_xy, label = void_map(lattice.kind, g)
-    geometry = _GEOMETRY[lattice.kind]
-    xy = np.array(geometry.xy(geometry.sites(g))).reshape(-1, 2)
+    positions, label = geometry.void_map(lattice.kind, g)
+    deleted_xy, label = np.array(positions).reshape(-1, 2), np.array(label)
+    row = geometry._GEOMETRY[lattice.kind]
+    xy = np.array(row.xy(row.sites(g))).reshape(-1, 2)
     if xy.shape != lattice.coords.shape or np.abs(xy - lattice.coords).max() > DIST_TOL:
         raise StructuralError(
             f"lattice coordinates differ from those of {lattice.kind.value} "

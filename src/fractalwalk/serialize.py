@@ -5,8 +5,8 @@ array (JSON arrays, CSV rows, matrix triplets) goes through one vectorised
 formatter, ``_format_rows``, which writes exactly the bytes of
 ``'%.12g' % x``; the ``%``-format itself (``format_float``) is used only for
 scalars and for the values the formatter cannot place exactly: 13th-digit
-ties, carries into the next decade, zeros, subnormals and exponents beyond
-its power-of-ten table.  The stdlib json encoder cannot be told a float
+ties, carries into the next decade, subnormals and exponents beyond its
+power-of-ten table.  The stdlib json encoder cannot be told a float
 format, so one emitter, ``textio._emit``, writes every JSON document but
 the lattice file, which ``textio.lattice_bytes`` writes from lists.  It
 writes a dataclass as the object of its fields, in field order: the series
@@ -144,8 +144,10 @@ def _format_chunk(x: np.ndarray, tails: np.ndarray, tail: np.ndarray) -> bytes:
     # carry into the next decade rint(m) is the correctly rounded digit string
     q = np.rint(m)
     fast = (m >= 1e11) & (q < 1e12) & (np.abs(m - q) < 0.5 - _TIE_MARGIN)
-    q = np.where(fast, q, 1e11)
     i = np.where(fast, i, _E_ZERO)
+    # a zero keeps q = 0, whose one digit the layout of e = 0 prints: "0", "-0"
+    fast |= x == 0.0
+    q = np.where(fast, q, 1e11)
 
     high = np.floor(q / 1e8)
     rest = q - high * 1e8
@@ -156,7 +158,7 @@ def _format_chunk(x: np.ndarray, tails: np.ndarray, tail: np.ndarray) -> bytes:
     ends = np.flatnonzero(low == 0)
     zeros[ends] += _ZEROS4[mid[ends]] + (mid[ends] == 0) * _ZEROS4[high[ends]]
     cls = _CLASS[i]
-    layout = cls * 12 + zeros
+    layout = cls * 12 + np.minimum(zeros, 11)  # q = 0 has twelve
 
     records = np.empty((x.size, 4), dtype="<u8")
     records[:, 0] = _PREFIX[2 * cls + np.signbit(x)]

@@ -242,6 +242,19 @@ def test_negative_probability_is_exit_5(sg4_files, tmp_path):
         assert run(argv) == 5, argv[0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_series_row_whose_sum_overflows_is_exit_5(sg4_files, tmp_path):
+    # two finite entries of 1e308 sum to inf: the distribution check
+    # refuses the row, and no RuntimeWarning is raised on the way
+    lattice, series = sg4_files
+    doc = json.loads(pathlib.Path(series).read_text())
+    doc["probabilities"][5][:2] = [1e308, 1e308]
+    bad = tmp_path / "overflowing-sum.json"
+    bad.write_text(json.dumps(doc))
+    for argv in _series_commands(lattice, str(bad), tmp_path):
+        assert run(argv) == 5, argv[0]
+
+
 @pytest.fixture(scope="module")
 def sc3_files(tmp_path_factory):
     """An sc-3 lattice and its quantum series on the preset grid (printed
@@ -648,6 +661,56 @@ def test_non_finite_parameter_is_exit_5(sg3_files, tmp_path, capsys, command, fl
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be "), err
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("evolve", ["--tau-min", "5", "--tau-max", "5.0000000000001", "--steps", "3"],
+     "grid step 5.01821e-14 must exceed 1e-11, for the 12 significant digits a "
+     "series keeps of tau_max 5.0000000000001"),
+    ("classical", ["--tau-min", "5", "--tau-max", "5.0000000000001", "--steps", "3"],
+     "grid step 5.01821e-14 must exceed 1e-11, for the 12 significant digits a "
+     "series keeps of tau_max 5.0000000000001"),
+    # a sweep's grid starts at 0, so only a subnormal step lies below the
+    # bound; rounded, it makes the grid overshoot tau_max and fall back at
+    # its end, and the plan refuses it before sc:2 walks
+    ("sweep", ["--instances", "sc:2,sg:3", "--tau-max", "1.48e-321"],
+     "grid step 4.94066e-324 must exceed 2.23e-308, for the 12 significant digits a "
+     "series keeps of tau_max 1.48e-321"),
+], ids=["evolve", "classical", "sweep"])
+def test_a_grid_finer_than_the_written_digits_is_exit_5(
+        sg3_files, tmp_path, capsys, no_walk, command, flags, message):
+    # written to 12 digits, the times 5, 5.00000000000005 and
+    # 5.0000000000001 would all read back as 5
+    lattice, _, _ = sg3_files
+    out = tmp_path / "out"
+    argv = (["sweep", "--out-dir", str(out)] if command == "sweep"
+            else [command, "--lattice", lattice, "--out", str(out)])
+    capsys.readouterr()
+    assert run([*argv, *flags]) == 5
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("warnings", ["error::RuntimeWarning", "default"])
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--coupling", "1e308"],
+    ["evolve", "--tau-max", "1e308", "--steps", "3"],
+    ["classical", "--rate", "1e300"],
+], ids=["coupling", "tau_max", "rate"])
+def test_an_overflowing_parameter_is_exit_7(sg3_files, tmp_path, warnings, argv):
+    # finite, but the eigenvalues or the exponents overflow: the residual
+    # and distribution checks refuse the result, and no RuntimeWarning is
+    # raised or printed on the way, under the setting CI's processes inherit
+    lattice, _, _ = sg3_files
+    env = dict(os.environ, PYTHONWARNINGS=warnings, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(pathlib.Path(cli.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "fractalwalk.cli", *argv,
+                           "--lattice", lattice, "--out", "s.json"],
+                          cwd=tmp_path, capture_output=True, text=True, env=env)
+    assert proc.returncode == 7, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_evolve_starts_its_grid_at_tau_min(sg3_files, tmp_path):

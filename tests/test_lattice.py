@@ -25,7 +25,7 @@ from fractalwalk.lattice import (
     mirror_permutation,
     resolve_input,
 )
-from fractalwalk.geometry import sites_and_edges
+from fractalwalk.geometry import sites_and_edges, void_map
 from fractalwalk.serialize import write_lattice
 from fractalwalk.textio import lattice_bytes
 
@@ -497,6 +497,31 @@ def test_landmark_digest(kind, generation):
     for site in sites:
         digest.update(repr(landmark_sites(lat, site)).encode("utf-8"))
     assert digest.hexdigest() == LANDMARK_DIGESTS[(kind, generation)]
+
+
+# SHA-256 of the void map's xy (float64 bytes) followed by its labels (int64
+# bytes), frozen from the array void map that the dict one replaced
+VOID_DIGESTS = {
+    ("sg", 3): "f9a0be72377cfa9e79f1ab3df72ca83914eb1bae0314302069df29ef65fe0d9d",
+    ("sg", 4): "ef4d8af06699af098eae4fb99967885f7b4ec5f66955ed950537989b5d9efe5b",
+    ("sg", 5): "6b678041dc6f14560c60f81a99a9539ab15169be7b833ec836f7c9a530cd4781",
+    ("sg", 6): "75fa50a31f979831922a476f130257e61d74df02ac3214c925eca052a48fc564",
+    ("sg", 7): "f36ce43db542ff386351b5e022b06875d6db7830ebdce17ab0d5458d717b3f6b",
+    ("sc", 2): "47b58316ed818933444c6a219a635cd684e36b78e1945d097e5e9785979d7553",
+    ("sc", 3): "85eed2415b87b6e4e66a98561c1d4077906815587a0add83a2863fc1b6aee942",
+    ("sc", 4): "263c540b9af898a367958b9495c3b63755a70131b24aac2596b0df975a1ab6b3",
+    ("dsc", 1): "2b716636a585f12d4aee0b4acafd4fe91e6bb3351b01c138b8b9b9fbd49fd6fa",
+    ("dsc", 2): "daaae8eb2671e20d2f82a93daf37ee99ca967e95a30711b18777750c2677ff1a",
+    ("dsc", 3): "879e456922a58deda72dc4ba7afd22c4e3f94d56b3ef5548d4751464dd78954f",
+    ("dsc", 4): "07b8c4a81ecc024c3e2570c88fe4d869e64e969de22c983b85868716484c8a7c",
+}
+
+
+@pytest.mark.parametrize("kind,generation", sorted(VOID_DIGESTS))
+def test_void_map_digest(kind, generation):
+    xy, label = void_map(kind, generation)
+    data = np.array(xy, dtype="<f8").tobytes() + np.array(label, dtype="<i8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == VOID_DIGESTS[(kind, generation)]
 
 
 @pytest.mark.parametrize("kind,generation", [("sg", 1), ("sg", 2), ("sc", 1)])

@@ -89,3 +89,13 @@ def test_graph_gasket_fit(generation):
     fit = build_regime_report(lattice, series).fractal_fit
     assert fit.exponent == pytest.approx(exponent, abs=1e-9)
     assert (fit.tau_lo, fit.tau_hi) == pytest.approx((tau_lo, tau_hi), abs=1e-9)
+
+
+def test_the_next_gasket_generation_repeats_sg6_on_the_preset_grid():
+    # metamorphic: the walk from the apex does not reach the far edge of
+    # sg:7 before tau 25, so the larger gasket gives sg:6's events and fit
+    small, large = (quantum_run("sg", generation).report for generation in (6, 7))
+    assert small.event_taus() == large.event_taus() == {"first_void": 0.9, "l_f": 1.85}
+    assert (large.fractal_fit.tau_lo, large.fractal_fit.tau_hi) == (
+        small.fractal_fit.tau_lo, small.fractal_fit.tau_hi)
+    assert large.fractal_fit.exponent == pytest.approx(small.fractal_fit.exponent, abs=1e-5)

@@ -167,9 +167,10 @@ def test_ties_and_zeros_go_through_format_float(monkeypatch):
         return format_float(x)
 
     monkeypatch.setattr("fractalwalk.serialize.format_float", recording)
-    values = np.array([0.25, 1234567890125.0, 0.0, 5e-324, 1.0 / 3.0])
+    values = np.array([0.25, 1234567890125.0, 0.0, 5e-324, 1.0 / 3.0, -0.0])
     assert json_dumps(values) == _json_reference(values)
-    assert seen == [1234567890125.0, 0.0, 5e-324]
+    # exact zeros take the word path: "0" and "-0"
+    assert seen == [1234567890125.0, 5e-324]
 
 
 def test_rows_straddling_a_chunk_boundary():
