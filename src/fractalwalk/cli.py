@@ -14,8 +14,11 @@ which loads its submodule.  Every call looks the stages up in this
 module's globals, so a wrapper set on ``cli.<stage>`` is what runs, and
 the lookup holds when ``runpy`` or cProfile runs this file as
 ``__main__``.  Flags whose default belongs to a stage default to None
-here, so that the stage's own default applies.  An output that cannot be written exits 3, as an input that
-cannot be read does.
+here, so that the stage's own default applies.  An output that cannot be
+written exits 3, as an input that cannot be read does.  What makes a
+series valid is decided in ``evolution``: the grid refuses an oversized
+walk before it is built, and a series refuses its own bad structure;
+``_load_pair`` only runs the series' checks against its lattice.
 
 ``main(argv)`` returns the exit status and leaves the interpreter as it
 found it; ``run()``, the process entry point, ends the process once
@@ -30,7 +33,7 @@ import os
 import sys
 from typing import NoReturn
 
-from .errors import DomainError, FractalwalkError, NotFoundError
+from .errors import DomainError, FractalwalkError, InputFileError, NotFoundError
 from .kinds import LatticeKind
 
 
@@ -79,11 +82,21 @@ def _outpath(path: str) -> str:
 
 
 def _load_pair(args):
+    """The lattice and series files, checked against each other: a row that
+    is not a distribution exits 5, and a series that breaks the lattice's
+    mirror about its input site exits 3."""
     from . import serialize
+    from .evolution import check_distribution
 
     lattice = serialize.read_lattice(args.lattice)
     series = serialize.read_series(args.series)
     series.check_lattice(lattice)
+    check_distribution(series.probabilities)
+    sigma = _stage.mirror_permutation(lattice)
+    try:
+        series.check_mirror(sigma)
+    except DomainError as exc:
+        raise InputFileError(f"{args.series}: {exc}") from None
     return lattice, series
 
 
@@ -92,7 +105,6 @@ def walk(lattice, selector, times, classical=False, dump=None, **params):
     Hamiltonian, or the Laplacian if ``classical``), write its triplets to
     ``dump`` if given, decompose it by mirror sector and evolve.  Returns
     (input_site, spectrum, series)."""
-    _check_series_size(times, lattice)
     input_site = _stage.resolve_input(lattice, selector)
     build = _stage.build_classical_generator if classical else _stage.build_hamiltonian
     operator = build(lattice, **params)
@@ -103,15 +115,6 @@ def walk(lattice, selector, times, classical=False, dump=None, **params):
     spectrum = _stage.spectral_decompose(operator, _stage.mirror_permutation(lattice))
     evolve = _stage.evolve_classical if classical else _stage.evolve_quantum
     return input_site, spectrum, evolve(spectrum, input_site, times)
-
-
-def _check_series_size(times, lattice) -> None:
-    """DomainError if a walk over ``times`` on ``lattice`` exceeds MAX_SERIES_VALUES."""
-    from .evolution import MAX_SERIES_VALUES
-
-    if times.size * lattice.n_sites > MAX_SERIES_VALUES:
-        raise DomainError(f"{times.size} times x {lattice.n_sites} sites is a series "
-                          f"of more than {MAX_SERIES_VALUES} values")
 
 
 def _given(args, *names) -> dict:
@@ -144,7 +147,8 @@ def cmd_evolve(args) -> int:
     lattice = serialize.read_lattice(args.lattice)
     dump = None if args.dump_matrix is None else _outpath(args.dump_matrix)
     # the series alone: the spectrum is freed before any artifact is written
-    times = _stage.preset_grid(lattice.kind, **_given(args, "tau_max", "steps", "tau_min"))
+    times = _stage.preset_grid(lattice.kind, sites=lattice.n_sites,
+                               **_given(args, "tau_max", "steps", "tau_min"))
     series = walk(lattice, args.input, times, args.classical, dump,
                   **_given(args, "rate", "beta", "coupling"))[2]
     out = _outpath(args.out)
@@ -250,8 +254,7 @@ def cmd_sweep(args) -> int:
             raise DomainError(f"instance {kind.value}:{generation} is listed twice")
         lattice = _stage.generate(kind, generation)
         input_site = _stage.resolve_input(lattice, args.input)
-        times = _stage.preset_grid(kind, args.tau_max, args.steps)
-        _check_series_size(times, lattice)
+        times = _stage.preset_grid(kind, args.tau_max, args.steps, sites=lattice.n_sites)
         check_slope_window(DEFAULT_SLOPE_WINDOW, times.size)
         plan[stem] = lattice, input_site, times
     if not plan:

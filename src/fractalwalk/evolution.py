@@ -42,6 +42,12 @@ entry over sqrt 2, or half the sum or difference of a symmetric and an
 antisymmetric one, and V^T V - I is block diagonal.  Without a
 permutation every site is fixed: S is all of H and A is empty.
 
+The rules of a valid series live here.  A ``ProbabilitySeries``, computed
+here or read by ``serialize.read_series``, refuses times that do not
+ascend from >= 0, a row count other than the number of times and an input
+site out of range.  ``time_grid`` and ``_evolve`` refuse a series of more
+than MAX_SERIES_VALUES (times x sites), the grid before it exists.
+
 Times are dimensionless, tau = C * t; with the default coupling C = 1
 they coincide with plain time arguments to exp(-iHt).
 """
@@ -68,16 +74,18 @@ if TYPE_CHECKING:  # an annotation only: reading a series needs no operator
 MAX_SERIES_VALUES = 2 ** 26
 
 
-def time_grid(tau_max: float, steps: int, tau_min: float = 0.0) -> np.ndarray:
-    """Uniform time grid over [tau_min, tau_max] with ``steps`` samples.
+def time_grid(tau_max: float, steps: int, tau_min: float = 0.0, sites: int = 1) -> np.ndarray:
+    """Uniform time grid over [tau_min, tau_max] with ``steps`` samples, for
+    a series over ``sites`` sites: its size is checked before the grid exists.
     A series keeps 12 significant digits of each time, so a step above the
     12th digit of tau_max reads back strictly ascending; a step that is a
     normal float keeps the grid itself ascending."""
     check_finite(tau_min=tau_min, tau_max=tau_max)
     if not tau_max > tau_min >= 0.0:
         raise DomainError(f"need tau_max > tau_min >= 0, got [{tau_min}, {tau_max}]")
-    if not 2 <= steps <= MAX_SERIES_VALUES:
-        raise DomainError(f"steps must be in [2, {MAX_SERIES_VALUES}], got {steps}")
+    if steps < 2:
+        raise DomainError(f"steps must be at least 2, got {steps}")
+    _check_size(steps, sites)
     step = (tau_max - tau_min) / (steps - 1)
     digit = max(10.0 ** (np.floor(np.log10(tau_max)) - 11), np.finfo(float).tiny)
     if not step > digit:
@@ -86,13 +94,19 @@ def time_grid(tau_max: float, steps: int, tau_min: float = 0.0) -> np.ndarray:
     return np.linspace(tau_min, tau_max, steps)
 
 
+def _check_size(n_times: int, n_sites: int) -> None:
+    if n_times * n_sites > MAX_SERIES_VALUES:
+        raise DomainError(f"{n_times} times x {n_sites} sites is a series "
+                          f"of more than {MAX_SERIES_VALUES} values")
+
+
 def preset_grid(kind: LatticeKind | str, tau_max: float | None = None,
-                steps: int | None = None, tau_min: float = 0.0) -> np.ndarray:
+                steps: int | None = None, tau_min: float = 0.0, sites: int = 1) -> np.ndarray:
     """``kind``'s preset grid (its row of ``geometry._GEOMETRY``), with
-    ``tau_max`` and ``steps`` in its place where given."""
+    ``tau_max`` and ``steps`` in its place where given, for ``sites`` sites."""
     preset_max, preset_steps = _GEOMETRY[LatticeKind.parse(kind)].grid
     return time_grid(preset_max if tau_max is None else tau_max,
-                     preset_steps if steps is None else steps, tau_min)
+                     preset_steps if steps is None else steps, tau_min, sites)
 
 
 class SeriesKind(str, Enum):
@@ -202,6 +216,12 @@ class ProbabilitySeries:
     probabilities: np.ndarray  # (T, N)
 
     def __post_init__(self):
+        """DomainError, ShapeError or BoundsError for a structure no walk gives."""
+        _check_times(self.times)
+        if self.probabilities.ndim != 2 or len(self.probabilities) != self.times.size:
+            raise ShapeError(f"probabilities shape {self.probabilities.shape} does not "
+                             f"match {self.times.size} times")
+        check_site(self.input_site, self.n_sites)
         self.times.setflags(write=False)
         self.probabilities.setflags(write=False)
 
@@ -216,9 +236,22 @@ class ProbabilitySeries:
                 f"series has {self.n_sites} sites but lattice has {lattice.n_sites}"
             )
 
+    def check_mirror(self, sigma: np.ndarray) -> None:
+        """DomainError if the input site is fixed by the mirror ``sigma`` but
+        two mirror images differ by more than MIRROR_TOL in some row, which
+        no walk from the axis gives (see the module docstring)."""
+        if sigma[self.input_site] != self.input_site:
+            return
+        gap = np.abs(self.probabilities - self.probabilities[:, sigma]).max(axis=0)
+        site = int(np.argmax(gap > MIRROR_TOL))
+        if gap[site] > MIRROR_TOL:
+            raise DomainError(f"sites {site} and {sigma[site]} mirror each other about the "
+                              f"input site, but their probabilities differ by {gap[site]:.3g}")
+
 
 RECONSTRUCTION_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-10
+MIRROR_TOL = 1e-9
 
 
 def spectral_decompose(h: Operator, mirror: np.ndarray | None = None) -> Spectrum:
@@ -378,6 +411,7 @@ def evolve_classical(spectrum: Spectrum, input_site: int, times) -> ProbabilityS
 def _evolve(kind: SeriesKind, kernel, spectrum: Spectrum, input_site: int,
             times) -> ProbabilitySeries:
     times = _check_times(times)
+    _check_size(times.size, spectrum.n)
     input_site = check_site(input_site, spectrum.n)
     eigvals, rows, orbit = spectrum._orbit_rows(input_site)
     weights = rows[orbit[input_site]]

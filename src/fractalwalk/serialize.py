@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import textio
-from .errors import BoundsError, DomainError, InputFileError
+from .errors import BoundsError, DomainError, InputFileError, ShapeError
 from .geometry import _check_generation
 from .lattice import DIST_TOL, Lattice, LatticeKind
 from .textio import (  # noqa: F401  (read_report_document is re-exported)
@@ -330,7 +330,7 @@ def _number_array(values) -> np.ndarray:
 
 
 def read_series(path: str) -> ProbabilitySeries:
-    from .evolution import ProbabilitySeries, SeriesKind, _check_times
+    from .evolution import ProbabilitySeries, SeriesKind
 
     doc = _load_json(path)
     kind_name = str(_require(doc, "kind", path))
@@ -352,17 +352,9 @@ def read_series(path: str) -> ProbabilitySeries:
         if not np.isfinite(values).all():  # a number such as 1e400 parses to inf
             raise InputFileError(f"{path}: non-finite number in {name}")
     try:
-        _check_times(times)
-    except DomainError as exc:
+        return ProbabilitySeries(kind, input_site, times, probs)
+    except (DomainError, ShapeError) as exc:
         raise InputFileError(f"{path}: {exc}") from None
-    if probs.ndim != 2 or probs.shape[0] != times.shape[0]:
-        raise InputFileError(
-            f"{path}: probabilities shape {probs.shape} does not match "
-            f"{times.shape[0]} times"
-        )
-    if not 0 <= input_site < probs.shape[1]:
-        raise InputFileError(f"{path}: input_site {input_site} out of range")
-    return ProbabilitySeries(kind, input_site, times, probs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ import pytest
 
 import fractalwalk
 from fractalwalk import cli
-from fractalwalk.evolution import evolve_quantum, spectral_decompose
-from fractalwalk.hamiltonian import Operator, build_hamiltonian
-from fractalwalk.lattice import mirror_permutation
-from fractalwalk.serialize import read_lattice, read_series
+from fractalwalk.evolution import (evolve_classical, evolve_quantum, preset_grid,
+                                   spectral_decompose)
+from fractalwalk.hamiltonian import Operator, build_classical_generator, build_hamiltonian
+from fractalwalk.lattice import canonical_input, mirror_permutation
+from fractalwalk.serialize import read_lattice, read_series, write_series
 from oracle import read_pgm
 
 
@@ -312,12 +313,14 @@ def _no_operator(*args, **kwargs):
     raise AssertionError("an operator was built for an oversized series")
 
 
-@pytest.mark.parametrize("kind,generation,steps,named", [
-    ("dsc", 1, "2000000000", "steps"),  # 14.9 GiB of grid alone
-    ("sc", 3, "100000", "sites"),       # 1e5 times x 688 sites = 6.9e7 values
+@pytest.mark.parametrize("kind,generation,steps,sites", [
+    ("dsc", 1, "2000000000", 8),  # 14.9 GiB of grid alone
+    ("sc", 3, "100000", 688),     # 1e5 times x 688 sites = 6.9e7 values
 ], ids=["steps-2e9", "sc3-steps-1e5"])
 def test_an_oversized_series_is_exit_5(tmp_path, capsys, monkeypatch,
-                                       kind, generation, steps, named):
+                                       kind, generation, steps, sites):
+    # one refusal, from the grid, whether the steps alone or the steps times
+    # the sites exceed the bound
     lattice = str(tmp_path / "lat.json")
     assert run(["lattice", "--kind", kind, "--generation", str(generation),
                 "--out", lattice]) == 0
@@ -329,7 +332,8 @@ def test_an_oversized_series_is_exit_5(tmp_path, capsys, monkeypatch,
                     "--out", str(tmp_path / "series.json")]) == 5, command
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert named in err and str(2 ** 26) in err, err
+        assert (f"error: {steps} times x {sites} sites is a series of more than "
+                f"{2 ** 26} values") in err, err
     assert sorted(os.listdir(tmp_path)) == ["lat.json"]
 
 
@@ -770,6 +774,94 @@ def test_an_eigensolver_failure_is_exit_7(sg3_files, tmp_path, capsys, monkeypat
     assert run(["evolve", "--lattice", lattice, "--out", str(tmp_path / "s.json")]) == 7
     assert "eigendecomposition failed" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
+
+
+SPAWNER = """\
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "fractalwalk.cli", *sys.argv[1:]],
+                     os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("steps", ["67108864", "16777216"])
+def test_an_oversized_walk_is_refused_before_its_grid_exists(sg3_files, tmp_path, steps):
+    # the refused grids alone are 512 and 128 MB.  The child is spawned from
+    # a small python -S process, because the ru_maxrss of a child forked from
+    # this one would count this process's pages too
+    lattice, _, _ = sg3_files
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(pathlib.Path(cli.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-S", "-c", SPAWNER, "evolve", "--lattice", lattice,
+                           "--steps", steps, "--out", "huge.json"],
+                          cwd=tmp_path, capture_output=True, text=True, env=env)
+    status, peak_kb = map(int, proc.stdout.split())
+    assert status == 5, proc.stderr
+    assert proc.stderr == (f"error: {steps} times x 42 sites is a series of more than "
+                           f"{2 ** 26} values\n")
+    assert list(tmp_path.iterdir()) == []
+    assert peak_kb < 100 * 1024
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["times"].reverse(), "times must be strictly ascending"),
+    (lambda doc: doc["probabilities"].pop(), "probabilities shape (500, 42) does not match"),
+    (lambda doc: doc.update(input_site=42), "site id 42 out of range 0..41"),
+], ids=["descending-times", "a-row-missing", "input-site-out-of-range"])
+def test_a_series_of_a_structure_no_walk_gives_is_exit_3(sg3_files, tmp_path, capsys,
+                                                         edit, message):
+    lattice, series, _ = sg3_files
+    doc = json.loads(pathlib.Path(series).read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["observables", "--series", str(bad), "--lattice", lattice,
+                "--out", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}"), err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("files,order", [
+    ("sg3_files", lambda n: [2, 1, 0, *range(3, n)]),
+    ("sc3_files", lambda n: np.random.default_rng(7).permutation(n).tolist()),
+], ids=["sg3-columns-0-and-2-swapped", "sc3-columns-shuffled"])
+def test_a_series_that_breaks_the_mirror_is_exit_3(request, tmp_path, capsys, files, order):
+    # a walk from a site on the mirror axis is symmetric about that axis;
+    # each row is still a distribution, so only the mirror rule refuses it
+    lattice, series = request.getfixturevalue(files)[:2]
+    doc = json.loads(pathlib.Path(series).read_text())
+    columns = order(len(doc["probabilities"][0]))
+    doc["probabilities"] = [[row[j] for j in columns] for row in doc["probabilities"]]
+    bad = tmp_path / "moved.json"
+    bad.write_text(json.dumps(doc))
+    for argv in _series_commands(lattice, str(bad), tmp_path):
+        capsys.readouterr()
+        assert run(argv) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(bad))}: sites \d+ and \d+ mirror each "
+                            r"other about the input site, but their probabilities differ "
+                            r"by \S+\n", err), err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("classical", [True, False], ids=["classical", "quantum"])
+def test_a_series_computed_without_the_mirror_reads_back(sg4_files, tmp_path, classical):
+    # README's classical example decomposes all of L at once: its series is
+    # symmetric only to roundoff (1e-13 at most), inside the 1e-9 limit
+    lattice_path, _ = sg4_files
+    lattice = read_lattice(lattice_path)
+    build, evolve = ((build_classical_generator, evolve_classical) if classical
+                     else (build_hamiltonian, evolve_quantum))
+    series = evolve(spectral_decompose(build(lattice)), canonical_input(lattice),
+                    preset_grid(lattice.kind))
+    path = str(tmp_path / "series.json")
+    write_series(series, path)
+    for argv in _series_commands(lattice_path, path, tmp_path):
+        assert run(argv) == 0, argv[0]
 
 
 # --- output routing and determinism ---------------------------------------

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalwalk.cli import walk
-from fractalwalk.errors import BoundsError, DomainError, NumericalError
+from fractalwalk.errors import BoundsError, DomainError, NumericalError, ShapeError
 from fractalwalk.evolution import (
     MAX_SERIES_VALUES,
+    ProbabilitySeries,
+    SeriesKind,
     evolve_classical,
     evolve_quantum,
     preset_grid,
@@ -45,10 +47,35 @@ def test_time_grid_with_positive_start():
 
 
 @pytest.mark.parametrize("args", [(0.0, 10), (5.0, 1), (2.0, 10, 3.0), (-1.0, 10),
-                                  (np.inf, 10), (5.0, MAX_SERIES_VALUES + 1)])
+                                  (np.inf, 10), (5.0, MAX_SERIES_VALUES + 1),
+                                  (5.0, 2 ** 20, 0.0, 65)])
 def test_time_grid_rejects_bad_parameters(args):
     with pytest.raises(DomainError):
         time_grid(*args)
+
+
+def test_a_series_over_too_many_values_is_refused_by_its_grid_and_its_walk(sg4_run):
+    # 2^26 / 123 sites: the largest grid the sg:4 walk takes
+    steps = MAX_SERIES_VALUES // 123
+    message = f"{steps + 1} times x 123 sites is a series of more than {MAX_SERIES_VALUES}"
+    assert preset_grid("sg", steps=steps, sites=123).size == steps
+    with pytest.raises(DomainError, match=message):
+        preset_grid("sg", steps=steps + 1, sites=123)
+    # a grid built by the caller is refused before the kernel runs
+    with pytest.raises(DomainError, match=message):
+        evolve_quantum(sg4_run.spectrum, sg4_run.input_site, time_grid(5.0, steps + 1))
+
+
+@pytest.mark.parametrize("times,probabilities,input_site,error,message", [
+    ([1.0, 0.5], [[0.5, 0.5], [0.5, 0.5]], 0, DomainError, "strictly ascending"),
+    ([0.0, 1.0], [[1.0, 0.0]], 0, ShapeError, r"shape \(1, 2\) does not match 2 times"),
+    ([0.0], [[1.0, 0.0]], 2, BoundsError, "site id 2 out of range 0..1"),
+], ids=["descending-times", "a-row-per-time", "input-site-out-of-range"])
+def test_a_series_refuses_a_structure_no_walk_gives(times, probabilities, input_site,
+                                                     error, message):
+    with pytest.raises(error, match=message):
+        ProbabilitySeries(SeriesKind.QUANTUM, input_site, np.array(times),
+                          np.array(probabilities))
 
 
 def test_preset_grids():
