@@ -26,12 +26,12 @@ _EXPORTS = {
         "ProbabilitySeries", "SeriesKind", "Spectrum", "evolve_classical",
         "evolve_quantum", "preset_grid", "spectral_decompose", "time_grid",
     ], "evolution"),
+    **dict.fromkeys(["FractalMeta", "LatticeKind", "fractal_meta"], "geometry"),
     **dict.fromkeys(["Operator", "build_classical_generator", "build_hamiltonian"],
                     "hamiltonian"),
     **dict.fromkeys([
-        "FractalMeta", "Landmarks", "Lattice", "LatticeKind", "canonical_input",
-        "connectivity_histogram", "fractal_meta", "generate", "landmark_sites",
-        "mirror_permutation", "resolve_input",
+        "Landmarks", "Lattice", "canonical_input", "connectivity_histogram", "generate",
+        "landmark_sites", "mirror_permutation", "resolve_input",
     ], "lattice"),
     **dict.fromkeys([
         "ObservableTable", "build_observable_table", "polya_number",

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, StructuralError, check_positive, check_site
 from .evolution import ProbabilitySeries
-from .lattice import Lattice, fractal_meta, landmark_sites
+from .geometry import fractal_meta
+from .lattice import Lattice, landmark_sites
 from .observables import ObservableTable, build_observable_table
 from .textio import EVENT_NAMES
 

@@ -5,7 +5,8 @@ OUTPUT_DIR, which prefixes every relative output path.  Outputs are
 deterministic: identical inputs and flags give byte-identical files.
 
 Each subcommand imports only the stages it runs.  Importing this module
-loads nothing of the package but ``errors`` and ``kinds``; ``lattice``,
+loads nothing of the package but ``errors`` and ``geometry`` (the kind
+names the parser offers, from the numpy-free kind table); ``lattice``,
 ``calibrate``, ``--help`` and usage errors run without numpy.  The
 pipeline stages (``generate``, ``spectral_decompose``, ``render_frame``,
 ...) resolve as attributes of this module on first use: ``__getattr__``
@@ -34,7 +35,7 @@ import sys
 from typing import NoReturn
 
 from .errors import DomainError, FractalwalkError, InputFileError, NotFoundError
-from .kinds import LatticeKind
+from .geometry import LatticeKind
 
 
 def __getattr__(name):
@@ -84,7 +85,8 @@ def _outpath(path: str) -> str:
 def _load_pair(args):
     """The lattice and series files, checked against each other: a row that
     is not a distribution exits 5, and a series that breaks the lattice's
-    mirror about its input site exits 3."""
+    mirror about its input site, or whose row at tau 0 is not the delta at
+    its input site, exits 3."""
     from . import serialize
     from .evolution import check_distribution
 
@@ -95,6 +97,7 @@ def _load_pair(args):
     sigma = _stage.mirror_permutation(lattice)
     try:
         series.check_mirror(sigma)
+        series.check_launch()
     except DomainError as exc:
         raise InputFileError(f"{args.series}: {exc}") from None
     return lattice, series
@@ -104,7 +107,12 @@ def walk(lattice, selector, times, classical=False, dump=None, **params):
     """Resolve the input site, build the walk operator from ``params`` (the
     Hamiltonian, or the Laplacian if ``classical``), write its triplets to
     ``dump`` if given, decompose it by mirror sector and evolve.  Returns
-    (input_site, spectrum, series)."""
+    (input_site, spectrum, series).  A series of more than
+    ``evolution.MAX_SERIES_VALUES`` values is refused before the operator
+    is built."""
+    from .evolution import _check_size
+
+    _check_size(len(times), lattice.n_sites)
     input_site = _stage.resolve_input(lattice, selector)
     build = _stage.build_classical_generator if classical else _stage.build_hamiltonian
     operator = build(lattice, **params)
@@ -200,11 +208,12 @@ def cmd_render(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    """Runs on ``textio`` and ``calibration`` alone, without numpy."""
+    """Runs on ``textio``, ``geometry`` and ``calibration`` alone, without numpy."""
     from . import textio
     from .calibration import CalibrationConfig, calibrate_events
 
     doc = textio.read_report_document(args.report)
+    textio.check_report_kind(doc, args.report)
     events = textio.report_event_taus(doc, args.report)
     config = CalibrationConfig(anchor_event=args.anchor_event, anchor_mm=args.anchor_mm)
     result = calibrate_events(events, config)

@@ -46,7 +46,11 @@ The rules of a valid series live here.  A ``ProbabilitySeries``, computed
 here or read by ``serialize.read_series``, refuses times that do not
 ascend from >= 0, a row count other than the number of times and an input
 site out of range.  ``time_grid`` and ``_evolve`` refuse a series of more
-than MAX_SERIES_VALUES (times x sites), the grid before it exists.
+than MAX_SERIES_VALUES (times x sites), the grid before it exists.  Two
+rules hold of every walk and are checked of a series read back:
+``check_mirror`` (a walk from the mirror axis stays symmetric about it)
+and ``check_launch`` (a grid from tau 0 starts with the delta at the
+input site).
 
 Times are dimensionless, tau = C * t; with the default coupling C = 1
 they coincide with plain time arguments to exp(-iHt).
@@ -62,8 +66,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, NumericalError, ShapeError, check_finite, check_site
-from .geometry import _GEOMETRY
-from .kinds import LatticeKind
+from .geometry import _GEOMETRY, LatticeKind
 
 if TYPE_CHECKING:  # an annotation only: reading a series needs no operator
     from .hamiltonian import Operator
@@ -185,19 +188,16 @@ class Spectrum:
         nf = self._fixed.size
         eigvals = np.concatenate((lam_s, lam_a))
         order = np.argsort(eigvals, kind="stable")
-        eigvecs = np.empty((self.n, self.n))
-
-        def scatter(sites, sym_rows, anti_rows):
-            # site rows of V in sector column order, sorted by eigenvalue, 256 at a time
-            for lo in range(0, sites.size, 256):
-                block = np.concatenate((sym_rows[lo:lo + 256], anti_rows[lo:lo + 256]), axis=1)
-                eigvecs[sites[lo:lo + 256]] = np.take(block, order, axis=1)
-
-        scatter(self._fixed, rows_s[:nf], np.zeros((nf, lam_a.size)))
-        pair_anti = np.sqrt(0.5) * u_a
-        del u_a
-        scatter(self._a, rows_s[nf:], pair_anti)
-        scatter(self._b, rows_s[nf:], np.negative(pair_anti, out=pair_anti))
+        # sector column c of V lands in column[c], sorted by eigenvalue
+        column = np.empty_like(order)
+        column[order] = np.arange(self.n)
+        sym, anti = column[:lam_s.size], column[lam_s.size:]
+        eigvecs = np.zeros((self.n, self.n))
+        eigvecs[np.ix_(self._fixed, sym)] = rows_s[:nf]
+        eigvecs[np.ix_(self._a, sym)] = eigvecs[np.ix_(self._b, sym)] = rows_s[nf:]
+        u_a *= np.sqrt(0.5)
+        eigvecs[np.ix_(self._a, anti)] = u_a
+        eigvecs[np.ix_(self._b, anti)] = np.negative(u_a, out=u_a)
         eigvals = eigvals[order]
         eigvals.setflags(write=False)
         eigvecs.setflags(write=False)
@@ -247,6 +247,19 @@ class ProbabilitySeries:
         if gap[site] > MIRROR_TOL:
             raise DomainError(f"sites {site} and {sigma[site]} mirror each other about the "
                               f"input site, but their probabilities differ by {gap[site]:.3g}")
+
+    def check_launch(self) -> None:
+        """DomainError if the grid starts at tau 0 but the row there differs
+        from the delta at the input site by more than MIRROR_TOL: every walk
+        starts from its input alone (see ``_evolve``)."""
+        if self.times[0] != 0.0:
+            return
+        launch = np.zeros(self.n_sites)
+        launch[self.input_site] = 1.0
+        gap = float(np.abs(self.probabilities[0] - launch).max())
+        if not gap <= MIRROR_TOL:
+            raise DomainError(f"the row at tau 0 differs from the launch at site "
+                              f"{self.input_site} by {gap:.3g}")
 
 
 RECONSTRUCTION_TOL = 1e-9

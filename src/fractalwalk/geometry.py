@@ -1,5 +1,5 @@
-"""The lattice geometry, without numpy: one row per kind, the generator of
-a lattice's sites and edges, and a fractal's void map.
+"""The lattice geometry, without numpy: the kinds, one row per kind, the
+generator of a lattice's sites and edges, and a fractal's void map.
 
 One table, ``_GEOMETRY``, holds a row per kind: on integer coordinates the
 points it keeps and those of its filled counterpart (none for the
@@ -12,6 +12,10 @@ the ``lattice`` command writes them as they are, so it runs without
 numpy, and ``lattice.generate`` wraps them in arrays.  ``void_map`` groups
 the positions a fractal deletes from its filled counterpart into voids.
 Both find a point's neighbours through a dict from point to index.
+
+``LatticeKind`` names the kinds.  The command-line parser imports this
+module for those names, so it stays light: the rows and ``FractalMeta``
+are named tuples, and nothing here loads ``dataclasses``.
 
 The edge rule is purely metric: every pair of sites at exactly one
 spacing is coupled, whatever the pair bounds.  For the gasket this
@@ -26,19 +30,35 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable
+from enum import Enum
+from typing import Callable, NamedTuple
 
 from .errors import BoundsError, StructuralError
-from .kinds import LatticeKind
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
 Points = list[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class FractalMeta:
+class LatticeKind(str, Enum):
+    SG = "sg"
+    SC = "sc"
+    DSC = "dsc"
+    TRIANGLE = "triangle"
+    SQUARE = "square"
+
+    @classmethod
+    def parse(cls, name: str) -> "LatticeKind":
+        try:
+            return cls(name.lower())
+        except ValueError:
+            raise BoundsError(
+                f"unknown lattice kind {name!r}; expected one of "
+                + ", ".join(k.value for k in cls)
+            ) from None
+
+
+class FractalMeta(NamedTuple):
     fractal_dimension: float
     spectral_dimension: float
 
@@ -95,8 +115,7 @@ def _id_order(point: tuple[int, int]) -> tuple[int, int]:
 # the geometry table
 
 
-@dataclass(frozen=True)
-class _Geometry:
+class _Geometry(NamedTuple):
     """One lattice kind; an integer point (a, b) sits at (a, b) * scale + offset.
     ``grid`` is the (tau_max, steps) of ``evolution.preset_grid``."""
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import geometry
 from .errors import BoundsError, StructuralError, check_site
-from .geometry import FractalMeta, fractal_meta  # noqa: F401  (re-exported)
-from .kinds import LatticeKind
+from .geometry import LatticeKind
 
 #: half-width of the accepted edge-length interval around one spacing
 DIST_TOL = 1e-6

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import textio
 from .errors import BoundsError, DomainError, InputFileError, ShapeError
-from .geometry import _check_generation
-from .lattice import DIST_TOL, Lattice, LatticeKind
+from .geometry import LatticeKind, _check_generation
+from .lattice import DIST_TOL, Lattice
 from .textio import (  # noqa: F401  (read_report_document is re-exported)
     _emit,
     _integer,

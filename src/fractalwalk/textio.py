@@ -3,7 +3,8 @@ JSON emitter for Python values and the lattice writer.
 
 The emitter, ``_emit``, writes a dataclass as the object of its fields, in
 field order, so a document is its dataclass: the field order is the
-document's key order.  ``calibrate`` reads a report, sets its
+document's key order.  ``calibrate`` reads a report, refuses one whose
+kind is not a fractal kind (``check_report_kind``), sets its
 ``calibration`` block to a ``CalibrationResult`` and writes it back
 through this module alone (``write_json``).  A lattice file has its own
 writer, ``lattice_bytes``, which takes the sites and edges as flat
@@ -24,9 +25,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, is_dataclass
 
 from .errors import InputFileError
+from .geometry import FRACTAL_KINDS
 
 FLOAT_FORMAT = ".12g"
 
@@ -78,7 +79,10 @@ def _emit(obj, out: bytearray, other=None) -> None:
             out += b"," if n else b""
             _emit(value, out, other)
         out += b"]"
-    elif is_dataclass(obj):
+    elif hasattr(type(obj), "__dataclass_fields__"):
+        # dataclasses.is_dataclass's test; the import waits for a dataclass
+        from dataclasses import fields
+
         _emit({f.name: getattr(obj, f.name) for f in fields(obj)}, out, other)
     elif other is not None:
         other(obj, out)
@@ -202,6 +206,16 @@ def _number(value) -> float:
 
 def read_report_document(path: str) -> dict:
     return _load_json(path)
+
+
+def check_report_kind(doc: dict, path: str) -> None:
+    """InputFileError if a report document names a ``kind`` that is not a
+    fractal kind: only a fractal's walk has the events a report holds.  A
+    report without a kind is taken as it is."""
+    kind = doc.get("kind")
+    if kind is not None and kind not in FRACTAL_KINDS:
+        raise InputFileError(f"{path}: kind {kind!r} is not a fractal kind; expected one of "
+                             + ", ".join(k.value for k in FRACTAL_KINDS))
 
 
 def report_event_taus(doc: dict, path: str) -> dict[str, float]:

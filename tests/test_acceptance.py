@@ -30,11 +30,11 @@ from fractalwalk.evolution import (
     spectral_decompose,
     time_grid,
 )
+from fractalwalk.geometry import fractal_meta
 from fractalwalk.hamiltonian import build_hamiltonian
 from fractalwalk.lattice import (
     canonical_input,
     connectivity_histogram,
-    fractal_meta,
     generate,
     landmark_sites,
 )

@@ -13,10 +13,11 @@ import pytest
 
 import fractalwalk
 from fractalwalk import cli
+from fractalwalk.errors import DomainError
 from fractalwalk.evolution import (evolve_classical, evolve_quantum, preset_grid,
                                    spectral_decompose)
 from fractalwalk.hamiltonian import Operator, build_classical_generator, build_hamiltonian
-from fractalwalk.lattice import canonical_input, mirror_permutation
+from fractalwalk.lattice import canonical_input, generate, mirror_permutation
 from fractalwalk.serialize import read_lattice, read_series, write_series
 from oracle import read_pgm
 
@@ -335,6 +336,17 @@ def test_an_oversized_series_is_exit_5(tmp_path, capsys, monkeypatch,
         assert (f"error: {steps} times x {sites} sites is a series of more than "
                 f"{2 ** 26} values") in err, err
     assert sorted(os.listdir(tmp_path)) == ["lat.json"]
+
+
+@pytest.mark.parametrize("classical", [False, True], ids=["quantum", "classical"])
+def test_walk_refuses_an_oversized_grid_before_the_operator(monkeypatch, classical):
+    # a grid of the caller's (12.8 MB here) is refused before the operator
+    # is built and decomposed, as the commands' own grids are
+    monkeypatch.setattr(cli, "build_hamiltonian", _no_operator)
+    monkeypatch.setattr(cli, "build_classical_generator", _no_operator)
+    times = np.linspace(0.0, 1.0, 2 ** 26 // 42 + 1)  # sg:3 has 42 sites
+    with pytest.raises(DomainError, match=f"a series of more than {2 ** 26} values"):
+        cli.walk(generate("sg", 3), "auto", times, classical)
 
 
 @pytest.mark.parametrize("edit", [
@@ -846,6 +858,42 @@ def test_a_series_that_breaks_the_mirror_is_exit_3(request, tmp_path, capsys, fi
                             r"other about the input site, but their probabilities differ "
                             r"by \S+\n", err), err
     assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_a_series_that_does_not_start_from_its_input_is_exit_3(sc3_files, tmp_path, capsys):
+    # a uniform row at tau 0 is a distribution and is mirror-symmetric, but
+    # every walk starts from the delta at its input site
+    lattice, series = sc3_files
+    doc = json.loads(pathlib.Path(series).read_text())
+    n = len(doc["probabilities"][0])
+    doc["probabilities"][0] = [1.0 / n] * n
+    bad = tmp_path / "uniform.json"
+    bad.write_text(json.dumps(doc))
+    for argv in _series_commands(lattice, str(bad), tmp_path):
+        capsys.readouterr()
+        assert run(argv) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert err == (f"error: {bad}: the row at tau 0 differs from the launch at site "
+                       f"{doc['input_site']} by 0.999\n"), err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("kind", ["banana", "triangle", 4], ids=["banana", "triangle", "number"])
+def test_a_report_of_no_fractal_kind_is_exit_3(sg3_files, tmp_path, capsys, kind):
+    # only a fractal's walk has the events a report holds; a report without
+    # a kind is taken as it is
+    doc = json.loads(pathlib.Path(sg3_files[2]).read_text())
+    argv = ["calibrate", "--anchor-event", "first_void", "--anchor-mm", "2.675"]
+    bad, out = tmp_path / "bad.json", tmp_path / "c.json"
+    bad.write_text(json.dumps({**doc, "kind": kind}))
+    capsys.readouterr()
+    assert run([*argv, "--report", str(bad), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: kind {kind!r} is not a fractal kind"), err
+    assert list(tmp_path.iterdir()) == [bad]
+    del doc["kind"]
+    bad.write_text(json.dumps(doc))
+    assert run([*argv, "--report", str(bad), "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("classical", [True, False], ids=["classical", "quantum"])

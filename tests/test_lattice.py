@@ -15,17 +15,15 @@ from fractalwalk.errors import BoundsError, StructuralError
 from fractalwalk.evolution import preset_grid
 from fractalwalk.lattice import (
     DIST_TOL,
-    FractalMeta,
     LatticeKind,
     canonical_input,
     connectivity_histogram,
-    fractal_meta,
     generate,
     landmark_sites,
     mirror_permutation,
     resolve_input,
 )
-from fractalwalk.geometry import sites_and_edges, void_map
+from fractalwalk.geometry import FractalMeta, fractal_meta, sites_and_edges, void_map
 from fractalwalk.serialize import write_lattice
 from fractalwalk.textio import lattice_bytes
 

@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 from conftest import quantum_run
-from fractalwalk.analysis import build_regime_report
+from fractalwalk.analysis import build_regime_report, fit_powerlaw
 from fractalwalk.cli import walk
 from fractalwalk.evolution import preset_grid
 from fractalwalk.lattice import Lattice, LatticeKind, connectivity_histogram, generate
+from fractalwalk.observables import build_observable_table
 
 # (kind, generation): exponent, tau_lo, tau_hi, farthest-site event reached
 LADDER = {
@@ -99,3 +100,20 @@ def test_the_next_gasket_generation_repeats_sg6_on_the_preset_grid():
     assert (large.fractal_fit.tau_lo, large.fractal_fit.tau_hi) == (
         small.fractal_fit.tau_lo, small.fractal_fit.tau_hi)
     assert large.fractal_fit.exponent == pytest.approx(small.fractal_fit.exponent, abs=1e-5)
+
+
+def test_classical_spreading_follows_the_walk_dimension():
+    # the paper's contrast: the classical variance grows as tau^(2/d_w), with
+    # the walk dimension d_w = log 5 / log 2 of the gasket, while the quantum
+    # one follows d_f.  The log-spaced grid reaches tau 200 inside sg:6, and
+    # its saturation (finite size, from tau ~300) lies beyond the window;
+    # build_regime_report is not used, since its saturation detector needs
+    # a uniform grid.  Measured: 0.8778, r^2 0.99998 on 83 samples
+    lattice = generate("sg", 6)
+    times = np.concatenate(([0.0], np.geomspace(0.05, 3000.0, 400)))
+    series = walk(lattice, "auto", times, classical=True)[2]
+    table = build_observable_table(series, lattice)
+    classical = fit_powerlaw(table.times, table.variance, 20.0, 200.0)
+    assert classical.exponent == pytest.approx(math.log(4) / math.log(5), abs=0.05)
+    quantum = quantum_run("sg", 6).report.fractal_fit
+    assert quantum.exponent - classical.exponent > 0.4

@@ -37,6 +37,16 @@ def test_import_fractalwalk_loads_no_submodule_and_no_numpy():
     assert "numpy" not in loaded
 
 
+def test_the_kind_table_names_load_no_numpy():
+    proc = python("-c", "import sys, json\n"
+                  "from fractalwalk import FractalMeta, LatticeKind, fractal_meta\n"
+                  "print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "fractalwalk.geometry" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "numpy"]
+
+
 @pytest.fixture()
 def report(tmp_path):
     path = tmp_path / "report.json"
@@ -81,6 +91,23 @@ def test_these_commands_run_without_numpy(tmp_path, report, argv, status):
     if argv[0] == "lattice" and status == 0:
         doc = json.loads((tmp_path / "out.json").read_text())
         assert (doc["kind"], doc["generation"]) == (argv[2], int(argv[4]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "--kind", "sc", "--generation", "3", "--out", "out.json"],
+    ["--help"],
+], ids=["lattice", "help"])
+def test_these_commands_load_no_dataclasses(tmp_path, argv):
+    # dataclasses brings inspect, ast, dis and tokenize; the kind table and
+    # the lattice writer need none of them
+    proc = python("-c", "import json, sys; print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    bare = set(json.loads(proc.stdout))
+    proc = python("-c", RUN_CLI, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert "fractalwalk.geometry" in loaded
+    assert "dataclasses" not in loaded - bare
 
 
 @pytest.fixture(scope="module")
