@@ -2,7 +2,8 @@
 
 All flags are long-form.  The only environment variable honoured is
 OUTPUT_DIR, which prefixes every relative output path.  Outputs are
-deterministic: identical inputs and flags give byte-identical files.
+deterministic: identical inputs and flags give byte-identical files for a
+fixed machine and BLAS thread count.
 
 Each subcommand imports only the stages it runs.  Importing this module
 loads nothing of the package but ``errors`` and ``geometry`` (the kind
@@ -17,9 +18,8 @@ the lookup holds when ``runpy`` or cProfile runs this file as
 ``__main__``.  Flags whose default belongs to a stage default to None
 here, so that the stage's own default applies.  An output that cannot be
 written exits 3, as an input that cannot be read does.  What makes a
-series valid is decided in ``evolution``: the grid refuses an oversized
-walk before it is built, and a series refuses its own bad structure;
-``_load_pair`` only runs the series' checks against its lattice.
+series valid is decided in ``evolution``, and a walk read back goes
+through ``serialize.read_walk``, which holds its series to its lattice.
 
 ``main(argv)`` returns the exit status and leaves the interpreter as it
 found it; ``run()``, the process entry point, ends the process once
@@ -34,7 +34,7 @@ import os
 import sys
 from typing import NoReturn
 
-from .errors import DomainError, FractalwalkError, InputFileError, NotFoundError
+from .errors import DomainError, FractalwalkError, NotFoundError
 from .geometry import LatticeKind
 
 
@@ -80,27 +80,6 @@ def _outpath(path: str) -> str:
     if base and not os.path.isabs(path):
         return os.path.join(base, path)
     return path
-
-
-def _load_pair(args):
-    """The lattice and series files, checked against each other: a row that
-    is not a distribution exits 5, and a series that breaks the lattice's
-    mirror about its input site, or whose row at tau 0 is not the delta at
-    its input site, exits 3."""
-    from . import serialize
-    from .evolution import check_distribution
-
-    lattice = serialize.read_lattice(args.lattice)
-    series = serialize.read_series(args.series)
-    series.check_lattice(lattice)
-    check_distribution(series.probabilities)
-    sigma = _stage.mirror_permutation(lattice)
-    try:
-        series.check_mirror(sigma)
-        series.check_launch()
-    except DomainError as exc:
-        raise InputFileError(f"{args.series}: {exc}") from None
-    return lattice, series
 
 
 def walk(lattice, selector, times, classical=False, dump=None, **params):
@@ -169,7 +148,7 @@ def cmd_evolve(args) -> int:
 def cmd_observables(args) -> int:
     from . import serialize
 
-    lattice, series = _load_pair(args)
+    lattice, series = serialize.read_walk(args.lattice, args.series)
     table = _stage.build_observable_table(series, lattice)
     out = _outpath(args.out)
     serialize.write_observables(table, out)
@@ -180,7 +159,7 @@ def cmd_observables(args) -> int:
 def cmd_analyze(args) -> int:
     from . import serialize
 
-    lattice, series = _load_pair(args)
+    lattice, series = serialize.read_walk(args.lattice, args.series)
     report = _stage.build_regime_report(
         lattice, series,
         **_given(args, "epsilon", "slope_window", "band", "delta", "min_span"),
@@ -196,7 +175,7 @@ def cmd_render(args) -> int:
     from . import serialize
     from .render import RenderSpec
 
-    lattice, series = _load_pair(args)
+    lattice, series = serialize.read_walk(args.lattice, args.series)
     spec = RenderSpec(**_given(args, "pixels_per_spacing", "spot_sigma", "margin", "gamma"))
     out_dir = _outpath(args.out_dir)
     for index in args.time_index:
@@ -232,7 +211,7 @@ def cmd_calibrate(args) -> int:
 def cmd_sweep(args) -> int:
     from . import serialize
     from .analysis import DEFAULT_SLOPE_WINDOW, check_epsilon, check_slope_window
-    from .geometry import FRACTAL_KINDS, void_map
+    from .geometry import FRACTAL_KINDS, check_voids
 
     # the plan: each instance's lattice, input site and time grid, in order
     # and keyed by its artifact stem (sg4); every check that can refuse an
@@ -257,11 +236,11 @@ def cmd_sweep(args) -> int:
                 f"sweep runs the void-based analysis and needs fractal kinds; "
                 f"got {kind.value!r}"
             )
-        void_map(kind, generation)
         stem = f"{kind.value}{generation}"
         if stem in plan:
             raise DomainError(f"instance {kind.value}:{generation} is listed twice")
         lattice = _stage.generate(kind, generation)
+        check_voids(kind, generation, lattice.n_sites)
         input_site = _stage.resolve_input(lattice, args.input)
         times = _stage.preset_grid(kind, args.tau_max, args.steps, sites=lattice.n_sites)
         check_slope_window(DEFAULT_SLOPE_WINDOW, times.size)

@@ -46,11 +46,14 @@ The rules of a valid series live here.  A ``ProbabilitySeries``, computed
 here or read by ``serialize.read_series``, refuses times that do not
 ascend from >= 0, a row count other than the number of times and an input
 site out of range.  ``time_grid`` and ``_evolve`` refuse a series of more
-than MAX_SERIES_VALUES (times x sites), the grid before it exists.  Two
-rules hold of every walk and are checked of a series read back:
-``check_mirror`` (a walk from the mirror axis stays symmetric about it)
-and ``check_launch`` (a grid from tau 0 starts with the delta at the
-input site).
+than MAX_SERIES_VALUES (times x sites), the grid before it exists.
+``check_walk``, which ``serialize.read_walk`` runs on a series read back,
+holds it to what every walk on its lattice does: a walk from the mirror
+axis stays symmetric about it, a grid from tau 0 starts with the delta at
+the input site, and a classical walk's return probability, the heat-kernel
+diagonal sum_k v_k^2 exp(-lambda_k t), never rises, nor does the walk
+come back to that delta.  A quantum walk can (two sites revive exactly at
+tau = pi), so a quantum series shifted in time is not refused.
 
 Times are dimensionless, tau = C * t; with the default coupling C = 1
 they coincide with plain time arguments to exp(-iHt).
@@ -67,6 +70,7 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, NumericalError, ShapeError, check_finite, check_site
 from .geometry import _GEOMETRY, LatticeKind
+from .lattice import mirror_permutation
 
 if TYPE_CHECKING:  # an annotation only: reading a series needs no operator
     from .hamiltonian import Operator
@@ -236,30 +240,41 @@ class ProbabilitySeries:
                 f"series has {self.n_sites} sites but lattice has {lattice.n_sites}"
             )
 
-    def check_mirror(self, sigma: np.ndarray) -> None:
-        """DomainError if the input site is fixed by the mirror ``sigma`` but
-        two mirror images differ by more than MIRROR_TOL in some row, which
-        no walk from the axis gives (see the module docstring)."""
-        if sigma[self.input_site] != self.input_site:
-            return
-        gap = np.abs(self.probabilities - self.probabilities[:, sigma]).max(axis=0)
-        site = int(np.argmax(gap > MIRROR_TOL))
-        if gap[site] > MIRROR_TOL:
-            raise DomainError(f"sites {site} and {sigma[site]} mirror each other about the "
-                              f"input site, but their probabilities differ by {gap[site]:.3g}")
-
-    def check_launch(self) -> None:
-        """DomainError if the grid starts at tau 0 but the row there differs
-        from the delta at the input site by more than MIRROR_TOL: every walk
-        starts from its input alone (see ``_evolve``)."""
-        if self.times[0] != 0.0:
-            return
+    def check_walk(self, lattice) -> None:
+        """DomainError for a series that no walk on ``lattice`` gives (see the
+        module docstring), each test within MIRROR_TOL but the classical
+        return probability's, which is taken to its 12th significant digit."""
+        probs, site = self.probabilities, self.input_site
+        sigma = mirror_permutation(lattice)
+        if sigma[site] == site:
+            gap = np.abs(probs - probs[:, sigma]).max(axis=0)
+            i = int(np.argmax(gap > MIRROR_TOL))
+            if gap[i] > MIRROR_TOL:
+                raise DomainError(f"sites {i} and {sigma[i]} mirror each other about the "
+                                  f"input site, but their probabilities differ by {gap[i]:.3g}")
         launch = np.zeros(self.n_sites)
-        launch[self.input_site] = 1.0
-        gap = float(np.abs(self.probabilities[0] - launch).max())
-        if not gap <= MIRROR_TOL:
-            raise DomainError(f"the row at tau 0 differs from the launch at site "
-                              f"{self.input_site} by {gap:.3g}")
+        launch[site] = 1.0
+        gap = float(np.abs(probs[0] - launch).max())
+        if self.times[0] == 0.0 and not gap <= MIRROR_TOL:
+            raise DomainError(f"the row at tau 0 differs from the launch at site {site} "
+                              f"by {gap:.3g}")
+        if self.kind is not SeriesKind.CLASSICAL:
+            return
+        # a written value keeps 12 significant digits, and two written values
+        # one unit apart differ by that unit only up to binary roundoff
+        column = probs[:, site]
+        unit = 10.0 ** (np.floor(np.log10(np.maximum(column[1:], np.finfo(float).tiny))) - 11)
+        rise = np.diff(column)
+        up = np.flatnonzero(rise > 1.5 * unit)
+        if up.size:
+            k = up[0]
+            raise DomainError(f"the classical return probability rises by {rise[k]:.3g} "
+                              f"from tau {self.times[k]:.12g} to {self.times[k + 1]:.12g}")
+        held = (self.times > 0.0) & (column == 1.0)
+        held[held] = (probs[held] == launch).all(axis=1)
+        if held.any() and lattice.degrees()[site]:
+            raise DomainError(f"the row at tau {self.times[held][0]:.12g} is still the "
+                              f"launch at site {site}, which a classical walk leaves at once")
 
 
 RECONSTRUCTION_TOL = 1e-9

@@ -231,6 +231,17 @@ def sites_and_edges(kind: LatticeKind | str, generation: int):
     return geometry.xy(sites), edges
 
 
+_VOID_FREE = "{} generation {} deletes no site of its filled counterpart; no effective void exists"
+
+
+def check_voids(kind: LatticeKind, generation: int, sites: int) -> None:
+    """StructuralError unless fractal ``kind`` at ``generation``, with ``sites``
+    sites, deletes a point of its filled counterpart: as its sites are some of
+    the counterpart's points, it does exactly when the counterpart has more."""
+    if len(_GEOMETRY[kind].filled(generation)) <= sites:
+        raise StructuralError(_VOID_FREE.format(kind.value, generation))
+
+
 def void_map(kind: LatticeKind | str, generation: int):
     """The filled counterpart's positions that a fractal deletes, in
     ascending integer (a, b) order, as one flat xy list (see
@@ -248,10 +259,7 @@ def void_map(kind: LatticeKind | str, generation: int):
     g = _check_generation(kind, generation)
     deleted = sorted(set(geometry.filled(g)).difference(geometry.points(g)))
     if not deleted:
-        raise StructuralError(
-            f"{kind.value} generation {generation} deletes no site of its filled "
-            "counterpart; no effective void exists"
-        )
+        raise StructuralError(_VOID_FREE.format(kind.value, generation))
     index = {point: n for n, point in enumerate(deleted)}
     label = [-1] * len(deleted)
     # ascending, a traversal starts at its void's first position

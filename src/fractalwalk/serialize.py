@@ -270,6 +270,8 @@ def read_lattice(path: str) -> Lattice:
         raise InputFileError(f"{path}: {exc}") from None
     sites = _require(doc, "sites", path)
     edges = _require(doc, "edges", path)
+    if not (isinstance(sites, list) and isinstance(edges, list)):
+        raise InputFileError(f"{path}: sites and edges must be JSON arrays")
     generation = _require(doc, "generation", path)
     try:
         generation = _integer(generation)
@@ -355,6 +357,22 @@ def read_series(path: str) -> ProbabilitySeries:
         return ProbabilitySeries(kind, input_site, times, probs)
     except (DomainError, ShapeError) as exc:
         raise InputFileError(f"{path}: {exc}") from None
+
+
+def read_walk(lattice_path: str, series_path: str) -> tuple[Lattice, ProbabilitySeries]:
+    """A lattice file and a series file, held to each other: another site
+    count exits 4, a row that is no distribution 5, and a series that no walk
+    on the lattice gives (``ProbabilitySeries.check_walk``) 3."""
+    from .evolution import check_distribution
+
+    lattice, series = read_lattice(lattice_path), read_series(series_path)
+    series.check_lattice(lattice)
+    check_distribution(series.probabilities)
+    try:
+        series.check_walk(lattice)
+    except DomainError as exc:
+        raise InputFileError(f"{series_path}: {exc}") from None
+    return lattice, series
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 The writers must keep the bytes they write: a formatter or emitter change
 that moves one digit anywhere shows up here by file name.  The series
 digests also pin the eigensolver's output to the last printed digit; they
-were recorded with numpy 2.4.6 on OpenBLAS 0.3.31, and another LAPACK may
-round a series value differently.
+were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 running 2 threads
+(``OPENBLAS_NUM_THREADS=2``, as CI sets it).  Another LAPACK or another
+thread count may round a series value differently: at 1 thread the sc:3
+and dsc:3 artifacts move in their last printed digit, and sg:4 does not.
 """
 
 import hashlib

@@ -18,7 +18,8 @@ from fractalwalk.evolution import (evolve_classical, evolve_quantum, preset_grid
                                    spectral_decompose)
 from fractalwalk.hamiltonian import Operator, build_classical_generator, build_hamiltonian
 from fractalwalk.lattice import canonical_input, generate, mirror_permutation
-from fractalwalk.serialize import read_lattice, read_series, write_series
+from fractalwalk.serialize import (read_lattice, read_series, read_walk, write_lattice,
+                                   write_series)
 from oracle import read_pgm
 
 
@@ -425,10 +426,12 @@ def _add_edge(pair):
     _add_edge([0, 122]),  # apex to a far corner of the 123 sites
     _set_site("x", 0.5),
     _add_edge([0, 10 ** 30]),  # beyond int64
+    _set("edges", {}),  # iterated, an object or a string would read as no edges
+    _set("edges", ""),
 ], ids=["generation", "fractional_generation", "spacing", "kind", "boolean_spacing",
         "boolean_x", "string_x", "overflowing_y", "repeated_edge", "reversed_edge",
         "self_loop", "zero_spacing", "negative_spacing", "double_spacing", "long_edge",
-        "moved_site", "overflowing_edge"])
+        "moved_site", "overflowing_edge", "object_edges", "string_edges"])
 def test_malformed_lattice_field_is_exit_3(sg4_files, tmp_path, edit):
     lattice = _edited_copy(sg4_files[0], tmp_path, edit)
     code = run(["evolve", "--lattice", lattice, "--out", str(tmp_path / "s.json")])
@@ -876,6 +879,50 @@ def test_a_series_that_does_not_start_from_its_input_is_exit_3(sc3_files, tmp_pa
         assert err == (f"error: {bad}: the row at tau 0 differs from the launch at site "
                        f"{doc['input_site']} by 0.999\n"), err
     assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("command,edit,message", [
+    # the quantum return column of sg:3 rises by up to 0.0138 between samples
+    ("evolve", lambda doc: doc.update(kind="classical"),
+     "the classical return probability rises by 0.000363 from tau 2.1 to 2.15"),
+    ("classical", lambda doc: doc.update(times=[tau + 0.5 for tau in doc["times"]]),
+     "the row at tau 0.5 is still the launch at site 0, which a classical walk leaves "
+     "at once"),
+], ids=["quantum-relabelled-classical", "classical-shifted-in-time"])
+def test_a_classical_series_no_heat_kernel_gives_is_exit_3(sg3_files, tmp_path, capsys,
+                                                           command, edit, message):
+    # each row is a distribution, symmetric about the mirror axis, and the
+    # first is the delta at the input: only the classical rules refuse these
+    lattice = sg3_files[0]
+    series = tmp_path / "inputs" / "series.json"
+    series.parent.mkdir()
+    assert run([command, "--lattice", lattice, "--out", str(series)]) == 0
+    doc = json.loads(series.read_text())
+    edit(doc)
+    series.write_text(json.dumps(doc))
+    for argv in _series_commands(lattice, str(series), tmp_path):
+        capsys.readouterr()
+        assert run(argv) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert err == f"error: {series}: {message}\n", err
+    assert [p.name for p in tmp_path.iterdir()] == ["inputs"]
+
+
+@pytest.mark.parametrize("kind,generation", [
+    ("sg", 3), ("sg", 4), ("sg", 5), ("sc", 2), ("sc", 3), ("dsc", 2), ("dsc", 3)])
+def test_every_classical_walk_reads_back(tmp_path, kind, generation):
+    # on the preset grid and on a log grid to tau 3000, where the walk has
+    # equilibrated to 1/N and the written return probability repeats, and on
+    # sg:4 rises by one unit in its 12th digit, as rounding gives
+    lattice = generate(kind, generation)
+    lattice_path, series_path = str(tmp_path / "lattice.json"), str(tmp_path / "series.json")
+    write_lattice(lattice, lattice_path)
+    for times in (preset_grid(kind, sites=lattice.n_sites),
+                  np.concatenate(([0.0], np.geomspace(0.05, 3000, 400)))):
+        series = cli.walk(lattice, "auto", times, classical=True)[2]
+        series.check_walk(lattice)
+        write_series(series, series_path)
+        read_walk(lattice_path, series_path)
 
 
 @pytest.mark.parametrize("kind", ["banana", "triangle", 4], ids=["banana", "triangle", "number"])
