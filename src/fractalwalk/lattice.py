@@ -10,8 +10,9 @@ lattice's sites and edges and maps a fractal's voids, all as lists and
 through one dict from integer point to index; ``generate`` wraps the
 lattice in arrays, and ``landmark_sites`` ranks the voids.  Each site's
 mirror image is found through a dict as well, keyed in the frame of the
-mirror's axis (``mirror_permutation``): a file turned or shifted in the
-plane keeps the mirror; only edges that break the reflection lose it.
+mirror's axis (``mirror_permutation``): a lattice turned or shifted in
+memory (a file reads only as generated) keeps the mirror; only edges that
+break the reflection lose it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import geometry
 from .errors import BoundsError, StructuralError, check_site
 from .geometry import LatticeKind
 
-#: half-width of the accepted edge-length interval around one spacing
+#: how far a position may lie from one it is taken for: a mirror image, a generated site
 DIST_TOL = 1e-6
 
 #: coordinate tolerance for "same position" and farthest-distance ties
@@ -126,7 +127,7 @@ def mirror_permutation(lattice: Lattice) -> np.ndarray:
 
     ``sigma[i]`` is the site at the mirror image of site i.  It is found
     in the axis frame, where the reflection is (s, t) -> (s, -t), so it
-    survives a rotation or translation of the file.  The identity comes
+    survives a rotation or translation in memory.  The identity comes
     back when the reflection maps some site more than DIST_TOL away from
     every site, or maps the edge set onto a different one, as an edge
     added or removed off the axis does.
@@ -188,7 +189,7 @@ def landmark_sites(lattice: Lattice, input_site: int) -> Landmarks:
     within 1 + 1e-6 spacings of that void's deleted positions.
 
     The lattice's coordinates must be the ones its kind and generation
-    generate; a relabelled or edited file raises StructuralError.
+    generate; a relabelled or edited lattice raises StructuralError.
     """
     check_site(input_site, lattice.n_sites)
     g = lattice.generation

@@ -13,7 +13,7 @@ writes a dataclass as the object of its fields, in field order: the series
 and report documents are ``ProbabilitySeries`` and ``RegimeReport`` as
 they are, and their key order is their field order.  The emitter appends
 the document's ASCII bytes to one buffer, which is written as it is.  All
-writers are byte-deterministic.
+writers are byte-deterministic; a lattice file reads back only as generated.
 
 The parts that need no numpy live in ``textio``: the atomic writes, the
 strict JSON load, the emitter for Python values, the lattice writer and
@@ -31,15 +31,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import textio
+from . import geometry, textio
 from .errors import BoundsError, DomainError, InputFileError, ShapeError
 from .geometry import LatticeKind, _check_generation
-from .lattice import DIST_TOL, Lattice
+from .lattice import Lattice
 from .textio import (  # noqa: F401  (read_report_document is re-exported)
     _emit,
     _integer,
     _load_json,
-    _number,
     _require,
     format_float,
     read_report_document,
@@ -263,42 +262,23 @@ def write_lattice(lattice: Lattice, path: str) -> None:
 
 
 def read_lattice(path: str) -> Lattice:
-    doc = _load_json(path)
+    """The file ``fractalwalk lattice`` writes for its kind and generation,
+    byte for byte, else InputFileError.  The edges are the generator's and
+    the coordinates the file's 12-digit text, as every artifact was made."""
+    data = textio._read(path)
+    doc = _load_json(path, data)
     try:
         kind = LatticeKind.parse(str(_require(doc, "kind", path)))
+        generation = _check_generation(kind, _require(doc, "generation", path))
     except BoundsError as exc:
         raise InputFileError(f"{path}: {exc}") from None
-    sites = _require(doc, "sites", path)
-    edges = _require(doc, "edges", path)
-    if not (isinstance(sites, list) and isinstance(edges, list)):
-        raise InputFileError(f"{path}: sites and edges must be JSON arrays")
-    generation = _require(doc, "generation", path)
-    try:
-        generation = _integer(generation)
-        _check_generation(kind, generation)
-        spacing = _number(doc.get("spacing", 1.0))
-        ids = [_integer(s["id"]) for s in sites]
-        coords = np.array([[_number(s["x"]), _number(s["y"])] for s in sites])
-        edge_arr = np.array([[_integer(i), _integer(j)] for i, j in edges],
-                            dtype=np.int64).reshape(-1, 2)
-    except (BoundsError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputFileError(f"{path}: malformed lattice field: {exc}") from exc
-    if not ids:
-        raise InputFileError(f"{path}: a lattice needs at least one site")
-    if ids != list(range(len(ids))):
-        raise InputFileError(f"{path}: site ids must be 0..N-1 in order")
-    n = len(ids)
-    if edge_arr.size and (edge_arr.min() < 0 or edge_arr.max() >= n):
-        raise InputFileError(f"{path}: edge refers to a site id outside 0..{n - 1}")
-    i, j = edge_arr[:, 0], edge_arr[:, 1]
-    # with i < j < n the key i * n + j ascends exactly when the rows do
-    if not (np.all(i < j) and np.all(np.diff(i * n + j) > 0)):
-        raise InputFileError(f"{path}: edges must be pairs i < j, each once, in ascending order")
-    if spacing != 1.0:
-        raise InputFileError(f"{path}: spacing must be 1, the distance unit, not {spacing}")
-    if edge_arr.size and np.abs(np.hypot(*(coords[j] - coords[i]).T) - 1.0).max() > DIST_TOL:
-        raise InputFileError(f"{path}: an edge is not one spacing long")
-    return Lattice(kind=kind, generation=generation, coords=coords, edges=edge_arr)
+    xy, edges = geometry.sites_and_edges(kind, generation)
+    if data != textio.lattice_bytes(kind.value, generation, xy, edges):
+        raise InputFileError(
+            f"{path} is not the {kind.value} generation {generation} lattice file, which "
+            f"`fractalwalk lattice --kind {kind.value} --generation {generation}` writes")
+    coords = np.array([(site["x"], site["y"]) for site in doc["sites"]], dtype=np.float64)
+    return Lattice(kind, generation, coords, np.array(edges, dtype=np.int64).reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------

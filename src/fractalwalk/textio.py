@@ -137,7 +137,7 @@ def lattice_bytes(kind: str, generation: int, xy, edges) -> bytearray:
     each site or edge is appended to one buffer as it comes.  The
     ``lattice`` command writes the file from the generator's lists,
     ``serialize.write_lattice`` from a ``Lattice``'s arrays."""
-    # spacing is the distance unit; read_lattice refuses any other
+    # spacing is the distance unit; read_lattice takes these bytes and no others
     out = bytearray(b'{"kind":%s,"generation":%d,"spacing":1,"sites":['
                     % (json.dumps(kind).encode("ascii"), generation))
     sep, coords = b"", iter(xy)
@@ -158,16 +158,25 @@ def lattice_bytes(kind: str, generation: int, xy, edges) -> bytearray:
 # strict reads
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str) -> bytes:
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InputFileError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(path: str, data: bytes | None = None) -> dict:
+    """The JSON object in the file ``path`` (whose bytes are ``data``, if
+    given); InputFileError unless it is UTF-8 and strict JSON."""
     def reject(token: str):
         raise InputFileError(f"{path}: non-finite number {token} is not allowed")
 
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle, parse_constant=reject)
-    except OSError as exc:
-        raise InputFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        doc = json.loads((_read(path) if data is None else data).decode("utf-8"),
+                         parse_constant=reject)
+    # not UTF-8 or JSON, nested past the recursion limit, or an int of too many digits
+    except (ValueError, RecursionError) as exc:
         raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputFileError(f"{path}: expected a JSON object at top level")

@@ -191,15 +191,34 @@ def sg4_files(tmp_path_factory):
     return lattice, series
 
 
-def test_relabelled_lattice_is_exit_6(sg4_files, tmp_path):
+def test_relabelled_lattice_is_exit_3(sg4_files, tmp_path, capsys):
+    # a lattice file is the one its kind and generation generate, byte for
+    # byte: relabelled, stripped of its edges or re-dumped by the stdlib, it
+    # is refused by every reader before anything is computed or written.
+    # The compact dump gives the true bytes back, so each edit is the field
     lattice, series = sg4_files
-    doc = json.loads(pathlib.Path(lattice).read_text())
-    doc["generation"] = 3
-    relabelled = tmp_path / "relabelled.json"
-    relabelled.write_text(json.dumps(doc))
-    code = run(["analyze", "--series", series, "--lattice", str(relabelled),
-                "--out", str(tmp_path / "r.json")])
-    assert code == 6
+    true = pathlib.Path(lattice).read_text()
+    doc = json.loads(true)
+
+    def compact(doc):
+        return json.dumps(doc, separators=(",", ":")) + "\n"
+
+    assert compact(doc) == true
+    edits = {"generation": compact({**doc, "generation": 3}),
+             "kind": compact({**doc, "kind": "sc"}),
+             "edges": compact({**doc, "edges": []}),
+             "re-dumped": json.dumps(doc)}
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for name, text in edits.items():
+        bad = inputs / f"{name}.json"
+        bad.write_text(text)
+        for argv in _series_commands(str(bad), series, tmp_path):
+            capsys.readouterr()
+            assert run(argv) == 3, (name, argv[0])
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad} is not the ") and err.count("\n") == 1, err
+    assert [p.name for p in tmp_path.iterdir()] == ["inputs"]
 
 
 def test_non_finite_series_value_is_exit_3(sg4_files, tmp_path):
@@ -366,6 +385,30 @@ def test_a_malformed_lattice_file_is_exit_3(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
     assert sorted(os.listdir(tmp_path)) == ["lat.json"]
+
+
+@pytest.mark.parametrize("payload", [
+    b"\xff\xfe{}",
+    b"[" * 200_000 + b"]" * 200_000,
+    b'{"kind":' + b"9" * 5000 + b"}",
+], ids=["not-utf8", "nested-200000-deep", "5000-digit-integer"])
+@pytest.mark.parametrize("command", ["evolve", "observables", "calibrate"])
+def test_malformed_bytes_are_exit_3(sg3_files, tmp_path, capsys, payload, command):
+    # bytes that json cannot take as a document: not UTF-8, nested past the
+    # recursion limit, or an integer of more digits than int() converts
+    lattice = sg3_files[0]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    argv = {"evolve": ["evolve", "--lattice", str(bad), "--out", str(tmp_path / "s.json")],
+            "observables": ["observables", "--series", str(bad), "--lattice", lattice,
+                            "--out", str(tmp_path / "o.csv")],
+            "calibrate": ["calibrate", "--report", str(bad), "--anchor-event", "first_void",
+                          "--anchor-mm", "2.675", "--out", str(tmp_path / "c.json")]}[command]
+    capsys.readouterr()
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not valid JSON: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 def _dense_matrix_read(self):
