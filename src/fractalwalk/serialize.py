@@ -13,15 +13,14 @@ writes a dataclass as the object of its fields, in field order: the series
 and report documents are ``ProbabilitySeries`` and ``RegimeReport`` as
 they are, and their key order is their field order.  The emitter appends
 the document's ASCII bytes to one buffer, which is written as it is.  All
-writers are byte-deterministic; a lattice file reads back only as generated.
+writers are byte-deterministic; a lattice file reads as the lattice it names.
 
 The parts that need no numpy live in ``textio``: the atomic writes, the
 strict JSON load, the emitter for Python values, the lattice writer and
 ``format_float``.  This module adds the array formats and hands the
 emitter its numpy branches (``_emit_numpy``).  Of the pipeline stages it
-imports only ``geometry`` and ``lattice``, and ``evolution`` when a series
-is read: writing a report or a table loads nothing of the stage that
-built it.
+imports only ``geometry`` and ``lattice``, and ``evolution`` when a series is
+read: writing a report or a table loads nothing of the stage that built it.
 """
 
 from __future__ import annotations
@@ -31,10 +30,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import geometry, textio
+from . import textio
 from .errors import BoundsError, DomainError, InputFileError, ShapeError
 from .geometry import LatticeKind, _check_generation
-from .lattice import Lattice
+from .lattice import Lattice, generate
 from .textio import (  # noqa: F401  (read_report_document is re-exported)
     _emit,
     _integer,
@@ -247,24 +246,20 @@ def _write_json(doc, path: str) -> None:
 # lattice documents
 
 
-def _entries(array: np.ndarray, size: int = 1024):
-    """The entries of a 2-d array in row order as Python numbers, converted
-    ``size`` rows at a time, so that a writer walking them never holds them
-    all as Python objects."""
-    for start in range(0, len(array), size):
-        yield from array[start:start + size].ravel().tolist()
+def _lattice_bytes(lattice: Lattice) -> bytearray:
+    """The file ``fractalwalk lattice`` writes for this lattice."""
+    return textio.lattice_bytes(lattice.kind.value, lattice.generation,
+                                lattice.coords.ravel().tolist(), lattice.edges.ravel().tolist())
 
 
 def write_lattice(lattice: Lattice, path: str) -> None:
-    write_bytes(path, textio.lattice_bytes(lattice.kind.value, lattice.generation,
-                                           _entries(lattice.coords),
-                                           _entries(lattice.edges)))
+    write_bytes(path, _lattice_bytes(lattice))
 
 
 def read_lattice(path: str) -> Lattice:
-    """The file ``fractalwalk lattice`` writes for its kind and generation,
-    byte for byte, else InputFileError.  The edges are the generator's and
-    the coordinates the file's 12-digit text, as every artifact was made."""
+    """``generate(kind, generation)`` of the file's kind and generation, if the
+    file is byte for byte what ``write_lattice`` writes for it, else
+    InputFileError.  No site or edge is parsed: a reader walks what a sweep walks."""
     data = textio._read(path)
     doc = _load_json(path, data)
     try:
@@ -272,13 +267,12 @@ def read_lattice(path: str) -> Lattice:
         generation = _check_generation(kind, _require(doc, "generation", path))
     except BoundsError as exc:
         raise InputFileError(f"{path}: {exc}") from None
-    xy, edges = geometry.sites_and_edges(kind, generation)
-    if data != textio.lattice_bytes(kind.value, generation, xy, edges):
+    lattice = generate(kind, generation)
+    if data != _lattice_bytes(lattice):
         raise InputFileError(
             f"{path} is not the {kind.value} generation {generation} lattice file, which "
             f"`fractalwalk lattice --kind {kind.value} --generation {generation}` writes")
-    coords = np.array([(site["x"], site["y"]) for site in doc["sites"]], dtype=np.float64)
-    return Lattice(kind, generation, coords, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    return lattice
 
 
 # ---------------------------------------------------------------------------

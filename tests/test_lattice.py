@@ -458,7 +458,8 @@ def test_landmarks_reject_coordinates_that_disagree_with_the_label():
     for bad in (relabelled, moved):
         with pytest.raises(StructuralError):
             landmark_sites(bad, canonical_input(bad))
-    # rounding of the size a file round trip makes stays well inside DIST_TOL
+    # coordinates rounded as 12 printed digits would leave them (a lattice
+    # file reads back exact, as generated) stay well inside DIST_TOL
     rounded = landmark_sites(dataclasses.replace(lat, coords=lat.coords.round(11)), 0)
     exact = landmark_sites(lat, 0)
     assert rounded.first_void_boundary == exact.first_void_boundary

@@ -273,6 +273,22 @@ def test_lattice_json_round_trips(pair):
     assert np.array_equal(loaded.edges, generate(*pair).edges)
 
 
+@pytest.mark.parametrize("kind,generation", [
+    *[("sg", g) for g in range(1, 7)], *[("sc", g) for g in (1, 2, 3)],
+    *[("dsc", g) for g in (1, 2, 3)], *[("triangle", g) for g in (1, 12, 64)],
+    ("square", 1), ("square", 64),
+])
+def test_lattice_file_reads_back_exactly(tmp_path, kind, generation):
+    # the reader returns the generated lattice, not one parsed from the
+    # file's 12 digits: a gasket or triangle y = k * sqrt(3) / 2 keeps its bits
+    path = str(tmp_path / "lattice.json")
+    lattice = generate(kind, generation)
+    write_lattice(lattice, path)
+    loaded = read_lattice(path)
+    assert np.array_equal(loaded.coords, lattice.coords)
+    assert np.array_equal(loaded.edges, lattice.edges)
+
+
 def test_read_lattice_missing_file(tmp_path):
     with pytest.raises(InputFileError):
         read_lattice(str(tmp_path / "absent.json"))
@@ -292,30 +308,35 @@ def test_read_lattice_rejects_missing_fields(tmp_path):
         read_lattice(str(path))
 
 
+def _edited_square(tmp_path, edit):
+    """The true square generation 1 file (four sites), edited by ``edit`` and
+    written compactly: the unedited dump is the file, so only the edit differs."""
+    def compact(doc):
+        return json.dumps(doc, separators=(",", ":")) + "\n"
+
+    path = tmp_path / "square1.json"
+    write_lattice(generate("square", 1), str(path))
+    doc = json.loads(path.read_text())
+    assert compact(doc) == path.read_text()
+    edit(doc)
+    path.write_text(compact(doc))
+    return str(path)
+
+
 def test_read_lattice_rejects_unordered_ids(tmp_path):
-    doc = {
-        "kind": "square",
-        "generation": 1,
-        "sites": [{"id": 1, "x": 0.0, "y": 0.0}, {"id": 0, "x": 1.0, "y": 0.0}],
-        "edges": [[0, 1]],
-    }
-    path = tmp_path / "ids.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(InputFileError):
-        read_lattice(str(path))
+    def swap_ids(doc):
+        doc["sites"][0]["id"], doc["sites"][1]["id"] = 1, 0
+
+    with pytest.raises(InputFileError, match="is not the square generation 1 lattice file"):
+        read_lattice(_edited_square(tmp_path, swap_ids))
 
 
 def test_read_lattice_rejects_dangling_edges(tmp_path):
-    doc = {
-        "kind": "square",
-        "generation": 1,
-        "sites": [{"id": 0, "x": 0.0, "y": 0.0}, {"id": 1, "x": 1.0, "y": 0.0}],
-        "edges": [[0, 7]],
-    }
-    path = tmp_path / "edges.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(InputFileError):
-        read_lattice(str(path))
+    def dangle(doc):
+        doc["edges"][-1] = [0, 7]
+
+    with pytest.raises(InputFileError, match="is not the square generation 1 lattice file"):
+        read_lattice(_edited_square(tmp_path, dangle))
 
 
 # --- series round trips ---------------------------------------------------
