@@ -20,8 +20,7 @@ _EXPORTS = {
         "detect_event", "detect_fractal_onset", "detect_plateaus",
         "detect_saturation_and_oscillation", "fit_powerlaw", "loglog_slope",
     ], "analysis"),
-    **dict.fromkeys(["CalibrationConfig", "CalibrationResult", "calibrate_events"],
-                    "calibration"),
+    **dict.fromkeys(["CalibrationResult", "calibrate_events"], "calibration"),
     **dict.fromkeys([
         "ProbabilitySeries", "SeriesKind", "Spectrum", "evolve_classical",
         "evolve_quantum", "preset_grid", "spectral_decompose", "time_grid",

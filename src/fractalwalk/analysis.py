@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibration import EVENT_NAMES
 from .errors import DomainError, ShapeError, StructuralError, check_positive, check_site
 from .evolution import ProbabilitySeries
 from .geometry import fractal_meta
 from .lattice import Lattice, landmark_sites
 from .observables import ObservableTable, build_observable_table
-from .textio import EVENT_NAMES
 
 DEFAULT_EPSILON = 0.02
 DEFAULT_BAND = 0.15

@@ -189,17 +189,13 @@ def cmd_render(args) -> int:
 def cmd_calibrate(args) -> int:
     """Runs on ``textio``, ``geometry`` and ``calibration`` alone, without numpy."""
     from . import textio
-    from .calibration import CalibrationConfig, calibrate_events
+    from .calibration import calibrate_events, report_events
 
     doc = textio.read_report_document(args.report)
-    textio.check_report_kind(doc, args.report)
-    events = textio.report_event_taus(doc, args.report)
-    config = CalibrationConfig(anchor_event=args.anchor_event, anchor_mm=args.anchor_mm)
-    result = calibrate_events(events, config)
+    events = report_events(doc, args.report)
+    result = calibrate_events(events, args.anchor_event, args.anchor_mm)
     if result is None:
-        raise NotFoundError(
-            f"anchor event {config.anchor_event!r} not present in {args.report}"
-        )
+        raise NotFoundError(f"anchor event {args.anchor_event!r} not present in {args.report}")
     doc["calibration"] = result
     out = _outpath(args.out)
     textio.write_json(doc, out)

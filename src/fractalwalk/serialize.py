@@ -289,7 +289,7 @@ def write_report(report: RegimeReport, path: str) -> None:
 
 def _number_array(values) -> np.ndarray:
     """A JSON list of numbers, or of lists of numbers, as a float64 array.
-    Every value must be an int or a float, as ``_number`` requires, checked
+    Every value must be an int or a float, never a bool or a string, checked
     with no Python-level call per value: ``np.asarray`` parses a numeric
     string and takes a bool as exactly 0 or 1, so ``sum`` refuses the string
     and the types are read only in the rows that hold a 0 or a 1.  Raises

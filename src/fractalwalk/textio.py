@@ -3,16 +3,15 @@ JSON emitter for Python values and the lattice writer.
 
 The emitter, ``_emit``, writes a dataclass as the object of its fields, in
 field order, so a document is its dataclass: the field order is the
-document's key order.  ``calibrate`` reads a report, refuses one whose
-kind is not a fractal kind (``check_report_kind``), sets its
-``calibration`` block to a ``CalibrationResult`` and writes it back
-through this module alone (``write_json``).  A lattice file has its own
-writer, ``lattice_bytes``, which takes the sites and edges as flat
-sequences of Python numbers, so the ``lattice`` command writes one
-without numpy.  ``serialize``
-re-exports the rest and adds the array formats; it hands its numpy
-branches to ``_emit``, which reaches them only when an array or a numpy
-scalar is present.  Floats are written with 12 significant digits
+document's key order.  ``calibrate`` reads a report
+(``read_report_document``) and writes it back with its ``calibration``
+block (``write_json``) through this module; the rules a report must meet
+are ``calibration``'s.  A lattice file has its own writer,
+``lattice_bytes``, which takes the sites and edges as flat sequences of
+Python numbers, so the ``lattice`` command writes one without numpy.
+``serialize`` re-exports the rest and adds the array formats; it hands
+its numpy branches to ``_emit``, which reaches them only when an array or
+a numpy scalar is present.  Floats are written with 12 significant digits
 (``format_float``); parsing goes through ``json.load``, which rejects the
 ``NaN`` and ``Infinity`` tokens.  All file writes are atomic (write to a
 temp file, then rename), and an output that cannot be written is an
@@ -24,15 +23,10 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 
 from .errors import InputFileError
-from .geometry import FRACTAL_KINDS
 
 FLOAT_FORMAT = ".12g"
-
-#: detected events in report order; a report stores each as ``<name>_tau``
-EVENT_NAMES = ("first_void", "l_f", "farthest", "saturation")
 
 
 def format_float(x: float) -> str:
@@ -199,48 +193,10 @@ def _integer(value) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
-def _number(value) -> float:
-    """A finite JSON number (int or float, never a bool); ValueError for any
-    other value, ``true``, ``"nan"`` and ``1e400`` included."""
-    # the comparison is false for NaN and infinity and exact for any int
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max):
-        return float(value)
-    raise ValueError(f"{value!r} is not a finite number")
-
-
 # ---------------------------------------------------------------------------
 # report documents, as read back for calibration
 
 
 def read_report_document(path: str) -> dict:
+    """The report's JSON object; ``calibration.report_events`` holds its rules."""
     return _load_json(path)
-
-
-def check_report_kind(doc: dict, path: str) -> None:
-    """InputFileError if a report document names a ``kind`` that is not a
-    fractal kind: only a fractal's walk has the events a report holds.  A
-    report without a kind is taken as it is."""
-    kind = doc.get("kind")
-    if kind is not None and kind not in FRACTAL_KINDS:
-        raise InputFileError(f"{path}: kind {kind!r} is not a fractal kind; expected one of "
-                             + ", ".join(k.value for k in FRACTAL_KINDS))
-
-
-def report_event_taus(doc: dict, path: str) -> dict[str, float]:
-    """The events a report document holds, by name, as ``RegimeReport.event_taus``
-    gives them; ``null`` or a missing ``<name>_tau`` means the event is absent.
-    InputFileError if a tau is not a finite, non-negative number."""
-    events = {}
-    for name in EVENT_NAMES:
-        tau = doc.get(f"{name}_tau")
-        if tau is None:
-            continue
-        try:
-            events[name] = _number(tau)
-        except ValueError as exc:
-            raise InputFileError(f"{path}: malformed {name}_tau: {exc}") from None
-        if events[name] < 0.0:
-            raise InputFileError(f"{path}: {name}_tau must be non-negative, got {tau}")
-    return events
-

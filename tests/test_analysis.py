@@ -1,5 +1,7 @@
 """Slope estimation, event detection, plateaus, saturation, calibration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from fractalwalk.analysis import (
     loglog_slope,
     _prominent_peaks,
 )
-from fractalwalk.calibration import CalibrationConfig, calibrate_events
+from fractalwalk.calibration import calibrate_events
 from fractalwalk.errors import BoundsError, DomainError, ShapeError, StructuralError
 from fractalwalk.evolution import (
     ProbabilitySeries,
@@ -333,7 +335,7 @@ def make_report(**events):
 
 def test_calibration_scale_and_events():
     report = make_report(first_void=0.5, farthest=2.0, saturation=4.0)
-    result = calibrate_events(report.event_taus(), CalibrationConfig("farthest", 9.0))
+    result = calibrate_events(report.event_taus(), "farthest", 9.0)
     assert result.scale_mm_per_tau == pytest.approx(4.5)
     assert result.events_mm == pytest.approx(
         {"first_void": 2.25, "farthest": 9.0, "saturation": 18.0}
@@ -343,7 +345,7 @@ def test_calibration_scale_and_events():
 
 def test_calibration_none_when_anchor_missing():
     report = make_report(first_void=0.5)
-    assert calibrate_events(report.event_taus(), CalibrationConfig("farthest", 9.0)) is None
+    assert calibrate_events(report.event_taus(), "farthest", 9.0) is None
 
 
 @pytest.mark.parametrize("events,anchor_mm", [
@@ -353,21 +355,24 @@ def test_calibration_none_when_anchor_missing():
 ])
 def test_calibration_without_a_finite_scale_is_a_domain_error(events, anchor_mm):
     with pytest.raises(DomainError, match="anchor farthest"):
-        calibrate_events(events, CalibrationConfig("farthest", anchor_mm))
+        calibrate_events(events, "farthest", anchor_mm)
 
 
 def test_calibration_config_validation():
-    with pytest.raises(DomainError):
-        CalibrationConfig("saturation", 9.0)
-    with pytest.raises(DomainError):
-        CalibrationConfig("farthest", 0.0)
+    # a bad anchor is refused before the events are read, present or not
+    for events in ({}, {"saturation": 4.0, "farthest": 2.0}):
+        with pytest.raises(DomainError, match="anchor_event must be 'first_void' or "):
+            calibrate_events(events, "saturation", 9.0)
+        for anchor_mm in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="anchor_mm must be "):
+                calibrate_events(events, "farthest", anchor_mm)
 
 
 def test_calibration_on_real_report(dsc1_run):
     report = dsc1_run.report
     events = report.event_taus()
     assert "farthest" in events
-    result = calibrate_events(events, CalibrationConfig("farthest", 10.0))
+    result = calibrate_events(events, "farthest", 10.0)
     assert set(result.events_mm) == set(events)
     assert result.events_mm["farthest"] == pytest.approx(10.0)
 

@@ -7,13 +7,24 @@ were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 running 2 threads
 (``OPENBLAS_NUM_THREADS=2``, as CI sets it).  Another LAPACK or another
 thread count may round a series value differently: at 1 thread the sc:3
 and dsc:3 artifacts move in their last printed digit, and sg:4 does not.
+The sweep's carpet series are also held, as numbers, to a propagator that
+calls no eigensolver.
 """
 
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import fractalwalk
 from fractalwalk import cli
+from fractalwalk.hamiltonian import build_hamiltonian
+from fractalwalk.serialize import read_walk
+from oracle import chebyshev_probabilities
 
 SWEEP_DIGESTS = {
     "dsc3.lattice.json": "dda7ee75ad6daf6b7a86c7845ac19e0fc48311a5792078007469c8da58814497",
@@ -72,11 +83,32 @@ def _digests(directory, names):
             for name in names}
 
 
-def test_sweep_artifacts_keep_their_bytes(tmp_path):
-    assert cli.main(["sweep", "--instances", "sg:4,sc:3,dsc:3",
-                     "--out-dir", str(tmp_path)]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(SWEEP_DIGESTS)
-    assert _digests(tmp_path, SWEEP_DIGESTS) == SWEEP_DIGESTS
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    """One sweep's directory, shared by the tests that read it."""
+    out = tmp_path_factory.mktemp("sweep")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("OUTPUT_DIR", raising=False)
+        assert cli.main(["sweep", "--instances", "sg:4,sc:3,dsc:3", "--out-dir", str(out)]) == 0
+    return out
+
+
+def test_sweep_artifacts_keep_their_bytes(sweep_dir):
+    assert sorted(p.name for p in sweep_dir.iterdir()) == sorted(SWEEP_DIGESTS)
+    assert _digests(sweep_dir, SWEEP_DIGESTS) == SWEEP_DIGESTS
+
+
+@pytest.mark.parametrize("stem", ["sc3", "dsc3"])
+def test_sweep_series_agree_with_an_eigh_free_propagator(sweep_dir, stem):
+    # the series a sweep ships, read back as any command reads them, against
+    # the Chebyshev expansion of exp(-iHt) at the written times, which shares
+    # no step with eigh.  Numbers, not bytes: the 12 printed digits carry
+    # the eigensolver's roundoff (5.0e-13 at most, on both instances)
+    lattice, series = read_walk(str(sweep_dir / f"{stem}.lattice.json"),
+                                str(sweep_dir / f"{stem}.series.json"))
+    expected = chebyshev_probabilities(build_hamiltonian(lattice), series.input_site,
+                                       series.times)
+    assert np.abs(series.probabilities - expected).max() <= 1e-12
 
 
 def test_sc3_chain_artifacts_keep_their_bytes(tmp_path):
@@ -122,3 +154,24 @@ def test_sc3_frames_and_calibrated_report_keep_their_bytes(tmp_path):
                      "--gamma", "0.3"]) == 0
     assert cli.main([*render, "--run", "gamma2", "--time-index", "240", "--gamma", "2"]) == 0
     assert _digests(tmp_path, FRAME_DIGESTS) == FRAME_DIGESTS
+
+
+def test_a_walk_agrees_with_itself_at_any_thread_count(tmp_path):
+    # the pins hold at one thread count; at another the eigensolver rounds
+    # differently, and the series must still agree as numbers.  Measured on
+    # sc:3 at 1 and 2 OpenBLAS threads: 89,332 of the 165,808 printed values
+    # differ, by 1.0e-13 at most
+    lattice = str(tmp_path / "lattice.json")
+    assert cli.main(["lattice", "--kind", "sc", "--generation", "3", "--out", lattice]) == 0
+    src = str(pathlib.Path(fractalwalk.__file__).resolve().parents[1])
+    probabilities = []
+    for threads in ("1", "2"):
+        series = str(tmp_path / f"series{threads}.json")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "fractalwalk.cli", "evolve",
+                               "--lattice", lattice, "--out", series],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        probabilities.append(read_walk(lattice, series)[1].probabilities)
+    assert np.abs(probabilities[0] - probabilities[1]).max() <= 1e-12

@@ -574,7 +574,7 @@ def test_stretched_series_grid_is_exit_6(sg4_files, tmp_path):
 
 def test_absent_anchor_is_exit_8(tmp_path):
     report = tmp_path / "report.json"
-    report.write_text('{"farthest_tau":2.0}')
+    report.write_text('{"kind":"sg","farthest_tau":2.0}')
     code = run(["calibrate", "--report", str(report),
                 "--anchor-event", "first_void", "--anchor-mm", "5.0",
                 "--out", str(tmp_path / "c.json")])
@@ -588,7 +588,7 @@ def test_absent_anchor_is_exit_8(tmp_path):
 ], ids=["huge-anchor-mm", "tiny-tau", "zero-tau"])
 def test_calibration_without_a_finite_scale_is_exit_5(tmp_path, capsys, events, anchor_mm):
     report = tmp_path / "report.json"
-    report.write_text(json.dumps(events))
+    report.write_text(json.dumps({"kind": "sg", **events}))
     out = tmp_path / "c.json"
     capsys.readouterr()
     code = run(["calibrate", "--report", str(report), "--anchor-event", "first_void",
@@ -604,7 +604,7 @@ def test_calibration_without_a_finite_scale_is_exit_5(tmp_path, capsys, events, 
                          ids=["boolean", "string", "list", "negative"])
 def test_malformed_event_tau_is_exit_3(tmp_path, tau):
     report = tmp_path / "report.json"
-    report.write_text(json.dumps({"first_void_tau": tau, "farthest_tau": 2.0}))
+    report.write_text(json.dumps({"kind": "sg", "first_void_tau": tau, "farthest_tau": 2.0}))
     code = run(["calibrate", "--report", str(report),
                 "--anchor-event", "farthest", "--anchor-mm", "5.0",
                 "--out", str(tmp_path / "c.json")])
@@ -973,20 +973,20 @@ def test_every_classical_walk_reads_back(tmp_path, kind, generation):
 
 @pytest.mark.parametrize("kind", ["banana", "triangle", 4], ids=["banana", "triangle", "number"])
 def test_a_report_of_no_fractal_kind_is_exit_3(sg3_files, tmp_path, capsys, kind):
-    # only a fractal's walk has the events a report holds; a report without
-    # a kind is taken as it is
+    # only a fractal's walk has the events a report holds, and a report
+    # must name its kind: a missing or null kind is no fractal kind either
     doc = json.loads(pathlib.Path(sg3_files[2]).read_text())
     argv = ["calibrate", "--anchor-event", "first_void", "--anchor-mm", "2.675"]
     bad, out = tmp_path / "bad.json", tmp_path / "c.json"
-    bad.write_text(json.dumps({**doc, "kind": kind}))
-    capsys.readouterr()
-    assert run([*argv, "--report", str(bad), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: kind {kind!r} is not a fractal kind"), err
-    assert list(tmp_path.iterdir()) == [bad]
     del doc["kind"]
-    bad.write_text(json.dumps(doc))
-    assert run([*argv, "--report", str(bad), "--out", str(out)]) == 0
+    for edited, named in (({**doc, "kind": kind}, kind), ({**doc, "kind": None}, None),
+                          (doc, None)):
+        bad.write_text(json.dumps(edited))
+        capsys.readouterr()
+        assert run([*argv, "--report", str(bad), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: kind {named!r} is not a fractal kind"), err
+        assert list(tmp_path.iterdir()) == [bad]
 
 
 @pytest.mark.parametrize("classical", [True, False], ids=["classical", "quantum"])

@@ -91,8 +91,7 @@ def undetectable(name: str, doc, path: tuple, old, new) -> bool:
     return (key not in ("kind", *EVENT_TAUS)
             or (key in EVENT_TAUS and (new is DELETED or new is None or _number(new)
                                        and 0 <= new <= sys.float_info.max))
-            or (path == ("kind",) and (new is DELETED or new is None
-                                       or new in ("sg", "sc", "dsc"))))
+            or (path == ("kind",) and new in ("sg", "sc", "dsc")))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -50,7 +50,7 @@ def test_the_kind_table_names_load_no_numpy():
 @pytest.fixture()
 def report(tmp_path):
     path = tmp_path / "report.json"
-    path.write_text('{"first_void_tau":1.7,"l_f_tau":2.55,"farthest_tau":null}')
+    path.write_text('{"kind":"sg","first_void_tau":1.7,"l_f_tau":2.55,"farthest_tau":null}')
     return str(path)
 
 
