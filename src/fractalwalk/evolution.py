@@ -19,7 +19,9 @@ the two.  Each sector is a block of about N/2:
 
 Both are scattered into zeroed blocks from the non-zero (row, col, value)
 triplets of H, which a ``hamiltonian.Operator`` holds; that is the only
-form ``spectral_decompose`` takes, so a walk never forms the N x N H.  It
+form ``spectral_decompose`` takes, so a walk never forms the N x N H.
+Each block lies on a private anonymous mapping, where only the pages its
+triplets touch become resident (``np.zeros``' huge pages fault in all).  It
 solves S and keeps only the O(N + E) triplets A is scattered from.  A
 site's amplitudes on the symmetric modes are its orbit row: its own row of
 U_s for a fixed site, and its pair's row times sqrt(1/2) for either site
@@ -61,6 +63,7 @@ they coincide with plain time arguments to exp(-iHt).
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -357,8 +360,10 @@ def spectral_decompose(h: Operator, mirror: np.ndarray | None = None) -> Spectru
 def _block(size: int, assigned, added) -> np.ndarray:
     """A zeroed size x size block with the (i, j, value) triplets
     ``assigned`` written and then ``added`` added; neither repeats a
-    position, so each entry takes the float operations of the dense sum."""
-    block = np.zeros((size, size))
+    position, so each entry takes the float operations of the dense sum.
+    On a private anonymous mapping only the written pages become resident."""
+    buffer = mmap.mmap(-1, max(8 * size * size, 1), flags=mmap.MAP_PRIVATE)
+    block = np.frombuffer(buffer, count=size * size).reshape(size, size)
     block[assigned[0], assigned[1]] = assigned[2]
     block[added[0], added[1]] += added[2]
     return block
@@ -370,7 +375,9 @@ def _solve(block: np.ndarray, scale: float):
     eigvals, eigvecs = _eigh(block)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test below
         residual = float(np.abs((eigvecs * eigvals) @ eigvecs.T - block).max(initial=0.0))
-        ortho = float(np.abs(eigvecs.T @ eigvecs - np.eye(eigvals.size)).max(initial=0.0))
+        gram = eigvecs.T @ eigvecs
+        gram.flat[::eigvals.size + 1] -= 1.0  # U^T U - I without an N x N identity
+        ortho = float(np.abs(gram).max(initial=0.0))
     # written so that a NaN residual fails the check
     if not (residual <= RECONSTRUCTION_TOL * scale and ortho <= ORTHOGONALITY_TOL):
         raise NumericalError(

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fractalwalk.evolution import (
     MAX_SERIES_VALUES,
     ProbabilitySeries,
     SeriesKind,
+    _block,
     evolve_classical,
     evolve_quantum,
     preset_grid,
@@ -272,6 +274,65 @@ def test_health_figures_cover_the_blocks_solved(monkeypatch):
     assert spectrum.eigenvectors.shape == (lattice.n_sites, lattice.n_sites)
     assert symmetric_only < 1e-13
     assert spectrum.orthogonality == pytest.approx(2e-11, rel=1e-3)
+
+
+@pytest.mark.parametrize("kind,generation", [("sg", 4), ("sc", 3)])
+def test_health_figures_are_the_dense_expressions_bit_for_bit(monkeypatch, kind, generation):
+    # the orthogonality subtracts 1 from the Gram diagonal in place; each entry
+    # takes the float operation of U^T U - I, so the figure must not move
+    solved = []
+    eigh = np.linalg.eigh
+
+    def recorded(block):
+        values, vectors = eigh(block)
+        solved.append((block.copy(), values.copy(), vectors.copy(order="K")))
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    lattice = generate(kind, generation)
+    spectrum = spectral_decompose(build_hamiltonian(lattice), mirror_permutation(lattice))
+    spectrum.eigenvectors
+    assert [block.shape[0] for block, _, _ in solved] == list(spectrum.sectors)
+    residual = max(float(np.abs((u * lam) @ u.T - block).max(initial=0.0))
+                   for block, lam, u in solved)
+    ortho = max(float(np.abs(u.T @ u - np.eye(lam.size)).max(initial=0.0))
+                for _, lam, u in solved)
+    assert spectrum.residual == residual and spectrum.orthogonality == ortho
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmRSS:"))
+
+
+def _huge_pages_always() -> bool:
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled") as mode:
+            return "[always]" in mode.read()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status") or _huge_pages_always(),
+                    reason="needs /proc/self/status and huge pages only where advised")
+def test_a_block_makes_only_the_pages_its_triplets_touch_resident():
+    """A 2048-row block with only its diagonal written stays mostly unmapped.
+
+    ``np.zeros`` advises huge pages for an array of 4 MB or more, so on a
+    host whose transparent huge page mode is ``madvise`` its scattered
+    writes fault in the whole 32 MB (1.00 of its bytes, measured); only
+    there does this fail for a block built on ``np.zeros``.  Its private
+    anonymous mapping makes one 4 KB page per row resident (0.25).  In
+    mode ``always`` every anonymous mapping takes huge pages, this one too,
+    so the test is skipped there."""
+    d = np.arange(2048)
+    empty = np.empty(0, dtype=np.intp)
+    before = _resident_bytes()
+    block = _block(2048, (d, d, np.ones(2048)), (empty,) * 3)
+    assert _resident_bytes() - before < block.nbytes / 2
+    assert np.trace(block) == 2048.0 and block.flags.writeable
+    # a mirror=None spectrum solves an empty antisymmetric block
+    assert _block(0, (empty,) * 3, (empty,) * 3).shape == (0, 0)
 
 
 @pytest.mark.parametrize("kind,generation", [("sg", 4), ("sc", 3), ("dsc", 3)])
