@@ -361,8 +361,12 @@ def _block(size: int, assigned, added) -> np.ndarray:
     """A zeroed size x size block with the (i, j, value) triplets
     ``assigned`` written and then ``added`` added; neither repeats a
     position, so each entry takes the float operations of the dense sum.
-    On a private anonymous mapping only the written pages become resident."""
+    On a private anonymous mapping only the written pages become resident,
+    and on Linux it refuses huge pages, which the THP mode ``always`` would
+    give every anonymous mapping."""
     buffer = mmap.mmap(-1, max(8 * size * size, 1), flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
     block = np.frombuffer(buffer, count=size * size).reshape(size, size)
     block[assigned[0], assigned[1]] = assigned[2]
     block[added[0], added[1]] += added[2]

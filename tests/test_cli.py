@@ -18,6 +18,7 @@ from fractalwalk.evolution import (evolve_classical, evolve_quantum, preset_grid
                                    spectral_decompose)
 from fractalwalk.hamiltonian import Operator, build_classical_generator, build_hamiltonian
 from fractalwalk.lattice import canonical_input, generate, mirror_permutation
+from fractalwalk.render import RenderSpec, pgm_bytes, render_frame
 from fractalwalk.serialize import (read_lattice, read_series, read_walk, write_lattice,
                                    write_series)
 from oracle import read_pgm
@@ -64,10 +65,14 @@ def test_lattice_artifact(workspace):
 
 
 def test_lattice_kind_takes_any_case(tmp_path):
-    # as sweep --instances, LatticeKind.parse and read_lattice do
-    out = tmp_path / "sg.json"
-    assert run(["lattice", "--kind", "SG", "--generation", "2", "--out", str(out)]) == 0
-    assert out.read_text().startswith('{"kind":"sg",')
+    # as sweep --instances, LatticeKind.parse and read_lattice do: the file
+    # is the lower-case kind's, byte for byte
+    for kind in ("sg", "dsc"):
+        upper, lower = tmp_path / f"upper-{kind}.json", tmp_path / f"lower-{kind}.json"
+        for name, out in ((kind.upper(), upper), (kind, lower)):
+            assert run(["lattice", "--kind", name, "--generation", "2", "--out", str(out)]) == 0
+        assert upper.read_bytes() == lower.read_bytes(), kind
+    assert (tmp_path / "upper-sg.json").read_text().startswith('{"kind":"sg",')
 
 
 def test_evolve_artifacts(workspace):
@@ -130,16 +135,20 @@ def test_evolve_from_an_off_axis_input(tmp_path):
 
 # --- exit codes -----------------------------------------------------------
 
-def test_usage_error_is_exit_2():
+def test_usage_error_is_exit_2(tmp_path):
     with pytest.raises(SystemExit) as info:
         run(["lattice", "--kind", "sg"])  # missing --generation and --out
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         run([])
     assert info.value.code == 2
+    lattice = str(tmp_path / "lattice.json")
+    assert run(["lattice", "--kind", "dsc", "--generation", "2", "--out", lattice]) == 0
     with pytest.raises(SystemExit) as info:  # the JSON series is the one series format
-        run(["evolve", "--lattice", "L", "--out", "S", "--binary-out", "B"])
+        run(["evolve", "--lattice", lattice, "--out", str(tmp_path / "s.json"),
+             "--binary-out", str(tmp_path / "b")])
     assert info.value.code == 2
+    assert os.listdir(tmp_path) == ["lattice.json"]
 
 
 def test_missing_input_file_is_exit_3(tmp_path):
@@ -800,6 +809,16 @@ def test_analyze_takes_slope_window_and_min_span(sg3_files, tmp_path, capsys):
     assert run(["analyze", *pair, "--slope-window", "14", "--out", str(even)]) == 5
     assert capsys.readouterr().err == "error: window must be an odd integer >= 5, got 14\n"
     assert not even.exists()
+
+
+def test_render_takes_spot_sigma_and_gamma(sg3_files, tmp_path):
+    lattice, series, _ = sg3_files
+    assert run(["render", "--series", series, "--lattice", lattice, "--run", "f",
+                "--time-index", "5", "--spot-sigma", "0.4", "--gamma", "0.3",
+                "--out-dir", str(tmp_path)]) == 0
+    expected = pgm_bytes(render_frame(read_series(series), read_lattice(lattice), 5,
+                                      RenderSpec(spot_sigma=0.4, gamma=0.3)))
+    assert (tmp_path / "f_t5.pgm").read_bytes() == expected
 
 
 def test_analyze_help_states_the_defaults_of_analysis():

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import mmap
 import os
 
 import numpy as np
@@ -305,16 +306,7 @@ def _resident_bytes() -> int:
         return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmRSS:"))
 
 
-def _huge_pages_always() -> bool:
-    try:
-        with open("/sys/kernel/mm/transparent_hugepage/enabled") as mode:
-            return "[always]" in mode.read()
-    except OSError:
-        return False
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status") or _huge_pages_always(),
-                    reason="needs /proc/self/status and huge pages only where advised")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_a_block_makes_only_the_pages_its_triplets_touch_resident():
     """A 2048-row block with only its diagonal written stays mostly unmapped.
 
@@ -322,9 +314,8 @@ def test_a_block_makes_only_the_pages_its_triplets_touch_resident():
     host whose transparent huge page mode is ``madvise`` its scattered
     writes fault in the whole 32 MB (1.00 of its bytes, measured); only
     there does this fail for a block built on ``np.zeros``.  Its private
-    anonymous mapping makes one 4 KB page per row resident (0.25).  In
-    mode ``always`` every anonymous mapping takes huge pages, this one too,
-    so the test is skipped there."""
+    anonymous mapping, advised against huge pages, makes one 4 KB page per
+    row resident (0.25) in every mode."""
     d = np.arange(2048)
     empty = np.empty(0, dtype=np.intp)
     before = _resident_bytes()
@@ -333,6 +324,33 @@ def test_a_block_makes_only_the_pages_its_triplets_touch_resident():
     assert np.trace(block) == 2048.0 and block.flags.writeable
     # a mirror=None spectrum solves an empty antisymmetric block
     assert _block(0, (empty,) * 3, (empty,) * 3).shape == (0, 0)
+
+
+def _vm_flags(address: int) -> list[str]:
+    """The VmFlags of the mapping in /proc/self/smaps that holds ``address``."""
+    with open("/proc/self/smaps") as smaps:
+        inside = False
+        for line in smaps:
+            first = line.split(maxsplit=1)[0]
+            if "-" in first and not first.endswith(":"):
+                start, end = (int(bound, 16) for bound in first.split("-"))
+                inside = start <= address < end
+            elif inside and first == "VmFlags:":
+                return line.split()[1:]
+    raise AssertionError(f"no mapping holds {address:#x}")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps") or
+                    not hasattr(mmap, "MADV_NOHUGEPAGE"),
+                    reason="needs /proc/self/smaps and MADV_NOHUGEPAGE")
+def test_a_block_refuses_huge_pages():
+    # the transparent huge page mode always gives every anonymous mapping
+    # huge pages (advised so, a fresh one with its diagonal written is 1.00
+    # resident, measured); "nh" is the kernel's mark of MADV_NOHUGEPAGE
+    d = np.arange(2048)
+    empty = np.empty(0, dtype=np.intp)
+    block = _block(2048, (d, d, np.ones(2048)), (empty,) * 3)
+    assert "nh" in _vm_flags(block.ctypes.data)
 
 
 @pytest.mark.parametrize("kind,generation", [("sg", 4), ("sc", 3), ("dsc", 3)])

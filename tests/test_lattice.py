@@ -371,8 +371,8 @@ def _walk_from(kind, generation, site, classical):
 @pytest.mark.parametrize("kind,generation", RIGID_CASES)
 def test_a_rigid_motion_keeps_the_mirror_and_the_walk(kind, generation, degrees):
     # the mirror is sought in the frame of its axis, so a turned and shifted
-    # file keeps it; its canonical input may be another corner, and the walk
-    # from there equals the unmoved walk from the same site id
+    # in-memory lattice keeps it; its canonical input may be another corner,
+    # and the walk from there equals the unmoved walk from the same site id
     lat = generate(kind, generation)
     c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
     coords = lat.coords @ np.array([[c, s], [-s, c]]) + [-41.3, 17.9]
