@@ -31,7 +31,7 @@ def run(kind, generation, times=None):
     lattice = generate(kind, generation)
     series = walk(lattice, "auto", preset_grid(kind) if times is None else times)[2]
     table = build_observable_table(series, lattice)
-    return table, build_regime_report(lattice, series, table)
+    return table, build_regime_report(lattice, series)
 
 
 def fit_text(fit) -> str:

@@ -18,7 +18,7 @@ from .errors import DomainError, ShapeError, StructuralError, check_positive, ch
 from .evolution import ProbabilitySeries
 from .geometry import fractal_meta
 from .lattice import Lattice, landmark_sites
-from .observables import ObservableTable, build_observable_table
+from .observables import build_observable_table
 
 DEFAULT_EPSILON = 0.02
 DEFAULT_BAND = 0.15
@@ -91,8 +91,8 @@ class RegimeReport:
 
     kind: str
     input_site: int
-    epsilon: float = DEFAULT_EPSILON
-    slope_window: int = DEFAULT_SLOPE_WINDOW
+    epsilon: float
+    slope_window: int
     probe_length_a: float
     farthest_distance: float
     first_void_tau: float | None
@@ -359,7 +359,6 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
 
 
 def build_regime_report(lattice: Lattice, series: ProbabilitySeries,
-                        table: ObservableTable | None = None,
                         epsilon: float = DEFAULT_EPSILON,
                         slope_window: int = DEFAULT_SLOPE_WINDOW,
                         band: float = DEFAULT_BAND,
@@ -373,8 +372,7 @@ def build_regime_report(lattice: Lattice, series: ProbabilitySeries,
     lattice (landmarks are void-based).
     """
     marks = landmark_sites(lattice, series.input_site)
-    if table is None:
-        table = build_observable_table(series, lattice)
+    table = build_observable_table(series, lattice)
     meta = fractal_meta(lattice.kind)
     slope_curve = loglog_slope(table.times, table.variance, window=slope_window)
 

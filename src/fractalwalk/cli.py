@@ -248,8 +248,7 @@ def cmd_sweep(args) -> int:
     for stem, (lattice, input_site, times) in plan.items():
         series = walk(lattice, input_site, times)[2]  # spectrum freed
         table = _stage.build_observable_table(series, lattice)
-        report = _stage.build_regime_report(lattice, series, table=table,
-                                            **_given(args, "epsilon"))
+        report = _stage.build_regime_report(lattice, series, **_given(args, "epsilon"))
         paths = {
             "lattice": os.path.join(out_dir, f"{stem}.lattice.json"),
             "series": os.path.join(out_dir, f"{stem}.series.json"),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_site
+from .errors import DomainError
 from .evolution import CLAMP_TOL, ProbabilitySeries, check_distribution
 from .lattice import Lattice
 
@@ -37,15 +37,14 @@ class ObservableTable:
             arr.setflags(write=False)
 
 
-def variance(series: ProbabilitySeries, lattice: Lattice, input_site: int) -> np.ndarray:
+def variance(series: ProbabilitySeries, lattice: Lattice) -> np.ndarray:
     """Probability-weighted mean squared Euclidean distance from the input.
 
     sigma^2(tau) = sum_j dl_j^2 p_j(tau) / sum_j p_j(tau), with dl_j the
-    Euclidean distance from the input site to site j in spacings.
+    Euclidean distance from the series' input site to site j in spacings.
     """
     series.check_lattice(lattice)
-    check_site(input_site, lattice.n_sites)
-    origin = lattice.coords[input_site]
+    origin = lattice.coords[series.input_site]
     dl2 = ((lattice.coords - origin) ** 2).sum(axis=1)
     weighted = series.probabilities @ dl2
     return weighted / series.probabilities.sum(axis=1)
@@ -80,7 +79,7 @@ def build_observable_table(series: ProbabilitySeries, lattice: Lattice) -> Obser
     distribution (see ``check_distribution``).
     """
     check_distribution(series.probabilities)
-    var = variance(series, lattice, series.input_site)
+    var = variance(series, lattice)
     ret = return_probability(series)
     measured = series.times > 0.0
     if not measured.any():

@@ -353,39 +353,39 @@ def read_walk(lattice_path: str, series_path: str) -> tuple[Lattice, Probability
 # observables CSV
 
 
-def observables_csv(table: ObservableTable) -> str:
+def observables_csv(table: ObservableTable) -> bytes:
     columns = np.column_stack((table.times, table.variance, table.return_prob, table.polya))
     header = b"tau,variance,return_prob,polya\n"
     if not len(columns):
-        return header.decode("ascii")
-    return b"".join([header, *_format_rows(columns, ",", "\n"), b"\n"]).decode("ascii")
+        return header
+    return b"".join([header, *_format_rows(columns, ",", "\n"), b"\n"])
 
 
-def write_text(path: str, text: str) -> None:
+def write_text(path: str, text: str) -> None:  # no caller here; perfbench wraps it
     write_bytes(path, text.encode("utf-8"))
 
 
 def write_observables(table: ObservableTable, path: str) -> None:
-    write_text(path, observables_csv(table))
+    write_bytes(path, observables_csv(table))
 
 
 # ---------------------------------------------------------------------------
 # matrix triplet dump
 
 
-def matrix_triplet_text(operator: Operator) -> str:
+def matrix_triplet_bytes(operator: Operator) -> bytes:
     """One "row col value" line per non-zero entry, sorted by (row, col)."""
     keep = np.flatnonzero(operator.values)
     keep = keep[np.lexsort((operator.cols[keep], operator.rows[keep]))]
     if not keep.size:
-        return ""
+        return b""
     # indices are below 1e12, so their 12-digit form is the integer itself
     triplets = np.column_stack((operator.rows[keep], operator.cols[keep], operator.values[keep]))
-    return b"".join([*_format_rows(triplets, " ", "\n"), b"\n"]).decode("ascii")
+    return b"".join([*_format_rows(triplets, " ", "\n"), b"\n"])
 
 
 def write_matrix_triplets(operator: Operator, path: str) -> None:
-    write_text(path, matrix_triplet_text(operator))
+    write_bytes(path, matrix_triplet_bytes(operator))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def quantum_run(kind, generation, grid=None, with_report=True):
         lattice, "auto", preset_grid(lattice.kind) if grid is None else grid
     )
     table = build_observable_table(series, lattice)
-    report = build_regime_report(lattice, series, table) if with_report else None
+    report = build_regime_report(lattice, series) if with_report else None
     return SimpleNamespace(lattice=lattice, input_site=input_site, spectrum=spectrum,
                            series=series, table=table, report=report)
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from fractalwalk.analysis import (
+    DEFAULT_EPSILON,
+    DEFAULT_SLOPE_WINDOW,
     OSCILLATION_PROMINENCE,
     RegimeReport,
     SlopeCurve,
@@ -19,6 +21,7 @@ from fractalwalk.analysis import (
     _prominent_peaks,
 )
 from fractalwalk.calibration import calibrate_events
+from fractalwalk.cli import walk
 from fractalwalk.errors import BoundsError, DomainError, ShapeError, StructuralError
 from fractalwalk.evolution import (
     ProbabilitySeries,
@@ -319,6 +322,8 @@ def make_report(**events):
     return RegimeReport(
         kind="dsc",
         input_site=0,
+        epsilon=DEFAULT_EPSILON,
+        slope_window=DEFAULT_SLOPE_WINDOW,
         first_void_tau=events.get("first_void"),
         l_f_tau=events.get("l_f"),
         farthest_tau=events.get("farthest"),
@@ -396,3 +401,36 @@ def test_regime_report_rejects_nonfractal():
     series = evolve_quantum(spec, canonical_input(lat), time_grid(2.0, 21))
     with pytest.raises(StructuralError):
         build_regime_report(lat, series)
+
+
+# --- what the grid decides -------------------------------------------------
+
+@pytest.mark.parametrize("fixture, plateau", [
+    ("sg4_run", (0.1, 25.0)), ("sc3_run", (0.1, 12.0)), ("dsc2_run", (0.1, 25.0))],
+    ids=["sg4", "sc3", "dsc2"])
+def test_the_preset_grid_saturates_the_polya_number(fixture, plateau, request):
+    # every preset grid steps 0.05: from the canonical input the Polya number
+    # is 0.99501 at the first positive sample and 0.99990 at the second, so
+    # the report's only plateau spans the whole grid
+    run = request.getfixturevalue(fixture)
+    first, second = np.flatnonzero(run.table.times > 0.0)[:2]
+    assert run.table.polya[first] >= 0.995
+    assert run.table.polya[second] >= 0.9999
+    assert run.report.plateaus == (plateau,)
+
+
+def test_the_slope_window_counts_samples_not_tau(dsc3_run):
+    # dsc:3 at 4x the preset density: the default 11-sample window spans a
+    # quarter of its preset tau and the fractal fit moves; a 41-sample
+    # window spans the preset's 0.5 tau and the fit stays
+    lattice = dsc3_run.lattice
+    fine = walk(lattice, "auto", time_grid(25.0, 2001))[2]
+    preset, samples, tau = ((report.fractal_fit.exponent, report.l_f_tau) for report in (
+        build_regime_report(lattice, dsc3_run.series),
+        build_regime_report(lattice, fine),
+        build_regime_report(lattice, fine, slope_window=41)))
+    assert preset == pytest.approx((1.3462, 0.30), abs=1e-4)
+    assert samples == pytest.approx((1.3916, 0.125), abs=1e-4)
+    assert tau == pytest.approx((1.3514, 0.2625), abs=1e-4)
+    assert samples[0] - preset[0] > 0.03
+    assert abs(tau[0] - preset[0]) < 0.01

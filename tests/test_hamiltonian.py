@@ -6,7 +6,7 @@ import pytest
 from fractalwalk.errors import DomainError
 from fractalwalk.hamiltonian import build_classical_generator, build_hamiltonian
 from fractalwalk.lattice import generate
-from fractalwalk.serialize import matrix_triplet_text
+from fractalwalk.serialize import matrix_triplet_bytes
 
 
 def test_hamiltonian_matches_edge_set():
@@ -64,7 +64,7 @@ def test_matrix_triplets_round_trip():
     h = build_hamiltonian(lat, coupling=2.0)
     triplets = [
         (int(r), int(c), float(v))
-        for r, c, v in (line.split() for line in matrix_triplet_text(h).splitlines())
+        for r, c, v in (line.split() for line in matrix_triplet_bytes(h).splitlines())
     ]
     assert triplets == sorted(triplets)
     rebuilt = np.zeros_like(h.matrix)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fractalwalk.errors import BoundsError, DomainError, ShapeError
+from fractalwalk.errors import DomainError, ShapeError
 from fractalwalk.evolution import (
     ProbabilitySeries,
     SeriesKind,
@@ -32,20 +32,20 @@ def synthetic_series(times, probabilities, input_site=0):
 # --- variance -------------------------------------------------------------
 
 def test_variance_zero_at_launch(sg2_run):
-    var = variance(sg2_run.series, sg2_run.lattice, sg2_run.input_site)
+    var = variance(sg2_run.series, sg2_run.lattice)
     # exact zero up to eigendecomposition roundoff squared
     assert abs(var[0]) < 1e-24
 
 
 def test_variance_equal_split_on_pair(pair):
     series = synthetic_series([1.0], [[0.5, 0.5]])
-    assert variance(series, pair, 0) == pytest.approx(0.5, abs=1e-15)
+    assert variance(series, pair) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_variance_full_transfer_on_pair(pair):
     spec = spectral_decompose(build_hamiltonian(pair))
     series = evolve_quantum(spec, 0, np.array([np.pi / 2.0]))
-    assert variance(series, pair, 0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert variance(series, pair)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_variance_bounded_by_farthest_site(sg4_run):
@@ -55,12 +55,7 @@ def test_variance_bounded_by_farthest_site(sg4_run):
 
 def test_variance_rejects_mismatched_lattice(sg2_run):
     with pytest.raises(ShapeError):
-        variance(sg2_run.series, generate("sg", 3), sg2_run.input_site)
-
-
-def test_variance_rejects_bad_input_site(sg2_run):
-    with pytest.raises(BoundsError):
-        variance(sg2_run.series, sg2_run.lattice, sg2_run.lattice.n_sites)
+        variance(sg2_run.series, generate("sg", 3))
 
 
 # --- Polya number ---------------------------------------------------------

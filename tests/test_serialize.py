@@ -27,7 +27,7 @@ from fractalwalk.serialize import (
     build_manifest,
     format_float,
     json_dumps,
-    matrix_triplet_text,
+    matrix_triplet_bytes,
     observables_csv,
     read_lattice,
     read_report_document,
@@ -118,8 +118,8 @@ def _json_reference(values):
 
 
 def _csv_reference(columns):
-    return "tau,variance,return_prob,polya\n" + "".join(
-        _percent(row[None], ",", "") + "\n" for row in columns)
+    return ("tau,variance,return_prob,polya\n" + "".join(
+        _percent(row[None], ",", "") + "\n" for row in columns)).encode("ascii")
 
 
 def _table(columns):
@@ -128,7 +128,8 @@ def _table(columns):
 
 def _triplet_reference(matrix):
     rows, cols = np.nonzero(matrix)
-    return "".join("%d %d %.12g\n" % (i, j, matrix[i, j]) for i, j in zip(rows, cols))
+    return "".join("%d %d %.12g\n" % (i, j, matrix[i, j])
+                   for i, j in zip(rows, cols)).encode("ascii")
 
 
 def _every_entry(matrix):
@@ -150,7 +151,7 @@ def test_float_writers_match_percent_format(values):
     columns = np.resize(values, (values.size // 4, 4)) if values.size >= 4 else np.zeros((0, 4))
     assert observables_csv(_table(columns)) == _csv_reference(columns)
     matrix = np.atleast_2d(values)
-    assert matrix_triplet_text(_every_entry(matrix)) == _triplet_reference(matrix)
+    assert matrix_triplet_bytes(_every_entry(matrix)) == _triplet_reference(matrix)
 
 
 @pytest.mark.parametrize("value", _BOUNDARY, ids=repr)
@@ -187,7 +188,7 @@ def test_empty_and_zero_column_arrays(shape):
 
 
 def test_empty_observable_table():
-    assert observables_csv(_table(np.zeros((0, 4)))) == "tau,variance,return_prob,polya\n"
+    assert observables_csv(_table(np.zeros((0, 4)))) == b"tau,variance,return_prob,polya\n"
 
 
 def _with_nan(values):
@@ -207,11 +208,11 @@ def test_observables_csv_rejects_nan_inside_a_column(sg2_run):
         observables_csv(table)
 
 
-def test_matrix_triplet_text_rejects_nan_inside_the_matrix(pair):
+def test_matrix_triplet_bytes_rejects_nan_inside_the_matrix(pair):
     matrix = build_hamiltonian(pair).matrix.copy()
     matrix[0, 1] = np.nan
     with pytest.raises(InputFileError, match="non-finite"):
-        matrix_triplet_text(_every_entry(matrix))
+        matrix_triplet_bytes(_every_entry(matrix))
 
 
 def test_json_dumps_rejects_unknown_types():
@@ -409,20 +410,20 @@ def test_series_with_a_non_finite_token_is_rejected(series, token, position):
 # --- CSV and triplets -----------------------------------------------------
 
 def test_observables_csv_layout(sg2_run):
-    text = observables_csv(sg2_run.table)
-    lines = text.split("\n")
-    assert lines[0] == "tau,variance,return_prob,polya"
-    assert lines[-1] == ""  # trailing newline
+    data = observables_csv(sg2_run.table)
+    lines = data.split(b"\n")
+    assert lines[0] == b"tau,variance,return_prob,polya"
+    assert lines[-1] == b""  # trailing newline
     assert len(lines) == sg2_run.table.times.size + 2
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[2] == "1"
-    assert "\r" not in text
+    first = lines[1].split(b",")
+    assert first[0] == b"0" and first[2] == b"1"
+    assert b"\r" not in data
 
 
-def test_matrix_triplet_text(pair):
+def test_matrix_triplet_bytes(pair):
     h = build_hamiltonian(pair, coupling=1.5)
-    assert matrix_triplet_text(h) == "0 1 1.5\n1 0 1.5\n"
-    assert matrix_triplet_text(_every_entry(np.zeros((2, 2)))) == ""
+    assert matrix_triplet_bytes(h) == b"0 1 1.5\n1 0 1.5\n"
+    assert matrix_triplet_bytes(_every_entry(np.zeros((2, 2)))) == b""
 
 
 # --- report documents -----------------------------------------------------
