@@ -16,10 +16,14 @@ which loads its submodule.  Every call looks the stages up in this
 module's globals, so a wrapper set on ``cli.<stage>`` is what runs, and
 the lookup holds when ``runpy`` or cProfile runs this file as
 ``__main__``.  Flags whose default belongs to a stage default to None
-here, so that the stage's own default applies.  An output that cannot be
-written exits 3, as an input that cannot be read does.  What makes a
-series valid is decided in ``evolution``, and a walk read back goes
-through ``serialize.read_walk``, which holds its series to its lattice.
+here, so that the stage's own default applies.  ``walk`` computes and
+writes nothing: a command writes its outputs once every stage it runs has
+returned (``render`` renders every frame first), so a command a stage
+refuses writes none, but a sweep writes each instance's outputs before
+the next one walks.  An output that cannot be written exits 3, as an
+input that cannot be read does.  What makes a series valid is decided in
+``evolution``, and a walk read back goes through ``serialize.read_walk``,
+which holds its series to its lattice.
 
 ``main(argv)`` returns the exit status and leaves the interpreter as it
 found it; ``run()``, the process entry point, ends the process once
@@ -82,11 +86,11 @@ def _outpath(path: str) -> str:
     return path
 
 
-def walk(lattice, selector, times, classical=False, dump=None, **params):
+def walk(lattice, selector, times, classical=False, **params):
     """Resolve the input site, build the walk operator from ``params`` (the
-    Hamiltonian, or the Laplacian if ``classical``), write its triplets to
-    ``dump`` if given, decompose it by mirror sector and evolve.  Returns
-    (input_site, spectrum, series).  A series of more than
+    Hamiltonian, or the Laplacian if ``classical``), decompose it by mirror
+    sector and evolve.  Returns (operator, spectrum, series) and writes
+    nothing; the input site is ``series.input_site``.  A series of more than
     ``evolution.MAX_SERIES_VALUES`` values is refused before the operator
     is built."""
     from .evolution import _check_size
@@ -95,13 +99,9 @@ def walk(lattice, selector, times, classical=False, dump=None, **params):
     input_site = _stage.resolve_input(lattice, selector)
     build = _stage.build_classical_generator if classical else _stage.build_hamiltonian
     operator = build(lattice, **params)
-    if dump is not None:
-        from . import serialize
-
-        serialize.write_matrix_triplets(operator, dump)
     spectrum = _stage.spectral_decompose(operator, _stage.mirror_permutation(lattice))
     evolve = _stage.evolve_classical if classical else _stage.evolve_quantum
-    return input_site, spectrum, evolve(spectrum, input_site, times)
+    return operator, spectrum, evolve(spectrum, input_site, times)
 
 
 def _given(args, *names) -> dict:
@@ -132,12 +132,14 @@ def cmd_evolve(args) -> int:
     from . import serialize
 
     lattice = serialize.read_lattice(args.lattice)
-    dump = None if args.dump_matrix is None else _outpath(args.dump_matrix)
-    # the series alone: the spectrum is freed before any artifact is written
     times = _stage.preset_grid(lattice.kind, sites=lattice.n_sites,
                                **_given(args, "tau_max", "steps", "tau_min"))
-    series = walk(lattice, args.input, times, args.classical, dump,
-                  **_given(args, "rate", "beta", "coupling"))[2]
+    # the operator and the series: the spectrum is freed before any
+    # artifact is written, and a walk that fails writes nothing
+    operator, series = walk(lattice, args.input, times, args.classical,
+                            **_given(args, "rate", "beta", "coupling"))[::2]
+    if args.dump_matrix is not None:
+        serialize.write_matrix_triplets(operator, _outpath(args.dump_matrix))
     out = _outpath(args.out)
     serialize.write_series(series, out)
     print(f"{series.kind.value} series: input {series.input_site}, "
@@ -178,8 +180,9 @@ def cmd_render(args) -> int:
     lattice, series = serialize.read_walk(args.lattice, args.series)
     spec = RenderSpec(**_given(args, "pixels_per_spacing", "spot_sigma", "margin", "gamma"))
     out_dir = _outpath(args.out_dir)
-    for index in args.time_index:
-        image = _stage.render_frame(series, lattice, index, spec)
+    # every frame is rendered, as uint16 (2 bytes a pixel), before the first is written
+    images = [_stage.render_frame(series, lattice, index, spec) for index in args.time_index]
+    for index, image in zip(args.time_index, images):
         path = os.path.join(out_dir, f"{args.run}_t{index}.pgm")
         serialize.write_bytes(path, _stage.pgm_bytes(image))
         print(f"frame {index} ({image.shape[1]}x{image.shape[0]}) -> {path}")

@@ -12,15 +12,17 @@ the lattice file, which ``textio.lattice_bytes`` writes from lists.  It
 writes a dataclass as the object of its fields, in field order: the series
 and report documents are ``ProbabilitySeries`` and ``RegimeReport`` as
 they are, and their key order is their field order.  The emitter appends
-the document's ASCII bytes to one buffer, which is written as it is.  All
-writers are byte-deterministic; a lattice file reads as the lattice it names.
+the document's ASCII bytes to one buffer, which ``textio.write_json``, the
+one JSON writer, writes with a newline as it is.  All writers are
+byte-deterministic; a lattice file reads as the lattice it names.
 
 The parts that need no numpy live in ``textio``: the atomic writes, the
-strict JSON load, the emitter for Python values, the lattice writer and
-``format_float``.  This module adds the array formats and hands the
-emitter its numpy branches (``_emit_numpy``).  Of the pipeline stages it
-imports only ``geometry`` and ``lattice``, and ``evolution`` when a series is
-read: writing a report or a table loads nothing of the stage that built it.
+strict JSON load, the emitter for Python values and the JSON writer, the
+lattice writer and ``format_float``.  This module adds the array formats
+and hands the emitter its numpy branches (``_emit_numpy``).  Of the
+pipeline stages it imports only ``geometry`` and ``lattice``, and
+``evolution`` when a series is read: writing a report or a table loads
+nothing of the stage that built it.
 """
 
 from __future__ import annotations
@@ -204,13 +206,10 @@ def _format_rows(values: np.ndarray, field_sep: str, row_sep: str):
 
 
 def json_dumps(obj) -> str:
-    """Compact JSON with 12-significant-digit floats and stable key order."""
-    return _json_bytes(obj).decode("ascii")
-
-
-def _json_bytes(obj, end: bytes = b"") -> bytearray:
-    """The ASCII bytes of ``json_dumps(obj)``, then ``end``, in one buffer."""
-    return textio._json_bytes(obj, end, _emit_numpy)
+    """The line ``write_json`` writes for ``obj``, without its newline."""
+    out = bytearray()
+    _emit(obj, out, _emit_numpy)
+    return out.decode("ascii")
 
 
 def _emit_numpy(obj, out: bytearray) -> None:
@@ -236,10 +235,6 @@ def _emit_rows(values, field_sep, row_sep, opening: bytes, closing: bytes,
     for piece in _format_rows(values, field_sep, row_sep):
         out += piece
     out += closing
-
-
-def _write_json(doc, path: str) -> None:
-    write_bytes(path, _json_bytes(doc, b"\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +275,11 @@ def read_lattice(path: str) -> Lattice:
 
 
 def write_series(series: ProbabilitySeries, path: str) -> None:
-    _write_json(series, path)
+    textio.write_json(series, path, _emit_numpy)
 
 
 def write_report(report: RegimeReport, path: str) -> None:
-    _write_json(report, path)
+    textio.write_json(report, path, _emit_numpy)
 
 
 def _number_array(values) -> np.ndarray:
@@ -410,4 +405,4 @@ def build_manifest(paths: list[str], base_dir: str) -> dict:
 
 
 def write_manifest(paths: list[str], base_dir: str, path: str) -> None:
-    _write_json(build_manifest(paths, base_dir), path)
+    textio.write_json(build_manifest(paths, base_dir), path, _emit_numpy)

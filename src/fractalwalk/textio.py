@@ -1,21 +1,23 @@
 """Text I/O that needs no numpy: atomic writes, the strict JSON load, the
-JSON emitter for Python values and the lattice writer.
+JSON emitter and writer, and the lattice writer.
 
 The emitter, ``_emit``, writes a dataclass as the object of its fields, in
 field order, so a document is its dataclass: the field order is the
-document's key order.  ``calibrate`` reads a report
-(``read_report_document``) and writes it back with its ``calibration``
-block (``write_json``) through this module; the rules a report must meet
+document's key order.  ``write_json`` writes every JSON document but the
+lattice file: one line of compact JSON and a newline.  ``calibrate`` reads a
+report (``read_report_document``) and writes it back with its
+``calibration`` block through this module; the rules a report must meet
 are ``calibration``'s.  A lattice file has its own writer,
 ``lattice_bytes``, which takes the sites and edges as flat sequences of
 Python numbers, so the ``lattice`` command writes one without numpy.
-``serialize`` re-exports the rest and adds the array formats; it hands
-its numpy branches to ``_emit``, which reaches them only when an array or
-a numpy scalar is present.  Floats are written with 12 significant digits
-(``format_float``); parsing goes through ``json.load``, which rejects the
-``NaN`` and ``Infinity`` tokens.  All file writes are atomic (write to a
-temp file, then rename), and an output that cannot be written is an
-InputFileError, as an input that cannot be read is.
+``serialize`` re-exports the rest and adds the array formats; it passes
+its numpy branches to ``_emit`` and ``write_json``, which reach them only
+when an array or a numpy scalar is present.  Floats are written with 12
+significant digits (``format_float``); parsing goes through
+``json.load``, which rejects the ``NaN`` and ``Infinity`` tokens.  All
+file writes are atomic (write to a temp file, then rename), and an output
+that cannot be written is an InputFileError, as an input that cannot be
+read is.
 """
 
 from __future__ import annotations
@@ -38,14 +40,6 @@ def format_float(x: float) -> str:
 
 # ---------------------------------------------------------------------------
 # JSON emitter
-
-
-def _json_bytes(obj, end: bytes = b"", other=None) -> bytearray:
-    """The compact JSON of ``obj``, then ``end``, as ASCII bytes in one buffer."""
-    out = bytearray()
-    _emit(obj, out, other)
-    out += end
-    return out
 
 
 def _emit(obj, out: bytearray, other=None) -> None:
@@ -114,9 +108,13 @@ def write_bytes(path: str, data: bytes) -> None:
         raise InputFileError(f"cannot write {path}: {exc}") from exc
 
 
-def write_json(doc: dict, path: str) -> None:
-    """A document of Python values as one line of JSON."""
-    write_bytes(path, _json_bytes(doc, b"\n"))
+def write_json(doc, path: str, other=None) -> None:
+    """``doc`` as one line of compact JSON, then a newline, written
+    atomically; ``other`` takes the values ``_emit`` does not know."""
+    out = bytearray()
+    _emit(doc, out, other)
+    out += b"\n"
+    write_bytes(path, out)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,12 @@ from fractalwalk.observables import build_observable_table
 def quantum_run(kind, generation, grid=None, with_report=True):
     """The CLI's quantum walk from the canonical input, plus its table and report."""
     lattice = generate(kind, generation)
-    input_site, spectrum, series = walk(
+    _, spectrum, series = walk(
         lattice, "auto", preset_grid(lattice.kind) if grid is None else grid
     )
     table = build_observable_table(series, lattice)
     report = build_regime_report(lattice, series) if with_report else None
-    return SimpleNamespace(lattice=lattice, input_site=input_site, spectrum=spectrum,
+    return SimpleNamespace(lattice=lattice, input_site=series.input_site, spectrum=spectrum,
                            series=series, table=table, report=report)
 
 

@@ -239,6 +239,10 @@ def test_saturation_smooth_curve_has_no_oscillation(long_grid):
     sat, osc = detect_saturation_and_oscillation(t, v, 5.0)
     assert sat == pytest.approx(12.5, abs=1e-6)
     assert osc is False
+    # a curve at zero never grows: it saturates at the first window centre,
+    # and a zero level has no peak to weigh against it
+    t = np.linspace(0.0, 40.0, 801)
+    assert detect_saturation_and_oscillation(t, np.zeros_like(t), 1.0) == (8.0, False)
 
 
 def test_saturation_absent_under_sustained_growth(long_grid):
@@ -259,6 +263,8 @@ def test_saturation_none_on_short_grid():
     t = np.linspace(0.0, 10.0, 21)
     # averaging windows would cover the whole grid
     assert detect_saturation_and_oscillation(t, t, 1.0) == (None, False)
+    # two samples are too few for any pair of windows
+    assert detect_saturation_and_oscillation(t[:2], t[:2], 1.0) == (None, False)
 
 
 def test_saturation_rejects_a_non_uniform_grid(long_grid):

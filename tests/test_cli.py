@@ -318,6 +318,20 @@ def test_an_all_black_frame_is_exit_5(sc3_files, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_frame_out_of_range_is_exit_5_before_any_frame_is_written(sg3_files, tmp_path,
+                                                                     capsys):
+    # frame 5 renders, but 9999 is past the grid: every frame is rendered
+    # before the first is written, so neither is
+    lattice, series, _ = sg3_files
+    capsys.readouterr()
+    assert run(["render", "--series", series, "--lattice", lattice, "--run", "f",
+                "--time-index", "5", "--time-index", "9999",
+                "--out-dir", str(tmp_path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: time index 9999 out of range"), err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--margin", "1e308"),  # the frame width overflows a float
     ("--margin", "1e17"),
@@ -774,17 +788,19 @@ def test_a_grid_finer_than_the_written_digits_is_exit_5(
 def test_an_overflowing_parameter_is_exit_7(sg3_files, tmp_path, warnings, argv):
     # finite, but the eigenvalues or the exponents overflow: the residual
     # and distribution checks refuse the result, and no RuntimeWarning is
-    # raised or printed on the way, under the setting CI's processes inherit
+    # raised or printed on the way, under the setting CI's processes inherit.
+    # Neither the series nor the matrix dump is written
     lattice, _, _ = sg3_files
+    dump = {"evolve": "--dump-hamiltonian", "classical": "--dump-generator"}[argv[0]]
     env = dict(os.environ, PYTHONWARNINGS=warnings, PYTHONPATH=os.pathsep.join(
         filter(None, [str(pathlib.Path(cli.__file__).parents[1]),
                       os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "fractalwalk.cli", *argv,
-                           "--lattice", lattice, "--out", "s.json"],
+                           "--lattice", lattice, "--out", "s.json", dump, "m.txt"],
                           cwd=tmp_path, capture_output=True, text=True, env=env)
     assert proc.returncode == 7, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert not (tmp_path / "s.json").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evolve_starts_its_grid_at_tau_min(sg3_files, tmp_path):
@@ -837,11 +853,13 @@ def test_analyze_help_states_the_defaults_of_analysis():
 
 def test_a_large_beta_fails_the_eigensolver_check(sg3_files, tmp_path):
     # beta is a global phase, but at 1e10 eigh loses 1.7e-5 of accuracy
-    # to it; the check's limit no longer grows with a uniform diagonal
+    # to it; the check's limit no longer grows with a uniform diagonal.
+    # The Hamiltonian was built, but its dump is not written
     lattice, _, _ = sg3_files
     assert run(["evolve", "--lattice", lattice, "--beta", "1e10",
-                "--out", str(tmp_path / "s.json")]) == 7
-    assert not (tmp_path / "s.json").exists()
+                "--out", str(tmp_path / "s.json"),
+                "--dump-hamiltonian", str(tmp_path / "h.txt")]) == 7
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_eigensolver_failure_is_exit_7(sg3_files, tmp_path, capsys, monkeypatch):
@@ -851,9 +869,10 @@ def test_an_eigensolver_failure_is_exit_7(sg3_files, tmp_path, capsys, monkeypat
     monkeypatch.setattr(np.linalg, "eigh", failing)
     lattice, _, _ = sg3_files
     capsys.readouterr()
-    assert run(["evolve", "--lattice", lattice, "--out", str(tmp_path / "s.json")]) == 7
+    assert run(["evolve", "--lattice", lattice, "--out", str(tmp_path / "s.json"),
+                "--dump-hamiltonian", str(tmp_path / "h.txt")]) == 7
     assert "eigendecomposition failed" in capsys.readouterr().err
-    assert not (tmp_path / "s.json").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 SPAWNER = """\

@@ -32,6 +32,7 @@ from fractalwalk.lattice import (
     generate,
     mirror_permutation,
 )
+from fractalwalk.serialize import write_matrix_triplets
 from oracle import _bessel_series, chebyshev_probabilities, evolve_oracle
 
 
@@ -239,8 +240,8 @@ def test_an_on_axis_walk_solves_only_the_symmetric_block(monkeypatch, classical)
     sizes = _count_eigh(monkeypatch)
     lattice = generate("dsc", 3)
     times = preset_grid(lattice.kind)
-    site, spectrum, _ = walk(lattice, "auto", times, classical)
-    assert site == canonical_input(lattice)
+    _, spectrum, series = walk(lattice, "auto", times, classical)
+    assert series.input_site == canonical_input(lattice)
     assert sizes == [spectrum.sectors[0]]
     off_axis = int(np.flatnonzero(mirror_permutation(lattice) != np.arange(lattice.n_sites))[0])
     (evolve_classical if classical else evolve_quantum)(spectrum, off_axis, times)
@@ -500,9 +501,9 @@ def test_the_walk_path_never_builds_the_dense_matrix(monkeypatch, tmp_path, clas
     with monkeypatch.context() as patch:
         patch.setattr(Operator, "matrix", property(_dense_matrix_read))
         for selector in ("auto", off_axis):
-            _, spectrum, _ = walk(lattice, selector, times, classical, **params)
+            operator, spectrum, _ = walk(lattice, selector, times, classical, **params)
         assert sizes == [spectrum.sectors[0], *spectrum.sectors]  # the lazy block was solved too
-        walk(lattice, "auto", times, classical, str(dump), **params)
+        write_matrix_triplets(operator, str(dump))
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == DSC3_DUMPS[classical]
 
 
@@ -560,9 +561,9 @@ def test_the_walk_does_not_depend_on_the_site_labels(case, data):
     lattice, times, canonical = _canonical_walks(*case)
     perm = np.array(data.draw(st.permutations(range(lattice.n_sites)), label="perm"))
     relabelled = _relabelled(lattice, perm)
-    for classical, (site, spectrum, series) in zip((False, True), canonical):
-        new_site, new_spectrum, new_series = walk(relabelled, "auto", times, classical)
-        assert new_site == perm[site]
+    for classical, (_, spectrum, series) in zip((False, True), canonical):
+        _, new_spectrum, new_series = walk(relabelled, "auto", times, classical)
+        assert new_series.input_site == perm[series.input_site]
         assert new_spectrum.sectors == spectrum.sectors
         gap = new_series.probabilities[:, perm] - series.probabilities
         assert np.abs(gap).max() < 1e-12
@@ -659,11 +660,10 @@ def test_the_walk_matches_the_chebyshev_oracle(kind, generation, classical):
     lattice = generate(kind, generation)
     params = {"rate": 0.7} if classical else {"beta": 0.3, "coupling": 1.5}
     times = preset_grid(lattice.kind)
-    site, spectrum, series = walk(lattice, "auto", times, classical, **params)
+    operator, spectrum, series = walk(lattice, "auto", times, classical, **params)
     off_axis = int(np.flatnonzero(mirror_permutation(lattice) != np.arange(lattice.n_sites))[0])
     evolve = evolve_classical if classical else evolve_quantum
-    operator = _build(lattice, classical)
-    for start, probs in ((site, series.probabilities),
+    for start, probs in ((series.input_site, series.probabilities),
                          (off_axis, evolve(spectrum, off_axis, times).probabilities)):
         oracle = chebyshev_probabilities(operator, start, times, classical)
         assert np.abs(probs - oracle).max() < 1e-12, start

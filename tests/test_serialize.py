@@ -68,6 +68,8 @@ def test_json_dumps_preserves_insertion_order():
 def test_json_dumps_handles_numpy_scalars_and_arrays():
     doc = {"n": np.int64(3), "x": np.float64(0.25), "v": np.array([1.0, 2.0])}
     assert json_dumps(doc) == '{"n":3,"x":0.25,"v":[1,2]}'
+    # np.float64 is a float; a float32 takes the numpy-scalar branch, at its own value
+    assert json_dumps(np.float32(0.1)) == "0.10000000149"
 
 
 _FLOAT_EDGES = [0.0, -0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1e20, 1.0 / 3.0]
