@@ -18,12 +18,11 @@ the lookup holds when ``runpy`` or cProfile runs this file as
 ``__main__``.  Flags whose default belongs to a stage default to None
 here, so that the stage's own default applies.  ``walk`` computes and
 writes nothing: a command writes its outputs once every stage it runs has
-returned (``render`` renders every frame first), so a command a stage
-refuses writes none, but a sweep writes each instance's outputs before
-the next one walks.  An output that cannot be written exits 3, as an
-input that cannot be read does.  What makes a series valid is decided in
-``evolution``, and a walk read back goes through ``serialize.read_walk``,
-which holds its series to its lattice.
+returned (``render`` renders every frame, ``sweep`` walks every instance),
+so a command a stage refuses writes none.  An unwritable output exits 3, as
+an unreadable input does, and leaves the outputs written before it.  What
+makes a series valid is decided in ``evolution``, and a walk read back goes
+through ``serialize.read_walk``, which holds its series to its lattice.
 
 ``main(argv)`` returns the exit status and leaves the interpreter as it
 found it; ``run()``, the process entry point, ends the process once
@@ -247,27 +246,27 @@ def cmd_sweep(args) -> int:
     if not plan:
         raise DomainError("no instances given")
     out_dir = _outpath(args.out_dir)
-    artifacts = []
+    pending = []  # (writer, document, path) of every instance, in manifest order
     for stem, (lattice, input_site, times) in plan.items():
         series = walk(lattice, input_site, times)[2]  # spectrum freed
         table = _stage.build_observable_table(series, lattice)
         report = _stage.build_regime_report(lattice, series, **_given(args, "epsilon"))
-        paths = {
-            "lattice": os.path.join(out_dir, f"{stem}.lattice.json"),
-            "series": os.path.join(out_dir, f"{stem}.series.json"),
-            "observables": os.path.join(out_dir, f"{stem}.observables.csv"),
-            "report": os.path.join(out_dir, f"{stem}.report.json"),
-        }
-        serialize.write_lattice(lattice, paths["lattice"])
-        serialize.write_series(series, paths["series"])
-        serialize.write_observables(table, paths["observables"])
-        serialize.write_report(report, paths["report"])
-        artifacts.extend(paths.values())
+        base = os.path.join(out_dir, stem)
+        # write_lattice writes any Lattice, but only generate's, as here, read back
+        pending += [(serialize.write_lattice, lattice, f"{base}.lattice.json"),
+                    (serialize.write_series, series, f"{base}.series.json"),
+                    (serialize.write_observables, table, f"{base}.observables.csv"),
+                    (serialize.write_report, report, f"{base}.report.json")]
         events = ", ".join(f"{k}={v:.4g}" for k, v in report.event_taus().items()) or "none"
         print(f"{stem}: {lattice.n_sites} sites, events [{events}]")
+    del series, table, report  # now only pending holds the series, tables and reports
+    paths = [path for _, _, path in pending]
+    while pending:  # last instance first (lowest peak); each document freed once written
+        write, document, path = pending.pop()
+        write(document, path)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    serialize.write_manifest(artifacts, out_dir, manifest_path)
-    print(f"manifest: {len(artifacts)} artifacts -> {manifest_path}")
+    serialize.write_manifest(paths, out_dir, manifest_path)
+    print(f"manifest: {len(paths)} artifacts -> {manifest_path}")
     return 0
 
 

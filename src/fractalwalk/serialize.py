@@ -248,6 +248,7 @@ def _lattice_bytes(lattice: Lattice) -> bytearray:
 
 
 def write_lattice(lattice: Lattice, path: str) -> None:
+    """Writes any in-memory Lattice; only ``generate(kind, generation)`` reads back."""
     write_bytes(path, _lattice_bytes(lattice))
 
 

@@ -23,10 +23,26 @@ def pytest_terminal_summary(terminalreporter):
 
 from fractalwalk.analysis import build_regime_report
 from fractalwalk.cli import walk
-from fractalwalk.evolution import evolve_classical, preset_grid, spectral_decompose, time_grid
+from fractalwalk.evolution import (ProbabilitySeries, SeriesKind, evolve_classical, preset_grid,
+                                   spectral_decompose, time_grid)
 from fractalwalk.hamiltonian import build_classical_generator
 from fractalwalk.lattice import Lattice, LatticeKind, generate
 from fractalwalk.observables import build_observable_table
+
+
+@pytest.fixture(autouse=True)
+def isolated_output_dir(monkeypatch):
+    # OUTPUT_DIR prefixes every relative output path; a test sets it itself
+    monkeypatch.delenv("OUTPUT_DIR", raising=False)
+
+
+def synthetic_series(times, probabilities, input_site=0):
+    return ProbabilitySeries(
+        kind=SeriesKind.QUANTUM,
+        input_site=input_site,
+        times=np.asarray(times, dtype=np.float64),
+        probabilities=np.asarray(probabilities, dtype=np.float64),
+    )
 
 
 def quantum_run(kind, generation, grid=None, with_report=True):

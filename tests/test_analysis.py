@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import synthetic_series
 from fractalwalk.analysis import (
     DEFAULT_EPSILON,
     DEFAULT_SLOPE_WINDOW,
@@ -23,24 +24,9 @@ from fractalwalk.analysis import (
 from fractalwalk.calibration import calibrate_events
 from fractalwalk.cli import walk
 from fractalwalk.errors import BoundsError, DomainError, ShapeError, StructuralError
-from fractalwalk.evolution import (
-    ProbabilitySeries,
-    SeriesKind,
-    evolve_quantum,
-    spectral_decompose,
-    time_grid,
-)
+from fractalwalk.evolution import evolve_quantum, spectral_decompose, time_grid
 from fractalwalk.hamiltonian import build_hamiltonian
 from fractalwalk.lattice import canonical_input, generate, landmark_sites
-
-
-def series_of(times, probabilities, input_site=0):
-    return ProbabilitySeries(
-        kind=SeriesKind.QUANTUM,
-        input_site=input_site,
-        times=np.asarray(times, dtype=np.float64),
-        probabilities=np.asarray(probabilities, dtype=np.float64),
-    )
 
 
 # --- local log-log slopes -------------------------------------------------
@@ -129,7 +115,7 @@ def test_fit_powerlaw_r_squared_drops_with_noise():
 # --- event detection ------------------------------------------------------
 
 def test_detect_event_first_crossing():
-    series = series_of([0.0, 1.0, 2.0], [[1.0, 0.0], [0.9, 0.1], [0.5, 0.5]])
+    series = synthetic_series([0.0, 1.0, 2.0], [[1.0, 0.0], [0.9, 0.1], [0.5, 0.5]])
     assert detect_event(series, {1}, epsilon=0.05) == 1.0
     assert detect_event(series, {1}, epsilon=0.3) == 2.0
     assert detect_event(series, {1}, epsilon=0.6) is None
@@ -147,13 +133,13 @@ def test_detect_event_epsilon_monotone(dsc1_run):
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, 1.5])
 def test_detect_event_epsilon_validation(eps, pair):
-    series = series_of([1.0], [[0.5, 0.5]])
+    series = synthetic_series([1.0], [[0.5, 0.5]])
     with pytest.raises(DomainError):
         detect_event(series, {1}, epsilon=eps)
 
 
 def test_detect_event_set_validation():
-    series = series_of([1.0], [[0.5, 0.5]])
+    series = synthetic_series([1.0], [[0.5, 0.5]])
     with pytest.raises(DomainError):
         detect_event(series, set())
     with pytest.raises(BoundsError):

@@ -73,11 +73,6 @@ FRAME_DIGESTS = {
 }
 
 
-@pytest.fixture(autouse=True)
-def isolated_output_dir(monkeypatch):
-    monkeypatch.delenv("OUTPUT_DIR", raising=False)
-
-
 def _digests(directory, names):
     return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
             for name in names}

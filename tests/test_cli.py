@@ -13,7 +13,7 @@ import pytest
 
 import fractalwalk
 from fractalwalk import cli
-from fractalwalk.errors import DomainError
+from fractalwalk.errors import DomainError, StructuralError
 from fractalwalk.evolution import (evolve_classical, evolve_quantum, preset_grid,
                                    spectral_decompose)
 from fractalwalk.hamiltonian import Operator, build_classical_generator, build_hamiltonian
@@ -22,11 +22,6 @@ from fractalwalk.render import RenderSpec, pgm_bytes, render_frame
 from fractalwalk.serialize import (read_lattice, read_series, read_walk, write_lattice,
                                    write_series)
 from oracle import read_pgm
-
-
-@pytest.fixture(autouse=True)
-def isolated_output_dir(monkeypatch):
-    monkeypatch.delenv("OUTPUT_DIR", raising=False)
 
 
 def run(argv):
@@ -872,6 +867,35 @@ def test_an_eigensolver_failure_is_exit_7(sg3_files, tmp_path, capsys, monkeypat
     assert run(["evolve", "--lattice", lattice, "--out", str(tmp_path / "s.json"),
                 "--dump-hamiltonian", str(tmp_path / "h.txt")]) == 7
     assert "eigendecomposition failed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stage", ["eigh", "report"])
+def test_a_sweep_that_fails_in_a_later_instance_writes_nothing(tmp_path, monkeypatch, stage):
+    # sg:3 walks and is analysed, then dsc:2 fails in its eigendecomposition
+    # (exit 7) or its analysis (exit 6): no instance's file and no manifest
+    calls = []
+    eigh, build_regime_report = np.linalg.eigh, cli.build_regime_report
+
+    def failing_eigh(block):
+        calls.append(block.shape)
+        if len(calls) > 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(block)
+
+    def failing_report(lattice, series, **params):
+        calls.append(lattice.kind)
+        if len(calls) > 1:
+            raise StructuralError("no void landmarks")
+        return build_regime_report(lattice, series, **params)
+
+    if stage == "eigh":
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    else:
+        monkeypatch.setattr(cli, "build_regime_report", failing_report)
+    status = run(["sweep", "--instances", "sg:3,dsc:2", "--out-dir", str(tmp_path)])
+    assert status == {"eigh": 7, "report": 6}[stage]
+    assert len(calls) == 2
     assert list(tmp_path.iterdir()) == []
 
 

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import synthetic_series
 from fractalwalk.errors import DomainError, ShapeError
-from fractalwalk.evolution import (
-    ProbabilitySeries,
-    SeriesKind,
-    evolve_quantum,
-    spectral_decompose,
-    time_grid,
-)
+from fractalwalk.evolution import evolve_quantum, spectral_decompose, time_grid
 from fractalwalk.hamiltonian import build_hamiltonian
 from fractalwalk.lattice import generate
 from fractalwalk.observables import (
@@ -19,14 +14,6 @@ from fractalwalk.observables import (
     return_probability,
     variance,
 )
-
-def synthetic_series(times, probabilities, input_site=0):
-    return ProbabilitySeries(
-        kind=SeriesKind.QUANTUM,
-        input_site=input_site,
-        times=np.asarray(times, dtype=np.float64),
-        probabilities=np.asarray(probabilities, dtype=np.float64),
-    )
 
 
 # --- variance -------------------------------------------------------------

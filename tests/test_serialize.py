@@ -311,6 +311,16 @@ def test_read_lattice_rejects_dangling_edges(tmp_path):
         read_lattice(_edited_square(tmp_path, dangle))
 
 
+def test_write_lattice_writes_a_lattice_that_only_generate_reads_back(tmp_path):
+    # the writer takes any in-memory Lattice; the reader returns only the
+    # generated one, so a lattice that differs from it is written, then refused
+    lattice = generate("sg", 3)
+    path = str(tmp_path / "sg3.json")
+    write_lattice(dataclasses.replace(lattice, edges=lattice.edges[1:]), path)
+    with pytest.raises(InputFileError, match="is not the sg generation 3 lattice file"):
+        read_lattice(path)
+
+
 # --- series round trips ---------------------------------------------------
 
 def test_series_json_round_trip(tmp_path, sg2_run):
