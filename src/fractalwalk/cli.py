@@ -207,7 +207,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from . import serialize
     from .analysis import DEFAULT_SLOPE_WINDOW, check_epsilon, check_slope_window
     from .geometry import FRACTAL_KINDS, check_voids
 
@@ -246,24 +245,25 @@ def cmd_sweep(args) -> int:
     if not plan:
         raise DomainError("no instances given")
     out_dir = _outpath(args.out_dir)
-    pending = []  # (writer, document, path) of every instance, in manifest order
+    pending = []  # (serialize writer, document, path) of every instance, in manifest order
     for stem, (lattice, input_site, times) in plan.items():
         series = walk(lattice, input_site, times)[2]  # spectrum freed
         table = _stage.build_observable_table(series, lattice)
         report = _stage.build_regime_report(lattice, series, **_given(args, "epsilon"))
         base = os.path.join(out_dir, stem)
         # write_lattice writes any Lattice, but only generate's, as here, read back
-        pending += [(serialize.write_lattice, lattice, f"{base}.lattice.json"),
-                    (serialize.write_series, series, f"{base}.series.json"),
-                    (serialize.write_observables, table, f"{base}.observables.csv"),
-                    (serialize.write_report, report, f"{base}.report.json")]
+        pending += [("write_lattice", lattice, f"{base}.lattice.json"),
+                    ("write_series", series, f"{base}.series.json"),
+                    ("write_observables", table, f"{base}.observables.csv"),
+                    ("write_report", report, f"{base}.report.json")]
         events = ", ".join(f"{k}={v:.4g}" for k, v in report.event_taus().items()) or "none"
         print(f"{stem}: {lattice.n_sites} sites, events [{events}]")
     del series, table, report  # now only pending holds the series, tables and reports
+    from . import serialize  # loaded after the last walk, off its peak
     paths = [path for _, _, path in pending]
     while pending:  # last instance first (lowest peak); each document freed once written
-        write, document, path = pending.pop()
-        write(document, path)
+        writer, document, path = pending.pop()
+        getattr(serialize, writer)(document, path)
     manifest_path = os.path.join(out_dir, "manifest.json")
     serialize.write_manifest(paths, out_dir, manifest_path)
     print(f"manifest: {len(paths)} artifacts -> {manifest_path}")

@@ -20,9 +20,9 @@ the two.  Each sector is a block of about N/2:
 Both are scattered into zeroed blocks from the non-zero (row, col, value)
 triplets of H, which a ``hamiltonian.Operator`` holds; that is the only
 form ``spectral_decompose`` takes, so a walk never forms the N x N H.
-Each block lies on a private anonymous mapping, where only the pages its
-triplets touch become resident (``np.zeros``' huge pages fault in all).  It
-solves S and keeps only the O(N + E) triplets A is scattered from.  A
+The solver writes a block's eigenvectors over the block itself, and the
+residual check scatters the triplets once more.  It solves S and keeps
+only the O(N + E) triplets A is scattered from.  A
 site's amplitudes on the symmetric modes are its orbit row: its own row of
 U_s for a fixed site, and its pair's row times sqrt(1/2) for either site
 of a pair.  An antisymmetric mode vanishes on every fixed site, so a walk
@@ -63,7 +63,6 @@ they coincide with plain time arguments to exp(-iHt).
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -188,7 +187,7 @@ class Spectrum:
         if self._site is not None:
             return self._site
         lam_s, rows_s = self._sym
-        lam_a, u_a, health = _solve(_block(self._a.size, *self._anti), self._scale)
+        lam_a, u_a, health = _solve(self._a.size, *self._anti, self._scale)
         self._health.append(health)
         self._anti = None
 
@@ -348,8 +347,8 @@ def spectral_decompose(h: Operator, mirror: np.ndarray | None = None) -> Spectru
     diagonal -= diagonal.sum() / max(n, 1)  # d, the mean diagonal entry
     scale = max(1.0, float(np.abs(values[~on]).max(initial=0.0)),
                 float(np.abs(diagonal).max(initial=0.0)))
-    lam_s, u_s, health = _solve(_block(nf + npair, (i[near], j[near], weights[near]),
-                                         (i[cross], j[cross], values[cross])), scale)
+    lam_s, u_s, health = _solve(nf + npair, (i[near], j[near], weights[near]),
+                                (i[cross], j[cross], values[cross]), scale)
     u_s[nf:] *= np.sqrt(0.5)  # U_s rows become orbit rows: one per fixed site, one per pair
     pairs = near & (i >= nf) & (j >= nf)
     anti = ((i[pairs] - nf, j[pairs] - nf, values[pairs]),
@@ -360,28 +359,29 @@ def spectral_decompose(h: Operator, mirror: np.ndarray | None = None) -> Spectru
 def _block(size: int, assigned, added) -> np.ndarray:
     """A zeroed size x size block with the (i, j, value) triplets
     ``assigned`` written and then ``added`` added; neither repeats a
-    position, so each entry takes the float operations of the dense sum.
-    On a private anonymous mapping only the written pages become resident,
-    and on Linux it refuses huge pages, which the THP mode ``always`` would
-    give every anonymous mapping."""
-    buffer = mmap.mmap(-1, max(8 * size * size, 1), flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buffer.madvise(mmap.MADV_NOHUGEPAGE)
-    block = np.frombuffer(buffer, count=size * size).reshape(size, size)
+    position, so each entry takes the float operations of the dense sum."""
+    block = np.zeros((size, size))
     block[assigned[0], assigned[1]] = assigned[2]
     block[added[0], added[1]] += added[2]
     return block
 
 
-def _solve(block: np.ndarray, scale: float):
-    """Eigenpairs of one sector block and their (residual, orthogonality),
-    checked against the tolerances before any caller uses them."""
-    eigvals, eigvecs = _eigh(block)
+def _solve(size: int, assigned, added, scale: float):
+    """Eigenpairs of ``_block(size, assigned, added)`` and their (residual,
+    orthogonality), checked before any caller uses them.  The eigenvectors
+    overwrite the block, so the residual check scatters it again."""
+    try:
+        eigvals, eigvecs = _eigh(_block(size, assigned, added))
+    except FloatingPointError as exc:
+        raise NumericalError(f"eigendecomposition failed for a {size}x{size} block: {exc}; "
+                             f"max(1, max|H - d I|) = {scale:.3e}") from exc
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test below
-        residual = float(np.abs((eigvecs * eigvals) @ eigvecs.T - block).max(initial=0.0))
+        product = (eigvecs * eigvals) @ eigvecs.T
+        product -= _block(size, assigned, added)
+        residual = float(np.abs(product, out=product).max(initial=0.0))
         gram = eigvecs.T @ eigvecs
         gram.flat[::eigvals.size + 1] -= 1.0  # U^T U - I without an N x N identity
-        ortho = float(np.abs(gram).max(initial=0.0))
+        ortho = float(np.abs(gram, out=gram).max(initial=0.0))
     # written so that a NaN residual fails the check
     if not (residual <= RECONSTRUCTION_TOL * scale and ortho <= ORTHOGONALITY_TOL):
         raise NumericalError(
@@ -393,13 +393,14 @@ def _solve(block: np.ndarray, scale: float):
 
 
 def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return np.linalg.eigh(block)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigendecomposition failed for a {block.shape[0]}x{block.shape[1]} block: "
-            f"{exc}; max|H| = {np.abs(block).max():.3e}"
-        ) from exc
+    """``np.linalg.eigh``'s gufunc (LAPACK dsyevd), its eigenvectors written
+    over ``block`` and returned; a failure to converge raises FloatingPointError.
+    The alias is safe: the gufunc copies its input into a Fortran buffer
+    before LAPACK runs and writes its output only afterwards."""
+    eigvals = np.empty(block.shape[0])
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        np.linalg._umath_linalg.eigh_lo(block, out=(eigvals, block), signature="d->dd")
+    return eigvals, block
 
 
 def _check_times(times) -> np.ndarray:
@@ -453,12 +454,8 @@ def _evolve(kind: SeriesKind, kernel, spectrum: Spectrum, input_site: int,
     _check_size(times.size, spectrum.n)
     input_site = check_site(input_site, spectrum.n)
     eigvals, rows, orbit = spectrum._orbit_rows(input_site)
-    weights = rows[orbit[input_site]]
-    # a mode the input does not excite adds exactly nothing
-    keep = np.flatnonzero(weights)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail _finalize
-        probs = np.take(kernel(eigvals[keep], rows[:, keep], weights[keep], times),
-                        orbit, axis=1)
+        probs = np.take(kernel(eigvals, rows, rows[orbit[input_site]], times), orbit, axis=1)
     if times[0] == 0.0:
         # both propagators are the identity at zero time: the launch row is
         # the initial state itself, not V V^T with its last-bit roundoff

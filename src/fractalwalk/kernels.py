@@ -6,9 +6,10 @@ pixel raster (pixels x N work).  The first contracts n excited modes into
 R rows over T times: a (2T x n) by (n x R) product for the quantum walk and
 a (T x n) by (n x R) one for the classical walk, where R is the site count
 or, for an input on the mirror axis, the number of orbit rows of the
-symmetric sector (about N/2).  Both loops are written as dense matrix
-products so the work lands in BLAS; ``perfbench/run.py --trace 1`` times
-them alone as ``kernels.case_*_s``.
+symmetric sector (about N/2): a mode of zero weight adds exactly nothing,
+so the kernel drops it and holds one weighted copy of the rows it keeps.
+Both loops are dense matrix products, so the work lands in BLAS;
+``perfbench/run.py --trace 1`` times them alone as ``kernels.case_*_s``.
 """
 
 from __future__ import annotations
@@ -22,33 +23,35 @@ USING_NUMBA = False
 def quantum_probabilities(eigvals, eigvecs, weights, times):
     """Occupation probabilities p_j(t) = |sum_k V_jk w_k exp(-i lam_k t)|^2.
 
-    Parameters
-    ----------
-    eigvals : (n,) float array
-        Eigenvalues of the Hamiltonian.
-    eigvecs : (R, n) float array
-        Matrix of rows: row j holds the amplitudes V_jk of the n modes on
-        site (or orbit) j.
-    weights : (n,) float array
-        The input's own row, w_k = V[input, k].
-    times : (T,) float array
-
-    Returns
-    -------
-    (T, R) float array of probabilities, one column per row of ``eigvecs``.
+    ``eigvals`` (n,) are the Hamiltonian's eigenvalues, row j of ``eigvecs``
+    (R, n) holds the amplitudes V_jk of the n modes on site (or orbit) j and
+    ``weights`` (n,) is the input's own row, w_k = V[input, k].  Returns the
+    (T, R) probabilities at ``times`` (T,), one column per row of ``eigvecs``.
     """
+    eigvals, scaled = _excited(eigvals, eigvecs, weights)
     # exp(-i lam t) = cos - i sin: one real product gives the real parts
     # (first T rows) and the negated imaginary parts (last T rows)
-    phase = np.outer(times, eigvals)
-    amps = np.concatenate((np.cos(phase), np.sin(phase))) @ (eigvecs * weights).T
+    waves = np.empty((2, len(times), eigvals.size))
+    np.outer(times, eigvals, out=waves[0])  # the phases, then their cosines
+    np.sin(waves[0], out=waves[1])
+    np.cos(waves[0], out=waves[0])
+    amps = waves.reshape(2 * len(times), -1) @ scaled.T
     amps *= amps
     return amps[:len(times)] + amps[len(times):]
 
 
 def classical_probabilities(eigvals, eigvecs, weights, times):
     """Same contraction for the heat kernel exp(-L t); returns (T, R) floats."""
-    decay = np.exp(-np.outer(times, eigvals))
-    return decay @ (eigvecs * weights).T
+    eigvals, scaled = _excited(eigvals, eigvecs, weights)
+    return np.exp(-np.outer(times, eigvals)) @ scaled.T
+
+
+def _excited(eigvals, eigvecs, weights):
+    """Eigenvalues and weighted rows (one new array) of the modes of non-zero weight."""
+    keep = np.flatnonzero(weights)
+    scaled = eigvecs[:, keep]
+    scaled *= weights[keep]
+    return eigvals[keep], scaled
 
 
 #: image rows per product: a band's gy (rows x n) stays small beside gx (n x width)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fractalwalk
-from fractalwalk import cli
+from fractalwalk import cli, evolution
 from fractalwalk.errors import DomainError, StructuralError
 from fractalwalk.evolution import (evolve_classical, evolve_quantum, preset_grid,
                                    spectral_decompose)
@@ -858,10 +858,10 @@ def test_a_large_beta_fails_the_eigensolver_check(sg3_files, tmp_path):
 
 
 def test_an_eigensolver_failure_is_exit_7(sg3_files, tmp_path, capsys, monkeypatch):
-    def failing(block):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def failing(block):  # as dsyevd's failure to converge raises it
+        raise FloatingPointError("invalid value encountered in eigh_lo")
 
-    monkeypatch.setattr(np.linalg, "eigh", failing)
+    monkeypatch.setattr(evolution, "_eigh", failing)
     lattice, _, _ = sg3_files
     capsys.readouterr()
     assert run(["evolve", "--lattice", lattice, "--out", str(tmp_path / "s.json"),
@@ -875,12 +875,12 @@ def test_a_sweep_that_fails_in_a_later_instance_writes_nothing(tmp_path, monkeyp
     # sg:3 walks and is analysed, then dsc:2 fails in its eigendecomposition
     # (exit 7) or its analysis (exit 6): no instance's file and no manifest
     calls = []
-    eigh, build_regime_report = np.linalg.eigh, cli.build_regime_report
+    eigh, build_regime_report = evolution._eigh, cli.build_regime_report
 
     def failing_eigh(block):
         calls.append(block.shape)
         if len(calls) > 1:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            raise FloatingPointError("invalid value encountered in eigh_lo")
         return eigh(block)
 
     def failing_report(lattice, series, **params):
@@ -890,7 +890,7 @@ def test_a_sweep_that_fails_in_a_later_instance_writes_nothing(tmp_path, monkeyp
         return build_regime_report(lattice, series, **params)
 
     if stage == "eigh":
-        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        monkeypatch.setattr(evolution, "_eigh", failing_eigh)
     else:
         monkeypatch.setattr(cli, "build_regime_report", failing_report)
     status = run(["sweep", "--instances", "sg:3,dsc:2", "--out-dir", str(tmp_path)])

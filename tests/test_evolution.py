@@ -2,14 +2,14 @@
 
 import functools
 import hashlib
-import mmap
-import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalwalk import evolution
 from fractalwalk.cli import walk
 from fractalwalk.errors import BoundsError, DomainError, NumericalError, ShapeError
 from fractalwalk.evolution import (
@@ -17,6 +17,7 @@ from fractalwalk.evolution import (
     ProbabilitySeries,
     SeriesKind,
     _block,
+    _solve,
     evolve_classical,
     evolve_quantum,
     preset_grid,
@@ -97,6 +98,10 @@ def test_preset_grids():
 def test_spectrum_properties():
     h = build_hamiltonian(generate("sg", 2))
     spec = spectral_decompose(h)
+    # a mirror=None spectrum solves an empty antisymmetric block
+    assert spec.sectors == (spec.n, 0)
+    empty = np.empty(0, dtype=np.intp)
+    assert _block(0, (empty,) * 3, (empty,) * 3).shape == (0, 0)
     assert np.all(np.diff(spec.eigenvalues) >= 0)
     identity = spec.eigenvectors.T @ spec.eigenvectors
     assert np.abs(identity - np.eye(spec.n)).max() < 1e-10
@@ -220,10 +225,10 @@ def test_spectrum_keeps_its_health_figures(sg4_run):
 
 
 def _count_eigh(monkeypatch, stretch=1.0):
-    """Record the size of every eigh call, and scale the first eigenvector
-    it returns by ``stretch``."""
+    """Record the size of every block ``evolution._eigh`` solves, and scale
+    the first eigenvector it returns by ``stretch``."""
     sizes = []
-    eigh = np.linalg.eigh
+    eigh = evolution._eigh
 
     def counted(block):
         sizes.append(block.shape[0])
@@ -231,7 +236,7 @@ def _count_eigh(monkeypatch, stretch=1.0):
         vectors[:, 0] *= stretch
         return values, vectors
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(evolution, "_eigh", counted)
     return sizes
 
 
@@ -283,14 +288,15 @@ def test_health_figures_are_the_dense_expressions_bit_for_bit(monkeypatch, kind,
     # the orthogonality subtracts 1 from the Gram diagonal in place; each entry
     # takes the float operation of U^T U - I, so the figure must not move
     solved = []
-    eigh = np.linalg.eigh
+    eigh = evolution._eigh
 
     def recorded(block):
+        copy = block.copy()  # before the eigenvectors overwrite it
         values, vectors = eigh(block)
-        solved.append((block.copy(), values.copy(), vectors.copy(order="K")))
+        solved.append((copy, values.copy(), vectors.copy(order="K")))
         return values, vectors
 
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    monkeypatch.setattr(evolution, "_eigh", recorded)
     lattice = generate(kind, generation)
     spectrum = spectral_decompose(build_hamiltonian(lattice), mirror_permutation(lattice))
     spectrum.eigenvectors
@@ -302,56 +308,49 @@ def test_health_figures_are_the_dense_expressions_bit_for_bit(monkeypatch, kind,
     assert spectrum.residual == residual and spectrum.orthogonality == ortho
 
 
-def _resident_bytes() -> int:
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmRSS:"))
+@pytest.mark.parametrize("kind,generation", [("sc", 3), ("dsc", 3)])
+def test_eigh_writes_the_eigenvectors_over_the_block(monkeypatch, kind, generation):
+    blocks = []
+    eigh = evolution._eigh
+
+    def recorded(block):
+        blocks.append(block.copy())
+        return eigh(block)
+
+    monkeypatch.setattr(evolution, "_eigh", recorded)
+    lattice = generate(kind, generation)
+    spectrum = spectral_decompose(build_hamiltonian(lattice), mirror_permutation(lattice))
+    monkeypatch.undo()
+    (block,) = blocks  # the symmetric block; the antisymmetric one is pending
+    want_values, want_vectors = np.linalg.eigh(block.copy())
+    values, vectors = evolution._eigh(block)
+    assert vectors is block
+    assert np.array_equal(values, want_values) and np.array_equal(vectors, want_vectors)
+    assert np.array_equal(values, spectrum._sym[0])
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_a_block_makes_only_the_pages_its_triplets_touch_resident():
-    """A 2048-row block with only its diagonal written stays mostly unmapped.
-
-    ``np.zeros`` advises huge pages for an array of 4 MB or more, so on a
-    host whose transparent huge page mode is ``madvise`` its scattered
-    writes fault in the whole 32 MB (1.00 of its bytes, measured); only
-    there does this fail for a block built on ``np.zeros``.  Its private
-    anonymous mapping, advised against huge pages, makes one 4 KB page per
-    row resident (0.25) in every mode."""
-    d = np.arange(2048)
+def test_a_nan_block_fails_the_eigensolver():
+    # the real gufunc, nothing patched: dsyevd does not converge on it
+    rows, cols = np.divmod(np.arange(9), 3)
     empty = np.empty(0, dtype=np.intp)
-    before = _resident_bytes()
-    block = _block(2048, (d, d, np.ones(2048)), (empty,) * 3)
-    assert _resident_bytes() - before < block.nbytes / 2
-    assert np.trace(block) == 2048.0 and block.flags.writeable
-    # a mirror=None spectrum solves an empty antisymmetric block
-    assert _block(0, (empty,) * 3, (empty,) * 3).shape == (0, 0)
+    with pytest.raises(NumericalError, match="eigendecomposition failed for a 3x3 block"):
+        _solve(3, (rows, cols, np.full(9, np.nan)), (empty, empty, np.empty(0)), 1.0)
 
 
-def _vm_flags(address: int) -> list[str]:
-    """The VmFlags of the mapping in /proc/self/smaps that holds ``address``."""
-    with open("/proc/self/smaps") as smaps:
-        inside = False
-        for line in smaps:
-            first = line.split(maxsplit=1)[0]
-            if "-" in first and not first.endswith(":"):
-                start, end = (int(bound, 16) for bound in first.split("-"))
-                inside = start <= address < end
-            elif inside and first == "VmFlags:":
-                return line.split()[1:]
-    raise AssertionError(f"no mapping holds {address:#x}")
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/smaps") or
-                    not hasattr(mmap, "MADV_NOHUGEPAGE"),
-                    reason="needs /proc/self/smaps and MADV_NOHUGEPAGE")
-def test_a_block_refuses_huge_pages():
-    # the transparent huge page mode always gives every anonymous mapping
-    # huge pages (advised so, a fresh one with its diagonal written is 1.00
-    # resident, measured); "nh" is the kernel's mark of MADV_NOHUGEPAGE
-    d = np.arange(2048)
-    empty = np.empty(0, dtype=np.intp)
-    block = _block(2048, (d, d, np.ones(2048)), (empty,) * 3)
-    assert "nh" in _vm_flags(block.ctypes.data)
+def test_an_on_axis_walk_holds_one_weighted_copy_of_the_orbit_rows(dsc3_run):
+    # over two times, the orbit rows scaled by the input's weights are the
+    # largest array of the kernel: one R x n copy, not the kept columns and
+    # their product as well
+    spectrum, site = dsc3_run.spectrum, dsc3_run.input_site
+    _, rows, orbit = spectrum._orbit_rows(site)
+    weighted = rows.shape[0] * np.count_nonzero(rows[orbit[site]]) * rows.itemsize
+    tracemalloc.start()
+    try:
+        evolve_quantum(spectrum, site, np.array([0.0, 1.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weighted < peak < 1.5 * weighted
 
 
 @pytest.mark.parametrize("kind,generation", [("sg", 4), ("sc", 3), ("dsc", 3)])

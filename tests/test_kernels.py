@@ -44,7 +44,7 @@ def test_quantum_rows_normalised_for_orthonormal_input():
 
 
 def test_quantum_kernel_matches_the_complex_sum():
-    # a column subset, as the evolution passes it: N = 8 sites, n = 5 modes
+    # a column subset: N = 8 sites, n = 5 modes
     eigvals, eigvecs = random_spectrum(8, 7)
     keep = np.array([0, 2, 3, 5, 7])
     lam, vecs, weights = eigvals[keep], eigvecs[:, keep], eigvecs[2, keep]
@@ -57,6 +57,23 @@ def test_quantum_kernel_matches_the_complex_sum():
             expected[i, j] = abs(amp) ** 2
     assert probs.shape == (11, 8)
     assert np.abs(probs - expected).max() < 1e-14
+
+
+def test_kernels_drop_the_modes_of_zero_weight_and_only_read_their_inputs():
+    # a dropped mode's column is NaN, which would spread to every row if it
+    # were multiplied by its zero weight; read-only inputs refuse any write
+    eigvals, eigvecs = random_spectrum(8, 8)
+    weights = eigvecs[2].copy()
+    dropped, keep = [1, 4, 6], [0, 2, 3, 5, 7]
+    weights[dropped] = 0.0
+    eigvecs[:, dropped] = np.nan
+    times = np.linspace(0.0, 3.0, 11)
+    for array in (eigvals, eigvecs, weights, times):
+        array.setflags(write=False)
+    for kernel in (kernels.quantum_probabilities, kernels.classical_probabilities):
+        probs = kernel(eigvals, eigvecs, weights, times)
+        assert np.array_equal(probs, kernel(eigvals[keep], eigvecs[:, keep], weights[keep], times))
+        assert np.isfinite(probs).all()
 
 
 def test_import_pulls_in_neither_scipy_nor_numba():
